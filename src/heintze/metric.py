@@ -8,10 +8,11 @@ g(t) = log |e^{-tA}(y - x)|:
 * canonical single-eigenvalue A (block diagonal lam*I + N chains):
   |e^{-tN}v|^2 is an explicit polynomial, so the zeros of g are isolated
   exactly between the real critical points of e^{-2*lam*t} * P(t);
-* general A: a certified left endpoint t_lo with g > 0 on (-inf, t_lo]
-  (operator-norm bound with a sampled constant, safety factor 2), then a
-  left-to-right scan at scan_step to the first sign change, then
-  bisection to t_tol.
+* general A: a left endpoint t_lo with g > 0 on (-inf, t_lo], certified
+  by g(t_lo) and Van Loan's Schur-form bound on ||e^{-uA}||, then a march
+  whose steps never pass a zero because |g''| <= K = 4||A||^2, then
+  bisection to t_tol; every step applies a rung of a cached dyadic
+  ladder of e^{-2^k A}.
 
 All evaluators are pure and vectorized over batches of difference
 vectors; results for a given batch are deterministic.
@@ -35,21 +36,20 @@ from .spectral import (
 
 _CRIT_IMAG_TOL = 1e-9
 _CERT_MARGIN = 0.05
+# log of the largest norm ||e^{sA}|| a ladder rung may reach
+_SAFE_LOG = 600.0
+_MAX_STEPS = 100_000
 
 
 @dataclass(frozen=True)
 class SolverConfig:
     """Knobs of the smallest-root search."""
 
-    scan_step: float = 1e-2
     t_tol: float = 1e-12
-    bracket_margin: float = 5.0
 
     def __post_init__(self):
-        if min(self.scan_step, self.t_tol, self.bracket_margin) <= 0:
-            raise ValueError("solver parameters must be positive")
-        if not self.t_tol < self.scan_step:
-            raise ValueError("t_tol must be smaller than scan_step")
+        if not 0.0 < self.t_tol < 1.0:
+            raise ValueError("t_tol must lie in (0, 1)")
 
 
 def _canonical_chains(a):
@@ -106,7 +106,7 @@ class BoundarySpace:
             self._mode = "single"
         else:
             self._mode = "general"
-        self._ca = None
+        self._ladder = None
         self._sub_spaces = {}
 
     # -- structure helpers -------------------------------------------------
@@ -150,26 +150,64 @@ class BoundarySpace:
 
     # -- general-path machinery ---------------------------------------------
 
-    def _general_constant(self) -> float:
-        """Sampled bound C with ||e^{tA}|| <= C e^{t lam_min} (1+|t|)^{m-1}
-        for t <= 0 (and by symmetry of the estimate, for -t as well)."""
-        if self._ca is None:
-            span = self.solver.bracket_margin * 50.0
-            shifted = self.a - self.lambda_min * np.eye(self.n)
-            best = 1.0
-            for tau in np.linspace(-span, 0.0, 2001):
-                val = np.linalg.norm(scipy.linalg.expm(tau * shifted), 2)
-                val *= (1.0 + abs(tau)) ** (1 - self.max_block)
-                if val > best:
-                    best = val
-            self._ca = 2.0 * best  # documented safety factor
-        return self._ca
+    def _general_ladder(self) -> "_Ladder":
+        if self._ladder is None:
+            self._ladder = _build_ladder(self.a, self.solver.t_tol)
+        return self._ladder
 
-    def _bump_general_constant(self):
-        self._ca = (self._ca or 2.0) * 2.0
 
-    def _step_matrix(self, h: float) -> np.ndarray:
-        return scipy.linalg.expm(-h * self.a)
+@dataclass(frozen=True)
+class _Ladder:
+    """Matrices of the general path, built once per space.
+
+    ``down[k]`` is e^{-2^(k_lo+k) A}, the marching steps; the bottom rung
+    is the largest power of two <= t_tol.  ``up[j]`` is e^{2^j A}, the
+    candidate left endpoints t = -2^j.  ``g(t) > cert`` certifies g > 0
+    on (-inf, t].
+    """
+
+    k_lo: int
+    down: np.ndarray
+    up: np.ndarray
+    cert: float
+    curvature: float
+
+
+def _build_ladder(a: np.ndarray, t_tol: float) -> _Ladder:
+    # Van Loan: with the Schur form A = Q(D + N)Q*, lam = min Re(eig) and
+    # u >= 0, ||e^{-uA}|| <= e^{-u lam} S(u), S(u) = sum_{k<n} (u||N||)^k/k!.
+    # As e^{-(t-u)A}v = e^{uA} e^{-tA}v, g(t - u) >= g(t) + lam u - log S(u).
+    # Bounding S(u) by n times its largest term and minimising each
+    # lam u - k log(u||N||) + log k! over u (at u = k/lam) gives
+    # lam u - log S(u) >= c for every u, so g(t) > margin - c certifies
+    # g > 0 on (-inf, t].
+    n = a.shape[0]
+    schur, _ = scipy.linalg.schur(a, output="complex")
+    re = np.diag(schur).real
+    lam = re.min()
+    nil = np.linalg.norm(np.triu(schur, 1), 2)
+    c = -math.log(n) + min([0.0] + [
+        k - k * math.log(k * nil / lam) + math.lgamma(k + 1)
+        for k in range(1, n) if nil > 0
+    ])
+
+    k_lo = math.frexp(t_tol)[1] - 1
+    ks = np.arange(k_lo, 64)
+    s = np.ldexp(1.0, ks)
+    with np.errstate(over="ignore"):
+        log_s = np.log(sum((s * nil) ** k / math.factorial(k) for k in range(n)))
+    # the largest rung keeps ||e^{sA}|| <= e^{s max Re(eig)} S(s) finite
+    k_hi = int(ks[s * re.max() + log_s <= _SAFE_LOG].max())
+    down = np.ldexp(1.0, np.arange(k_lo, k_hi + 1))
+    up = np.ldexp(1.0, np.arange(0, k_hi + 1))
+    mats = scipy.linalg.expm(np.concatenate([-down, up])[:, None, None] * a)
+    return _Ladder(
+        k_lo=k_lo,
+        down=mats[: down.size],
+        up=mats[down.size :],
+        cert=_CERT_MARGIN - c,
+        curvature=4.0 * np.linalg.norm(a, 2) ** 2,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -271,6 +309,32 @@ def _real_critical_points(r_coeffs: np.ndarray):
     return out
 
 
+def _single_brackets(crit, first, guess):
+    """Initial brackets of the single path, one per row.
+
+    With a critical value g <= 0 at crit[first], the first zero lies
+    between the previous critical point (or one unit left of crit[first],
+    to be expanded) and crit[first].  Otherwise it lies right of the last
+    finite critical point (or of ``guess`` when there is none).  Returns
+    (lo, hi, expand_lo, expand_hi).
+    """
+    k, width = crit.shape
+    rows = np.arange(k)
+    finite = np.isfinite(crit)
+    f = np.minimum(first, width - 1)
+    here = (first < width) & finite[rows, f]
+    prev = np.maximum(f - 1, 0)
+    has_prev = here & (first > 0) & finite[rows, prev]
+    any_finite = finite.any(axis=1)
+    last = width - 1 - np.argmax(finite[:, ::-1], axis=1)
+    anchor = np.where(any_finite, crit[rows, last], guess)
+    lo = np.where(
+        here, np.where(has_prev, crit[rows, prev], crit[rows, f] - 1.0), anchor
+    )
+    hi = np.where(here, crit[rows, f], anchor + 1.0)
+    return lo, hi, (here & ~has_prev) | ~(here | any_finite), ~here
+
+
 def _roots_single(space: BoundarySpace, v: np.ndarray) -> np.ndarray:
     lam = space.chains[0][0]
     p = _single_poly_coeffs(space, v)
@@ -310,29 +374,8 @@ def _roots_single(space: BoundarySpace, v: np.ndarray) -> np.ndarray:
         neg = gc <= 0
         first = np.where(neg.any(axis=1), neg.argmax(axis=1), crit.shape[1])
 
-        k = len(rows)
-        lo = np.empty(k)
-        hi = np.empty(k)
-        expand_lo = np.zeros(k, bool)
-        expand_hi = np.zeros(k, bool)
         guess = 0.5 * np.log(pc[:, 0].clip(min=np.finfo(float).tiny)) / lam
-        for i in range(k):
-            f = first[i]
-            finite = np.isfinite(crit[i])
-            if f < crit.shape[1] and np.isfinite(crit[i, f]):
-                hi[i] = crit[i, f]
-                if f > 0 and np.isfinite(crit[i, f - 1]):
-                    lo[i] = crit[i, f - 1]
-                else:
-                    lo[i] = crit[i, f] - 1.0
-                    expand_lo[i] = True
-            else:
-                anchor = crit[i][finite][-1] if finite.any() else guess[i]
-                lo[i] = anchor
-                hi[i] = anchor + 1.0
-                expand_hi[i] = True
-                if not finite.any():
-                    expand_lo[i] = True
+        lo, hi, expand_lo, expand_hi = _single_brackets(crit, first, guess)
 
         step = 1.0
         for _ in range(200):
@@ -358,135 +401,85 @@ def _roots_single(space: BoundarySpace, v: np.ndarray) -> np.ndarray:
     return result
 
 
-def _certified_left(norms, lam, mblk, ca, margin):
-    t0 = min(0.0, 1.0 - (mblk - 1) / lam)
-    target = math.log(ca) - np.log(norms) + margin
-    t = np.minimum(t0, -target / lam)
-    gap = 1.0
-    for _ in range(200):
-        h = -lam * t - (mblk - 1) * np.log1p(np.abs(t))
-        bad = h < target
-        if not bad.any():
-            return t
-        t = np.where(bad, np.minimum(t, t0) - gap, t)
-        gap *= 2.0
-    raise SolverError("could not certify a left bracket endpoint")
+def _apply(rungs, k, w):
+    """Row i of the result is rungs[k[i]] @ w[i]."""
+    return np.einsum("rij,rj->ri", rungs[k], w)
 
 
-def _certified_right(norms, lam, mblk, ca, margin):
-    t0 = max(0.0, (mblk - 1) / lam - 1.0)
-    target = math.log(ca) + np.log(norms) + margin
-    t = np.maximum(t0, target / lam)
-    gap = 1.0
-    for _ in range(200):
-        h = lam * t - (mblk - 1) * np.log1p(np.abs(t))
-        bad = h < target
-        if not bad.any():
-            return t
-        t = np.where(bad, np.maximum(t, t0) + gap, t)
-        gap *= 2.0
-    raise SolverError("could not certify a right bracket endpoint")
+def _log_norm(w):
+    return np.log(np.linalg.norm(w, axis=1))
 
 
-def _exact_g(space, v_rows, t_vals):
-    out = np.empty(len(v_rows))
-    for tv in np.unique(t_vals):
-        mask = t_vals == tv
-        e = scipy.linalg.expm(-tv * space.a)
-        out[mask] = np.log(np.linalg.norm(v_rows[mask] @ e.T, axis=1))
-    return out
+def _general_failure(space, what, rows, t, g):
+    return SolverError(
+        f"general path: {what} for {rows} vector(s); last t = {t:.17g}, "
+        f"g = {g:.6g}; matrix = {space.a.tolist()}"
+    )
 
 
 def _roots_general(space: BoundarySpace, v: np.ndarray) -> np.ndarray:
-    cfg = space.solver
-    lam, mblk = space.lambda_min, space.max_block
-    norms = np.linalg.norm(v, axis=1)
-    h = cfg.scan_step
+    lad = space._general_ladder()
+    m = v.shape[0]
 
-    for _ in range(12):
-        ca = space._general_constant()
-        t_lo = _certified_left(norms, lam, mblk, ca, _CERT_MARGIN)
-        t_lo = h * np.floor(t_lo / h)
-        if np.all(_exact_g(space, v, t_lo) > 0):
+    # certified left endpoint: the first of t = 0, -1, -2, -4, ... with
+    # g(t) > cert; starting near the root keeps rounding errors in w from
+    # being amplified by the non-normal part of e^{-tA}
+    t = np.zeros(m)
+    w = v.copy()
+    g = _log_norm(w)
+    for j, rung in enumerate(lad.up):
+        low = np.flatnonzero(~(g > lad.cert))
+        if low.size == 0:
             break
-        space._bump_general_constant()
-    else:
-        raise SolverError(
-            "left-endpoint certification failed repeatedly; "
-            f"matrix = {space.a.tolist()}"
-        )
-    t_hi = _certified_right(norms, lam, mblk, ca, _CERT_MARGIN)
+        t[low] = -np.ldexp(1.0, j)
+        w[low] = v[low] @ rung.T
+        g[low] = _log_norm(w[low])
+    bad = ~((g > lad.cert) & np.isfinite(g))
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise _general_failure(space, "no certified left endpoint",
+                               int(bad.sum()), t[i], g[i])
 
-    w = np.empty_like(v)
-    for tv in np.unique(t_lo):
-        mask = t_lo == tv
-        e = scipy.linalg.expm(-tv * space.a)
-        w[mask] = v[mask] @ e.T
-
-    step = space._step_matrix(h)
-    t = t_lo.copy()
-    left_w = w.copy()
-    left_t = t.copy()
-    active = np.ones(len(v), bool)
-    span = float(np.max(t_hi) - np.min(t_lo))
-    max_steps = int(math.ceil(span / h)) + 2
-    if max_steps > 50_000_000:
-        raise SolverError(
-            f"scan of {max_steps} steps exceeds the hard cap; "
-            f"|v| range [{norms.min():.3g}, {norms.max():.3g}], "
-            f"matrix = {space.a.tolist()}"
-        )
-    for _ in range(max_steps):
-        if not active.any():
+    # march: g(t + h) >= g + g' h - K h^2 / 2 > 0 for h below its root, so
+    # the largest rung <= that root skips no zero.  A rung below t_tol may
+    # cross; if it does not, marching resumes in certified steps.
+    lo_t = np.empty(m)
+    lo_w = np.empty_like(v)
+    width = np.empty(m, dtype=int)
+    idx = np.arange(m)
+    big_k = lad.curvature
+    top = lad.down.shape[0] - 1
+    for _ in range(_MAX_STEPS):
+        slope = (-np.einsum("ij,ij->i", w, w @ space.a.T)
+                 / np.einsum("ij,ij->i", w, w))
+        root = np.sqrt(slope * slope + 2.0 * big_k * g)
+        with np.errstate(divide="ignore"):
+            h = np.where(slope > 0, (slope + root) / big_k,
+                         2.0 * g / (root - slope))
+        k = np.clip(np.frexp(h)[1] - 1 - lad.k_lo, 0, top)
+        w_next = _apply(lad.down, k, w)
+        g_next = _log_norm(w_next)
+        cross = g_next <= 0
+        hit = idx[cross]
+        lo_t[hit], lo_w[hit], width[hit] = t[cross], w[cross], k[cross]
+        keep = ~cross
+        idx, w, g = idx[keep], w_next[keep], g_next[keep]
+        t = (t + np.ldexp(1.0, lad.k_lo + k))[keep]
+        if idx.size == 0:
             break
-        wn = w[active] @ step.T
-        gn = np.log(np.linalg.norm(wn, axis=1))
-        idx = np.where(active)[0]
-        flipped = gn <= 0
-        hit = idx[flipped]
-        left_w[hit] = w[hit]
-        left_t[hit] = t[hit]
-        w[idx] = wn
-        t[idx] += h
-        active[hit] = False
-        over = active & (t > t_hi)
-        if over.any():
-            # exact re-check: certification guarantees a sign change by t_hi
-            rows = np.where(over)[0]
-            g_exact = _exact_g(space, v[rows], t[rows])
-            if np.any(g_exact > 0):
-                raise SolverError(
-                    "scan exhausted the certified range without a sign "
-                    f"change for {int(np.sum(g_exact > 0))} vector(s); "
-                    f"matrix = {space.a.tolist()}"
-                )
-            # marching drift hid the flip: rebuild the bracket-left state
-            # from exact evaluations at t - h
-            t_left = t[rows] - h
-            if np.any(_exact_g(space, v[rows], t_left) <= 0):
-                raise SolverError(
-                    "scan drift exceeded one step near the certified right "
-                    f"endpoint; matrix = {space.a.tolist()}"
-                )
-            for tv in np.unique(t_left):
-                mask = rows[t_left == tv]
-                e = scipy.linalg.expm(-tv * space.a)
-                left_w[mask] = v[mask] @ e.T
-            left_t[rows] = t_left
-            active[rows] = False
-    if active.any():
-        raise SolverError("scan step cap reached without a sign change")
+    if idx.size:
+        raise _general_failure(space, "no sign change within the step cap",
+                               idx.size, t[0], g[0])
 
-    width = h
-    rounds = int(math.ceil(math.log2(h / min(cfg.t_tol, 1e-15)))) + 1
-    for _ in range(rounds):
-        width *= 0.5
-        m_half = space._step_matrix(width)
-        trial = left_w @ m_half.T
-        adv = np.log(np.linalg.norm(trial, axis=1)) > 0
-        left_w = np.where(adv[:, None], trial, left_w)
-        left_t = left_t + np.where(adv, width, 0.0)
-    return left_t + 0.5 * width
+    # polish: bisect each bracket [lo_t, lo_t + 2^(k_lo+width)] on the ladder
+    while np.any(width > 0):
+        rows = np.flatnonzero(width > 0)
+        width[rows] -= 1
+        trial = _apply(lad.down, width[rows], lo_w[rows])
+        adv = _log_norm(trial) > 0
+        lo_w[rows[adv]] = trial[adv]
+        lo_t[rows[adv]] += np.ldexp(1.0, lad.k_lo + width[rows[adv]])
+    return lo_t + np.ldexp(1.0, lad.k_lo - 1)
 
 
 def _dist_from_diffs(space: BoundarySpace, diffs: np.ndarray) -> np.ndarray:
@@ -612,6 +605,34 @@ def fiber_hausdorff(space: BoundarySpace, y, y2) -> float:
     return gap ** (1.0 / lam)
 
 
+def _shrinking_search(space: BoundarySpace, p, free_idx, fixed_idx,
+                      fixed_vals, width: float, samples: int,
+                      seed: int) -> float:
+    """Sampled min of D_A(p, q) over q with q[fixed_idx] = fixed_vals.
+
+    Five rounds of uniform samples in a box around the incumbent free
+    coordinates (starting at p's), the box shrinking by 0.3 each round.
+    """
+    rng = np.random.default_rng(seed)
+    rounds = 5
+    per_round = max(2, samples // rounds)
+    center = p[free_idx].astype(float)
+    best = math.inf
+    for _ in range(rounds):
+        free = center + rng.uniform(-width, width, (per_round, free_idx.size))
+        free[0] = center  # always evaluate the incumbent
+        q = np.tile(p, (per_round, 1))
+        q[:, free_idx] = free
+        q[:, fixed_idx] = fixed_vals
+        d = dist_pairs(space, np.tile(p, (per_round, 1)), q)
+        j = int(np.argmin(d))
+        if d[j] < best:
+            best = float(d[j])
+            center = free[j]
+        width *= 0.3
+    return best
+
+
 def point_to_fiber(space: BoundarySpace, p, y2, samples: int = 10_000,
                    seed: int = 0) -> float:
     """Sampled distance from p to the fiber pi_A^{-1}(y').
@@ -631,24 +652,7 @@ def point_to_fiber(space: BoundarySpace, p, y2, samples: int = 10_000,
         return dist(space, p, q)
     t0 = math.log(gap) / lam
     width = 4.0 * (1.0 + gap) * (1.0 + abs(t0)) ** (space.max_block - 1)
-    rng = np.random.default_rng(seed)
-    rounds = 5
-    per_round = max(2, samples // rounds)
-    center = p[inner].astype(float)
-    best = math.inf
-    for _ in range(rounds):
-        free = center + rng.uniform(-width, width, (per_round, inner.size))
-        free[0] = center  # always evaluate the incumbent
-        q = np.tile(p, (per_round, 1))
-        q[:, inner] = free
-        q[:, pi_idx] = y2
-        d = dist_pairs(space, np.tile(p, (per_round, 1)), q)
-        j = int(np.argmin(d))
-        if d[j] < best:
-            best = float(d[j])
-            center = free[j]
-        width *= 0.3
-    return best
+    return _shrinking_search(space, p, inner, pi_idx, y2, width, samples, seed)
 
 
 def block_distance_check(space: BoundarySpace, x, y_top,
@@ -695,22 +699,7 @@ def block_distance_check(space: BoundarySpace, x, y_top,
 
     if free_idx.size == 0:
         return closed, closed
-    rng = np.random.default_rng(seed)
-    rounds = 5
-    per_round = max(2, samples // rounds)
-    center = x[free_idx].astype(float)
     width = 4.0 * (1.0 + closed)
-    best = math.inf
-    for _ in range(rounds):
-        free = center + rng.uniform(-width, width, (per_round, free_idx.size))
-        free[0] = center  # always evaluate the incumbent
-        q = np.tile(x, (per_round, 1))
-        q[:, free_idx] = free
-        q[:, top_idx] = y_top
-        d = dist_pairs(space, np.tile(x, (per_round, 1)), q)
-        j = int(np.argmin(d))
-        if d[j] < best:
-            best = float(d[j])
-            center = free[j]
-        width *= 0.3
+    best = _shrinking_search(space, x, free_idx, top_idx, y_top, width,
+                             samples, seed)
     return best, closed

@@ -10,6 +10,7 @@ from heintze.linalg import jordan_block
 from heintze.metric import (
     BoundarySpace,
     SolverConfig,
+    _single_brackets,
     block_distance_check,
     dist,
     dist_pairs,
@@ -36,10 +37,9 @@ def spaces():
 
 
 def test_solver_config_validation():
-    with pytest.raises(ValueError):
-        SolverConfig(scan_step=-1.0)
-    with pytest.raises(ValueError):
-        SolverConfig(scan_step=1e-13, t_tol=1e-12)
+    for bad in (-1.0, 0.0, 1.0, math.nan):
+        with pytest.raises(ValueError):
+            SolverConfig(t_tol=bad)
 
 
 def test_dist_coincident_is_zero(spaces):
@@ -141,7 +141,7 @@ def test_single_block_matches_independent_scan(spaces, rng):
 
 
 def test_general_path_matches_canonical_path(rng):
-    # force the general scan/bisect path on a canonical matrix by
+    # force the general path on a canonical matrix by
     # perturbing the superdiagonal away from the exact 0/1 pattern
     a = jordan_block(1.0, 2)
     a[0, 1] = 1.0 + 1e-13
@@ -165,6 +165,44 @@ def test_smallest_root_multi_root_case():
     sp = BoundarySpace(a)
     got = dist(sp, np.zeros(2), v)
     assert got == pytest.approx(math.exp(roots[0]), rel=1e-8)
+
+
+def _single_brackets_loop(crit, first, guess):
+    """Row-by-row reference for the single path's initial brackets."""
+    k = len(first)
+    lo, hi = np.empty(k), np.empty(k)
+    expand_lo, expand_hi = np.zeros(k, bool), np.zeros(k, bool)
+    for i in range(k):
+        f = first[i]
+        finite = np.isfinite(crit[i])
+        if f < crit.shape[1] and np.isfinite(crit[i, f]):
+            hi[i] = crit[i, f]
+            if f > 0 and np.isfinite(crit[i, f - 1]):
+                lo[i] = crit[i, f - 1]
+            else:
+                lo[i] = crit[i, f] - 1.0
+                expand_lo[i] = True
+        else:
+            anchor = crit[i][finite][-1] if finite.any() else guess[i]
+            lo[i], hi[i] = anchor, anchor + 1.0
+            expand_hi[i] = True
+            expand_lo[i] = not finite.any()
+    return lo, hi, expand_lo, expand_hi
+
+
+def test_single_brackets_match_loop_reference():
+    rng = np.random.default_rng(11)
+    for width in (1, 2, 3, 6):
+        # sorted critical points padded with +inf, as _real_critical_points
+        crit = np.sort(3.0 * rng.normal(size=(2000, width)), axis=1)
+        count = rng.integers(0, width + 1, 2000)
+        crit[np.arange(width) >= count[:, None]] = np.inf
+        first = rng.integers(0, width + 1, 2000)
+        guess = rng.normal(size=2000)
+        got = _single_brackets(crit, first, guess)
+        want = _single_brackets_loop(crit, first, guess)
+        for g, w in zip(got, want):
+            np.testing.assert_array_equal(g, w)
 
 
 def test_quasimetric_constant_examples(spaces):
