@@ -27,18 +27,7 @@ from .errors import (
     SolverError,
 )
 from .linalg import load_matrix
-from .maps import (
-    Composition,
-    JordanFamilyMap,
-    PolyNilpotent,
-    Shear,
-    conformal_probe,
-    empirical_bilip,
-    jordan_family_bound,
-    load_map,
-    poly_bilip_bound,
-    shear_bilip_bound,
-)
+from .maps import conformal_probe, empirical_bilip, load_map
 from .metric import BoundarySpace, dist
 from .spectral import classify, real_part_jordan_form
 from .variation import DEFAULT_MAX_CELLS, TestFunction, fit_exponents
@@ -153,28 +142,6 @@ def _max_cells_default() -> int:
         raise _UsageError(f"bad {MAX_CELLS_ENV} value {env!r}") from exc
 
 
-def _theoretical_bound(spec):
-    if isinstance(spec, JordanFamilyMap):
-        return jordan_family_bound(spec)
-    if isinstance(spec, Shear):
-        return shear_bilip_bound(spec.n, spec.c.lipschitz())
-    if isinstance(spec, PolyNilpotent):
-        return poly_bilip_bound(spec.n, spec.coeffs)
-    if isinstance(spec, Composition):
-        total = 1.0
-        for inner in spec.maps:
-            b = _theoretical_bound(inner)
-            if b is None:
-                return None
-            total *= b
-        return total
-    from .maps import Translation
-
-    if isinstance(spec, Translation):
-        return 1.0
-    return None
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 
@@ -260,7 +227,7 @@ def _cmd_qsmap_verify(args) -> int:
         spec, space, samples=args.samples, seed=args.seed,
         box_radius=args.box_radius,
     )
-    bound = _theoretical_bound(spec)
+    bound = spec.bound()
     within = None
     if bound is not None:
         within = bool(1.0 / bound <= mn and mx <= bound)
@@ -292,11 +259,8 @@ def _cmd_qsmap_verify(args) -> int:
 
 def _cmd_conformal_probe(args) -> int:
     spec = load_map(args.map)
-    n = getattr(spec, "n", None)
-    if n is None:
-        raise _UsageError("map spec does not define a dimension")
     t_values = _parse_floats(args.t)
-    ratios = conformal_probe(spec, n, t_values)
+    ratios = conformal_probe(spec, spec.n, t_values)
     if args.out:
         with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
             fh.write("t,ratio\n")

@@ -101,13 +101,24 @@ class PiecewiseLinear:
         vals = self(grid) + other(grid)
         return PiecewiseLinear(tuple(zip(grid.tolist(), vals.tolist())))
 
+    def to_json(self):
+        return {"knots": [[y, v] for y, v in self.knots]}
+
+    @classmethod
+    def from_json(cls, doc) -> "PiecewiseLinear":
+        return cls(tuple((y, v) for y, v in doc["knots"]))
+
 
 # ---------------------------------------------------------------------------
-# map specs
+# map specs: each carries ``kind`` (its JSON tag), ``apply`` (the batch
+# map; ``eval_map_batch`` checks the dimension), ``to_json``, ``from_json``
+# and ``bound`` (its biLipschitz bound on (R^n, D_{J_n}), or None where
+# none is known)
 
 
 @dataclass(frozen=True)
 class Translation:
+    kind = "translation"
     v: tuple
 
     def __post_init__(self):
@@ -119,9 +130,23 @@ class Translation:
     def n(self):
         return len(self.v)
 
+    def apply(self, x):
+        return x + np.asarray(self.v)
+
+    def to_json(self):
+        return {"kind": self.kind, "v": list(self.v)}
+
+    @classmethod
+    def from_json(cls, doc):
+        return cls(tuple(doc["v"]))
+
+    def bound(self):
+        return 1.0
+
 
 @dataclass(frozen=True, eq=False)
 class LinearMap:
+    kind = "linear"
     m: np.ndarray
 
     def __post_init__(self):
@@ -131,11 +156,25 @@ class LinearMap:
     def n(self):
         return self.m.shape[0]
 
+    def apply(self, x):
+        return x @ self.m.T
+
+    def to_json(self):
+        return {"kind": self.kind, "M": self.m.tolist()}
+
+    @classmethod
+    def from_json(cls, doc):
+        return cls(np.asarray(doc["M"], dtype=float))
+
+    def bound(self):
+        return None
+
 
 @dataclass(frozen=True)
 class Shear:
     """x -> x + (C(x_n), 0, ..., 0)^T."""
 
+    kind = "shear"
     n: int
     c: PiecewiseLinear
 
@@ -143,11 +182,27 @@ class Shear:
         if self.n < 2:
             raise ValueError("shear needs dimension >= 2")
 
+    def apply(self, x):
+        out = x.copy()
+        out[:, 0] += self.c(x[:, -1])
+        return out
+
+    def to_json(self):
+        return {"kind": self.kind, "n": self.n, "C": self.c.to_json()}
+
+    @classmethod
+    def from_json(cls, doc):
+        return cls(int(doc["n"]), PiecewiseLinear.from_json(doc["C"]))
+
+    def bound(self):
+        return shear_bilip_bound(self.n, self.c.lipschitz())
+
 
 @dataclass(frozen=True)
 class PolyNilpotent:
     """x -> (a_0 I + a_1 N + ... + a_{n-1} N^{n-1}) x, a_0 != 0."""
 
+    kind = "poly_nilpotent"
     coeffs: tuple
 
     def __post_init__(self):
@@ -160,11 +215,25 @@ class PolyNilpotent:
     def n(self):
         return len(self.coeffs)
 
+    def apply(self, x):
+        return x @ poly_in_nilpotent(self.n, self.coeffs).T
+
+    def to_json(self):
+        return {"kind": self.kind, "n": self.n, "coeffs": list(self.coeffs)}
+
+    @classmethod
+    def from_json(cls, doc):
+        return cls(tuple(doc["coeffs"]))
+
+    def bound(self):
+        return poly_bilip_bound(self.n, self.coeffs)
+
 
 @dataclass(frozen=True)
 class JordanFamilyMap:
     """The full quasisymmetric family on (R^n, D_{J_n})."""
 
+    kind = "jordan_family"
     n: int
     a: tuple  # a_0 .. a_{n-2}
     v: tuple
@@ -180,9 +249,29 @@ class JordanFamilyMap:
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "v", v)
 
+    def apply(self, x):
+        out = x @ poly_in_nilpotent(self.n, self.a).T + np.asarray(self.v)
+        out[:, 0] += self.c(x[:, -1])
+        return out
+
+    def to_json(self):
+        return {"kind": self.kind, "n": self.n, "a": list(self.a),
+                "v": list(self.v), "C": self.c.to_json()}
+
+    @classmethod
+    def from_json(cls, doc):
+        return cls(int(doc["n"]), tuple(doc["a"]), tuple(doc["v"]),
+                   PiecewiseLinear.from_json(doc["C"]))
+
+    def bound(self):
+        return jordan_family_bound(self)
+
 
 @dataclass(frozen=True)
 class Composition:
+    """maps[0] o maps[1] o ... (the last map applies first)."""
+
+    kind = "composition"
     maps: tuple
 
     def __post_init__(self):
@@ -196,6 +285,33 @@ class Composition:
     @property
     def n(self):
         return self.maps[0].n
+
+    def apply(self, x):
+        for inner in reversed(self.maps):
+            x = inner.apply(x)
+        return x
+
+    def to_json(self):
+        return {"kind": self.kind, "maps": [m.to_json() for m in self.maps]}
+
+    @classmethod
+    def from_json(cls, doc):
+        return cls(tuple(map_from_json_dict(m) for m in doc["maps"]))
+
+    def bound(self):
+        """Product of the factors' bounds; None if a factor has none."""
+        total = 1.0
+        for inner in self.maps:
+            b = inner.bound()
+            if b is None:
+                return None
+            total *= b
+        return total
+
+
+_KINDS = {cls.kind: cls for cls in (Translation, LinearMap, Shear,
+                                    PolyNilpotent, JordanFamilyMap,
+                                    Composition)}
 
 
 def poly_in_nilpotent(n: int, coeffs) -> np.ndarray:
@@ -215,26 +331,7 @@ def eval_map_batch(spec, x) -> np.ndarray:
     x = np.atleast_2d(np.asarray(x, dtype=float))
     if x.shape[1] != spec.n:
         raise ValueError(f"expected points of dimension {spec.n}")
-    if isinstance(spec, Translation):
-        return x + np.asarray(spec.v)
-    if isinstance(spec, LinearMap):
-        return x @ spec.m.T
-    if isinstance(spec, Shear):
-        out = x.copy()
-        out[:, 0] += spec.c(x[:, -1])
-        return out
-    if isinstance(spec, PolyNilpotent):
-        return x @ poly_in_nilpotent(spec.n, spec.coeffs).T
-    if isinstance(spec, JordanFamilyMap):
-        p = poly_in_nilpotent(spec.n, spec.a)
-        out = x @ p.T + np.asarray(spec.v)
-        out[:, 0] += spec.c(x[:, -1])
-        return out
-    if isinstance(spec, Composition):
-        for inner in reversed(spec.maps):
-            x = eval_map_batch(inner, x)
-        return x
-    raise TypeError(f"unknown map spec {type(spec).__name__}")
+    return spec.apply(x)
 
 
 def eval_map(spec, x) -> np.ndarray:
@@ -250,11 +347,7 @@ def compose_jordan(f: JordanFamilyMap, g: JordanFamilyMap) -> JordanFamilyMap:
     if f.n != g.n:
         raise ValueError("dimension mismatch")
     n = f.n
-    full = [0.0] * n
-    for i, fi in enumerate(f.a):
-        for j, gj in enumerate(g.a):
-            if i + j < n:
-                full[i + j] += fi * gj
+    full = _nilpotent_coeff_mul(f.a, g.a, n)
     coeffs = tuple(full[: n - 1])
     pf = poly_in_nilpotent(n, f.a)
     v_new = tuple((pf @ np.asarray(g.v) + np.asarray(f.v)).tolist())
@@ -268,60 +361,16 @@ def compose_jordan(f: JordanFamilyMap, g: JordanFamilyMap) -> JordanFamilyMap:
 # JSON wire format
 
 
-def _pwl_to_json(c: PiecewiseLinear):
-    return {"knots": [[y, v] for y, v in c.knots]}
-
-
-def _pwl_from_json(doc) -> PiecewiseLinear:
-    return PiecewiseLinear(tuple((y, v) for y, v in doc["knots"]))
-
-
 def map_to_json_dict(spec):
-    if isinstance(spec, Translation):
-        return {"kind": "translation", "v": list(spec.v)}
-    if isinstance(spec, LinearMap):
-        return {"kind": "linear", "M": spec.m.tolist()}
-    if isinstance(spec, Shear):
-        return {"kind": "shear", "n": spec.n, "C": _pwl_to_json(spec.c)}
-    if isinstance(spec, PolyNilpotent):
-        return {"kind": "poly_nilpotent", "n": spec.n,
-                "coeffs": list(spec.coeffs)}
-    if isinstance(spec, JordanFamilyMap):
-        return {
-            "kind": "jordan_family",
-            "n": spec.n,
-            "a": list(spec.a),
-            "v": list(spec.v),
-            "C": _pwl_to_json(spec.c),
-        }
-    if isinstance(spec, Composition):
-        return {
-            "kind": "composition",
-            "maps": [map_to_json_dict(m) for m in spec.maps],
-        }
-    raise TypeError(f"unknown map spec {type(spec).__name__}")
+    return spec.to_json()
 
 
 def map_from_json_dict(doc):
     kind = doc.get("kind")
-    if kind == "translation":
-        return Translation(tuple(doc["v"]))
-    if kind == "linear":
-        return LinearMap(np.asarray(doc["M"], dtype=float))
-    if kind == "shear":
-        return Shear(int(doc["n"]), _pwl_from_json(doc["C"]))
-    if kind == "poly_nilpotent":
-        return PolyNilpotent(tuple(doc["coeffs"]))
-    if kind == "jordan_family":
-        return JordanFamilyMap(
-            int(doc["n"]),
-            tuple(doc["a"]),
-            tuple(doc["v"]),
-            _pwl_from_json(doc["C"]),
-        )
-    if kind == "composition":
-        return Composition(tuple(map_from_json_dict(m) for m in doc["maps"]))
-    raise ValueError(f"unknown map kind {kind!r}")
+    cls = _KINDS.get(kind) if isinstance(kind, str) else None
+    if cls is None:
+        raise ValueError(f"unknown map kind {kind!r}")
+    return cls.from_json(doc)
 
 
 def load_map(path):
@@ -571,20 +620,16 @@ def distortion_profile(spec, space: BoundarySpace, x, radii,
         targets_lo = r * rng.uniform(1.0, 1.1, len(dirs))
         targets_hi[0] = r
         targets_lo[0] = r
-        pts = {"hi": [], "lo": []}
-        for label, targets in (("hi", targets_hi), ("lo", targets_lo)):
-            for i in range(len(dirs)):
-                s = math.log(targets[i] / base_d[i])
-                pts[label].append(x + scipy.linalg.expm(s * space.a) @ dirs[i])
-        fx = eval_map_batch(spec, x[None, :])
-        sup_vals = dist_pairs(
-            space, np.tile(fx, (len(dirs), 1)),
-            eval_map_batch(spec, np.array(pts["hi"])),
-        )
-        inf_vals = dist_pairs(
-            space, np.tile(fx, (len(dirs), 1)),
-            eval_map_batch(spec, np.array(pts["lo"])),
-        )
+        # math.log per element: np.log's vector loop can differ in the last
+        # bit, and these step lengths are kept reproducible across releases
+        s = np.array([math.log(q) for q in np.concatenate(
+            [targets_hi / base_d, targets_lo / base_d])])
+        steps = scipy.linalg.expm(s[:, None, None] * space.a)
+        pts = x + (steps @ np.tile(dirs, (2, 1))[:, :, None])[:, :, 0]
+        fx = np.tile(eval_map_batch(spec, x[None, :]), (len(dirs), 1))
+        fpts = eval_map_batch(spec, pts)
+        sup_vals = dist_pairs(space, fx, fpts[: len(dirs)])
+        inf_vals = dist_pairs(space, fx, fpts[len(dirs) :])
         sup_out = float(np.max(sup_vals))
         inf_out = float(np.min(inf_vals))
         rows.append(

@@ -12,7 +12,7 @@ g(t) = log |e^{-tA}(y - x)|:
   by g(t_lo) and Van Loan's Schur-form bound on ||e^{-uA}||, then a march
   whose steps never pass a zero because |g''| <= K = 4||A||^2, then
   bisection to t_tol; every step applies a rung of a cached dyadic
-  ladder of e^{-2^k A}.
+  ladder of e^{-2^k T}, with A = Q T Q^T its real Schur form.
 
 All evaluators are pure and vectorized over batches of difference
 vectors; results for a given batch are deterministic.
@@ -26,11 +26,12 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .errors import SolverError
+from .errors import RangeError, SolverError
 from .linalg import check_matrix, check_vector
 from .spectral import (
     DEFAULT_CLUSTER_TOL,
     RealPartJordanForm,
+    canonical_matrix,
     real_part_jordan_form,
 )
 
@@ -39,6 +40,7 @@ _CERT_MARGIN = 0.05
 # log of the largest norm ||e^{sA}|| a ladder rung may reach
 _SAFE_LOG = 600.0
 _MAX_STEPS = 100_000
+_TINY = np.finfo(float).tiny
 
 
 @dataclass(frozen=True)
@@ -143,10 +145,19 @@ class BoundarySpace:
                 "operation requires a canonical single-eigenvalue matrix"
             )
 
-    def _reduced_space(self, key, builder):
-        if key not in self._sub_spaces:
-            self._sub_spaces[key] = builder()
-        return self._sub_spaces[key]
+    def _canonical_sub_space(self, chains):
+        """The canonical space of the (lam, size, offset) ``chains``,
+        cached, and the coordinates of this space in its block order."""
+        chains = sorted(chains, key=lambda c: (c[0], -c[1]))
+        blocks = tuple((lam, size) for lam, size, _ in chains)
+        if blocks not in self._sub_spaces:
+            form = RealPartJordanForm(blocks, sum(s for _, s in blocks))
+            self._sub_spaces[blocks] = BoundarySpace(canonical_matrix(form),
+                                                     self.solver)
+        idx = np.concatenate(
+            [np.arange(off, off + size) for _, size, off in chains]
+        )
+        return self._sub_spaces[blocks], idx
 
     # -- general-path machinery ---------------------------------------------
 
@@ -160,12 +171,17 @@ class BoundarySpace:
 class _Ladder:
     """Matrices of the general path, built once per space.
 
-    ``down[k]`` is e^{-2^(k_lo+k) A}, the marching steps; the bottom rung
-    is the largest power of two <= t_tol.  ``up[j]`` is e^{2^j A}, the
-    candidate left endpoints t = -2^j.  ``g(t) > cert`` certifies g > 0
-    on (-inf, t].
+    The path works in real Schur coordinates A = Q T Q^T (``q``, ``tri``),
+    where |e^{-tA}v| = |e^{-tT} Q^T v|: there a rung scales each invariant
+    subspace by its own eigenvalues, so the rounding error of a stiff
+    component does not land in a slow one.  ``down[k]`` is
+    e^{-2^(k_lo+k) T}, the marching steps; the bottom rung is the largest
+    power of two <= t_tol.  ``up[j]`` is e^{2^j T}, the candidate left
+    endpoints t = -2^j.  ``g(t) > cert`` certifies g > 0 on (-inf, t].
     """
 
+    q: np.ndarray
+    tri: np.ndarray
     k_lo: int
     down: np.ndarray
     up: np.ndarray
@@ -200,8 +216,11 @@ def _build_ladder(a: np.ndarray, t_tol: float) -> _Ladder:
     k_hi = int(ks[s * re.max() + log_s <= _SAFE_LOG].max())
     down = np.ldexp(1.0, np.arange(k_lo, k_hi + 1))
     up = np.ldexp(1.0, np.arange(0, k_hi + 1))
-    mats = scipy.linalg.expm(np.concatenate([-down, up])[:, None, None] * a)
+    tri, q = scipy.linalg.schur(a, output="real")
+    mats = scipy.linalg.expm(np.concatenate([-down, up])[:, None, None] * tri)
     return _Ladder(
+        q=q,
+        tri=tri,
         k_lo=k_lo,
         down=mats[: down.size],
         up=mats[down.size :],
@@ -421,6 +440,7 @@ def _roots_general(space: BoundarySpace, v: np.ndarray) -> np.ndarray:
     lad = space._general_ladder()
     m = v.shape[0]
 
+    v = v @ lad.q  # rows Q^T v: Schur coordinates
     # certified left endpoint: the first of t = 0, -1, -2, -4, ... with
     # g(t) > cert; starting near the root keeps rounding errors in w from
     # being amplified by the non-normal part of e^{-tA}
@@ -450,7 +470,7 @@ def _roots_general(space: BoundarySpace, v: np.ndarray) -> np.ndarray:
     big_k = lad.curvature
     top = lad.down.shape[0] - 1
     for _ in range(_MAX_STEPS):
-        slope = (-np.einsum("ij,ij->i", w, w @ space.a.T)
+        slope = (-np.einsum("ij,ij->i", w, w @ lad.tri.T)
                  / np.einsum("ij,ij->i", w, w))
         root = np.sqrt(slope * slope + 2.0 * big_k * g)
         with np.errstate(divide="ignore"):
@@ -487,7 +507,16 @@ def _dist_from_diffs(space: BoundarySpace, diffs: np.ndarray) -> np.ndarray:
     if diffs.shape[1] != space.n:
         raise ValueError(f"expected vectors of dimension {space.n}")
     out = np.zeros(diffs.shape[0])
-    nz = np.linalg.norm(diffs, axis=1) > 0
+    nz = np.any(diffs != 0.0, axis=1)
+    # every path squares |v|; outside this range that rounds to 0 or inf
+    sq = np.einsum("ij,ij->i", diffs, diffs)
+    bad = nz & ~((sq >= _TINY) & (sq < np.inf))
+    if bad.any():
+        raise RangeError(
+            f"{int(bad.sum())} nonzero difference vector(s) out of range: "
+            f"|y - x| must lie in [{math.sqrt(_TINY):.3g}, "
+            f"{math.sqrt(np.finfo(float).max):.3g}]"
+        )
     if not nz.any():
         return out
     v = diffs[nz]
@@ -565,34 +594,10 @@ def fiber_restriction_check(space: BoundarySpace, p, p2):
     inner = space.interior_indices()
     if inner.size == 0:
         return 0.0, 0.0
-    d_full = dist(space, p, p2)
-
-    def build():
-        from .spectral import canonical_matrix
-
-        lam = space.chains[0][0]
-        blocks = tuple(
-            (lam, size - 1) for _, size, _ in space.chains if size >= 2
-        )
-        blocks = tuple(sorted(blocks, key=lambda b: (b[0], -b[1])))
-        form = RealPartJordanForm(blocks, sum(s for _, s in blocks))
-        return BoundarySpace(canonical_matrix(form), space.solver)
-
-    # A(1) keeps the chain order; sizes sorted descending already because
-    # interior_indices stacks chains in matrix order
-    reduced = space._reduced_space("a1", build)
-    # stack interior coordinates chain by chain to match A(1)'s block order
-    order = np.argsort([-(s - 1) for _, s, _ in space.chains if s >= 2],
-                       kind="stable")
-    xs, xs2 = [], []
-    big = [c for c in space.chains if c[1] >= 2]
-    for j in order:
-        _, size, off = big[j]
-        xs.append(p[off : off + size - 1])
-        xs2.append(p2[off : off + size - 1])
-    x = np.concatenate(xs)
-    x2 = np.concatenate(xs2)
-    return d_full, dist(reduced, x, x2)
+    reduced, idx = space._canonical_sub_space(
+        [(lam, size - 1, off) for lam, size, off in space.chains if size >= 2]
+    )
+    return dist(space, p, p2), dist(reduced, p[idx], p2[idx])
 
 
 def fiber_hausdorff(space: BoundarySpace, y, y2) -> float:
@@ -668,38 +673,16 @@ def block_distance_check(space: BoundarySpace, x, y_top,
     if len(lams) < 2:
         raise ValueError("operation requires at least two distinct eigenvalues")
     x = check_vector(x, space.n)
-    lam_top = lams[-1]
-    top = [c for c in space.chains if c[0] == lam_top]
+    top = [c for c in space.chains if c[0] == lams[-1]]
     top_idx = np.concatenate(
         [np.arange(off, off + size) for _, size, off in top]
     )
     free_idx = np.setdiff1d(np.arange(space.n), top_idx)
-    y_top = check_vector(y_top, top_idx.size)
-
-    def build():
-        from .spectral import canonical_matrix
-
-        blocks = tuple(
-            sorted(((lam, s) for lam, s, _ in top), key=lambda b: (b[0], -b[1]))
-        )
-        form = RealPartJordanForm(blocks, sum(s for _, s in blocks))
-        return BoundarySpace(canonical_matrix(form), space.solver)
-
-    sub = space._reduced_space(("top", lam_top), build)
-    order = np.argsort([-s for _, s, _ in top], kind="stable")
-    xk = np.concatenate([x[top[j][2] : top[j][2] + top[j][1]] for j in order])
-    yk = []
-    pos = 0
-    segs = []
-    for _, size, _ in top:
-        segs.append(y_top[pos : pos + size])
-        pos += size
-    yk = np.concatenate([segs[j] for j in order])
-    closed = dist(sub, xk, yk)
-
-    if free_idx.size == 0:
-        return closed, closed
+    y = x.copy()
+    y[top_idx] = check_vector(y_top, top_idx.size)
+    sub, idx = space._canonical_sub_space(top)
+    closed = dist(sub, x[idx], y[idx])
     width = 4.0 * (1.0 + closed)
-    best = _shrinking_search(space, x, free_idx, top_idx, y_top, width,
-                             samples, seed)
+    best = _shrinking_search(space, x, free_idx, top_idx, y[top_idx],
+                             width, samples, seed)
     return best, closed

@@ -160,6 +160,47 @@ def test_conformal_probe_output(files):
     assert "final ratio = 1.41421356237" in out
 
 
+PROBE_GOLDEN = {
+    "shear": (
+        {"kind": "shear", "n": 2,
+         "C": {"knots": [[-1.0, 0.0], [0.5, 0.25], [1.0, 1.0]]}},
+        '{\n  "bound": 5.557504237414044,\n  "box_radius": 5.0,\n'
+        '  "max_ratio": 1.6271809890822995,\n'
+        '  "min_ratio": 0.3443208731561612,\n  "samples": 300,\n'
+        '  "seed": 4,\n  "within_bound": true\n}\n',
+        "1.01379375505",
+    ),
+    "jordan_family": (
+        {"kind": "jordan_family", "n": 2, "a": [1.5], "v": [0.1, -0.2],
+         "C": {"knots": [[0.0, 0.0], [1.0, 0.5]]}},
+        '{\n  "bound": 9.241432094151826,\n  "box_radius": 5.0,\n'
+        '  "max_ratio": 1.611735699960127,\n'
+        '  "min_ratio": 1.4643952204884956,\n  "samples": 300,\n'
+        '  "seed": 4,\n  "within_bound": true\n}\n',
+        "1.58113883008",
+    ),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(PROBE_GOLDEN))
+def test_map_commands_golden(files, kind):
+    doc, report, ratio = PROBE_GOLDEN[kind]
+    map_path = files["dir"] / f"{kind}.json"
+    map_path.write_text(json.dumps(doc))
+    out_json = str(files["dir"] / f"{kind}-verify.json")
+    rc, _, err = run_cli(
+        "qsmap-verify", "--map", str(map_path), "--matrix", files["j2"],
+        "--samples", "300", "--seed", "4", "--out", out_json,
+    )
+    assert rc == 0, err
+    assert open(out_json).read() == report
+    rc, out, _ = run_cli("conformal-probe", "--map", str(map_path),
+                         "--t=-1,-4,-8")
+    assert rc == 0
+    assert out == "".join(f"t = {t}: ratio = {ratio}\n"
+                          for t in (-1, -4, -8)) + f"final ratio = {ratio}\n"
+
+
 def test_unknown_flag_exits_one(files):
     rc, _, _ = run_cli("dist", "--nope", "1")
     assert rc == 1

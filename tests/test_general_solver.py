@@ -102,6 +102,20 @@ def test_orthogonal_conjugation_on_rotated_corpus(corpus):
         assert abs(got - want) <= 1e-8
 
 
+@pytest.mark.parametrize("lam", [30.0, 100.0, 300.0])
+def test_orthogonal_conjugation_on_stiff_diagonal(lam):
+    # in the original coordinates the left endpoint t = -1 scales the stiff
+    # component by e^lam and its rounding error lands in the slow direction
+    # (v = (0.1, 0) on lam = 100 gave log D = 59.9 against -0.0274)
+    v = np.random.default_rng(8).uniform(-5.0, 5.0, (300, 2))
+    v[0] = (0.1, 0.0)
+    zeros = np.zeros_like(v)
+    a = ROTATION @ np.diag([1.0, lam]) @ ROTATION.T
+    got = dist_pairs(BoundarySpace(a), zeros, v)
+    want = dist_pairs(BoundarySpace(np.diag([1.0, lam])), zeros, v @ ROTATION)
+    np.testing.assert_allclose(np.log(got), np.log(want), rtol=0, atol=1e-10)
+
+
 def test_general_space_builds_its_ladder_once(monkeypatch):
     rng = np.random.default_rng(5)
     calls = []

@@ -99,7 +99,8 @@ def test_numerical_rank():
     assert numerical_rank(jordan_block(1.0, 2) - np.eye(2), 1e-9) == 1
 
 
-def test_semigroup_property(rng):
+def test_semigroup_property():
+    rng = np.random.default_rng(7)
     for _ in range(30):
         n = int(rng.integers(1, 5))
         a = rng.normal(size=(n, n))

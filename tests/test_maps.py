@@ -26,6 +26,7 @@ from heintze.maps import (
     poly_bilip_bound,
     q_exp_nilpotent,
     qs_profile,
+    save_map,
     shear_bilip_bound,
     transfer_check,
 )
@@ -305,6 +306,49 @@ def test_map_json_roundtrip(rng):
         )
 
 
+WIRE_GOLDEN = [
+    (Translation((1.0, -2.5)),
+     '{"kind": "translation", "v": [1.0, -2.5]}\n'),
+    (LinearMap(np.array([[1.0, 0.5], [0.0, 2.0]])),
+     '{"kind": "linear", "M": [[1.0, 0.5], [0.0, 2.0]]}\n'),
+    (Shear(2, PiecewiseLinear(((-1.0, 0.0), (0.5, 0.25), (1.0, 1.0)))),
+     '{"kind": "shear", "n": 2, "C": {"knots": [[-1.0, 0.0], [0.5, 0.25], '
+     '[1.0, 1.0]]}}\n'),
+    (PolyNilpotent((2.0, -0.5, 0.1)),
+     '{"kind": "poly_nilpotent", "n": 3, "coeffs": [2.0, -0.5, 0.1]}\n'),
+    (JordanFamilyMap(3, (1.5, 0.25), (0.1, -0.2, 0.3),
+                     PiecewiseLinear(((0.0, 0.0), (1.0, 0.5)))),
+     '{"kind": "jordan_family", "n": 3, "a": [1.5, 0.25], '
+     '"v": [0.1, -0.2, 0.3], "C": {"knots": [[0.0, 0.0], [1.0, 0.5]]}}\n'),
+    (Composition((Translation((1.0, 0.0)),
+                  Shear(2, PiecewiseLinear.linear(0.3)))),
+     '{"kind": "composition", "maps": [{"kind": "translation", '
+     '"v": [1.0, 0.0]}, {"kind": "shear", "n": 2, "C": {"knots": '
+     '[[0.0, 0.0], [1.0, 0.3]]}}]}\n'),
+    (Composition((Translation((1.0, 0.0)), Composition((
+        Shear(2, PiecewiseLinear.constant(0.5)),
+        LinearMap(2.0 * np.eye(2)))))),
+     '{"kind": "composition", "maps": [{"kind": "translation", '
+     '"v": [1.0, 0.0]}, {"kind": "composition", "maps": [{"kind": "shear", '
+     '"n": 2, "C": {"knots": [[0.0, 0.5]]}}, {"kind": "linear", '
+     '"M": [[2.0, 0.0], [0.0, 2.0]]}]}]}\n'),
+]
+
+
+@pytest.mark.parametrize("spec, text", WIRE_GOLDEN, ids=[
+    "translation", "linear", "shear", "poly_nilpotent", "jordan_family",
+    "composition", "nested_composition",
+])
+def test_map_wire_format_golden(spec, text, tmp_path):
+    path = tmp_path / "map.json"
+    save_map(path, spec)
+    assert path.read_bytes() == text.encode()
+    doc = spec.to_json()
+    assert map_to_json_dict(spec) == doc
+    back = map_from_json_dict(doc)
+    assert type(back) is type(spec) and back.to_json() == doc
+
+
 def test_map_validation():
     with pytest.raises(ValueError):
         JordanFamilyMap(2, (0.0,), (0.0, 0.0), PiecewiseLinear.constant(0.0))
@@ -314,3 +358,9 @@ def test_map_validation():
         PiecewiseLinear(((0.0, 1.0), (0.0, 2.0)))
     with pytest.raises(ValueError):
         Composition((Translation((1.0,)), Translation((1.0, 2.0))))
+    with pytest.raises(ValueError, match="unknown map kind 'rotation'"):
+        map_from_json_dict({"kind": "rotation"})
+    with pytest.raises(ValueError, match="unknown map kind"):
+        map_from_json_dict({"kind": ["shear"]})
+    with pytest.raises(KeyError):
+        map_from_json_dict({"kind": "jordan_family", "n": 2})

@@ -6,6 +6,7 @@ import scipy.linalg
 
 from conftest import oracle_roots, scan_oracle
 
+from heintze.errors import RangeError
 from heintze.linalg import jordan_block
 from heintze.metric import (
     BoundarySpace,
@@ -312,6 +313,25 @@ def test_block_distance_trivial_equal_top(spaces):
 def test_block_distance_requires_two_eigenvalues(spaces):
     with pytest.raises(ValueError, match="two distinct"):
         block_distance_check(spaces["J2"], [0.0, 0.0], [1.0])
+
+
+def test_out_of_float_range_differences_raise(spaces):
+    # |v|^2 underflows or overflows here; unchecked, these rows gave D = 0
+    # for distinct points (1e-300), 9.99997e-81 in place of 1e-80 (1e-160
+    # on diag(1, 2)), and inf or an untyped LinAlgError (1e160)
+    rot = ROTATION_PLUS / math.sqrt(2.0)
+    general = BoundarySpace(rot @ np.diag([1.0, 2.0]) @ rot.T)
+    for space in (spaces["diag12"], spaces["J2"], general):
+        for b in (1e-300, 1e-160, 1e160):
+            with pytest.raises(RangeError, match=r"^1 nonzero .*1\.49e-154"):
+                dist(space, [0.0, 0.0], [0.0, b])
+        with pytest.raises(RangeError, match=r"^2 nonzero"):
+            dist_pairs(space, np.zeros((3, 2)),
+                       [[0.0, 1e-300], [0.0, 0.0], [1e160, 1.0]])
+        for b in (1e-100, 1e100):
+            d = dist(space, [0.0, 0.0], [0.0, b])
+            assert 0.0 < d < math.inf
+        assert dist(space, [1e-300, 0.0], [1e-300, 0.0]) == 0.0
 
 
 def test_dist_pairs_shape_mismatch(spaces):
