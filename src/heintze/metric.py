@@ -176,13 +176,15 @@ class _Ladder:
     subspace by its own eigenvalues, so the rounding error of a stiff
     component does not land in a slow one.  ``down[k]`` is
     e^{-2^(k_lo+k) T}, the marching steps; the bottom rung is the largest
-    power of two <= t_tol.  ``up[j]`` is e^{2^j T}, the candidate left
-    endpoints t = -2^j.  ``g(t) > cert`` certifies g > 0 on (-inf, t].
+    power of two <= t_tol.  ``up[j]`` is e^{2^(j_lo+j) T}, the candidate
+    left endpoints t = -2^(j_lo+j).  ``g(t) > cert`` certifies g > 0 on
+    (-inf, t].
     """
 
     q: np.ndarray
     tri: np.ndarray
     k_lo: int
+    j_lo: int
     down: np.ndarray
     up: np.ndarray
     cert: float
@@ -215,13 +217,19 @@ def _build_ladder(a: np.ndarray, t_tol: float) -> _Ladder:
     # the largest rung keeps ||e^{sA}|| <= e^{s max Re(eig)} S(s) finite
     k_hi = int(ks[s * re.max() + log_s <= _SAFE_LOG].max())
     down = np.ldexp(1.0, np.arange(k_lo, k_hi + 1))
-    up = np.ldexp(1.0, np.arange(0, k_hi + 1))
+    # the first left endpoint keeps 2^j_lo max Re(eig) <= 2: further
+    # left, a stiff component grows so large that its rounding error
+    # swamps the slow ones (on R.diag(1, 350).R^T, T's off-diagonal of
+    # 3e-14 put 1e136 into the slow coordinate at t = -1)
+    j_lo = min(0, math.floor(1.0 - math.log2(re.max())))
+    up = np.ldexp(1.0, np.arange(j_lo, k_hi + 1))
     tri, q = scipy.linalg.schur(a, output="real")
     mats = scipy.linalg.expm(np.concatenate([-down, up])[:, None, None] * tri)
     return _Ladder(
         q=q,
         tri=tri,
         k_lo=k_lo,
+        j_lo=j_lo,
         down=mats[: down.size],
         up=mats[down.size :],
         cert=_CERT_MARGIN - c,
@@ -426,7 +434,18 @@ def _apply(rungs, k, w):
 
 
 def _log_norm(w):
-    return np.log(np.linalg.norm(w, axis=1))
+    """log |w| per row.  The norm squares |w|, so a row whose square leaves
+    the float range (|w| above 1.34e154) is scaled by its largest entry
+    first.  Callers ignore overflow and divide-by-zero warnings."""
+    g = np.log(np.linalg.norm(w, axis=1))
+    if not math.isfinite(g.sum()):  # logs sum far below overflow
+        odd = np.flatnonzero(~np.isfinite(g))
+        s = np.abs(w[odd]).max(axis=1)
+        keep = np.isfinite(s) & (s > 0)
+        odd, s = odd[keep], s[keep]
+        g[odd] = np.log(s) + np.log(
+            np.linalg.norm(w[odd] / s[:, None], axis=1))
+    return g
 
 
 def _general_failure(space, what, rows, t, g):
@@ -436,6 +455,7 @@ def _general_failure(space, what, rows, t, g):
     )
 
 
+@np.errstate(over="ignore", divide="ignore")
 def _roots_general(space: BoundarySpace, v: np.ndarray) -> np.ndarray:
     lad = space._general_ladder()
     m = v.shape[0]
@@ -451,7 +471,7 @@ def _roots_general(space: BoundarySpace, v: np.ndarray) -> np.ndarray:
         low = np.flatnonzero(~(g > lad.cert))
         if low.size == 0:
             break
-        t[low] = -np.ldexp(1.0, j)
+        t[low] = -np.ldexp(1.0, lad.j_lo + j)
         w[low] = v[low] @ rung.T
         g[low] = _log_norm(w[low])
     bad = ~((g > lad.cert) & np.isfinite(g))
@@ -470,12 +490,19 @@ def _roots_general(space: BoundarySpace, v: np.ndarray) -> np.ndarray:
     big_k = lad.curvature
     top = lad.down.shape[0] - 1
     for _ in range(_MAX_STEPS):
-        slope = (-np.einsum("ij,ij->i", w, w @ lad.tri.T)
-                 / np.einsum("ij,ij->i", w, w))
+        u = w
+        if g.max() > _SAFE_LOG / 2:  # w.w may overflow: use unit rows
+            u = w * np.exp(-g)[:, None]
+        slope = (-np.einsum("ij,ij->i", u, u @ lad.tri.T)
+                 / np.einsum("ij,ij->i", u, u))
+        if not math.isfinite(slope.sum()):
+            nan = ~np.isfinite(slope)
+            i = int(np.argmax(nan))
+            raise _general_failure(space, "non-finite slope", int(nan.sum()),
+                                   t[i], g[i])
         root = np.sqrt(slope * slope + 2.0 * big_k * g)
-        with np.errstate(divide="ignore"):
-            h = np.where(slope > 0, (slope + root) / big_k,
-                         2.0 * g / (root - slope))
+        h = np.where(slope > 0, (slope + root) / big_k,
+                     2.0 * g / (root - slope))
         k = np.clip(np.frexp(h)[1] - 1 - lad.k_lo, 0, top)
         w_next = _apply(lad.down, k, w)
         g_next = _log_norm(w_next)

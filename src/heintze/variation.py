@@ -1,14 +1,17 @@
 """Q-variation packing experiments.
 
 A packing of a box E by the images of integral unit cubes under e^{tA}
-is enumerated in the preimage: lattice cells [z, z+1)^n (half-open, so
-the packing is genuinely disjoint) that meet the closed parallelotope
-e^{-tA}(E).  Oscillations of linear functionals over the image cells are
-exact closed forms, so V_Q = (cell count) * osc^Q needs no sampling.
+is found in the preimage: lattice cells [z, z+1)^n (half-open, so the
+packing is genuinely disjoint) that meet the closed parallelotope
+e^{-tA}(E).  ``enumerate_packing`` lists them; ``count_cells`` counts
+them by rows without listing them, and agrees with the listing exactly.
+Oscillations of linear functionals over the image cells are exact
+closed forms, so V_Q = (cell count) * osc^Q needs no sampling.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -167,6 +170,152 @@ def _sat_axes(gens: np.ndarray) -> np.ndarray:
     return stacked
 
 
+def _check_count(spec: PackingSpec, count: int) -> None:
+    if count > spec.max_cells:
+        raise CapExceededError(
+            f"packing holds more than max_cells {spec.max_cells} cells "
+            f"(estimate {volume_estimate(spec):.6g})"
+        )
+
+
+class _Cells:
+    """The candidate cells of a packing and the tests a cell must pass.
+
+    Candidates are the cells [z, z+1)^n in the bounding box of the closed
+    preimage e^{-tA}(box).  A candidate is in the packing when it passes
+    every test: one per side of each separating axis (ties count as
+    meeting) and one per half-open coordinate face.  Each test compares a
+    fixed left-to-right sum that is linear in z, so a cell's result does
+    not depend on the batch it is tested in (a BLAS product's rounding
+    does), and along a line of cells each test flips at most once.
+    """
+
+    def __init__(self, spec: PackingSpec):
+        _ensure_cap(spec)
+        self.base, self.gens = _preimage(spec)
+        self.lo = self.base + np.minimum(self.gens, 0.0).sum(axis=1)
+        self.hi = self.base + np.maximum(self.gens, 0.0).sum(axis=1)
+        self.ranges = [_axis_range(lo, hi) for lo, hi in zip(self.lo, self.hi)]
+        counts = [zmax - zmin + 1 for zmin, zmax in self.ranges]
+        self.total = math.prod(counts)
+        if self.total > 40 * spec.max_cells:
+            raise CapExceededError(
+                f"candidate bounding box holds {self.total} cells "
+                f"(estimate {volume_estimate(spec):.6g}); cap {spec.max_cells}"
+            )
+        # rows run along the longest axis, so there are fewest of them
+        self.lead = counts.index(max(counts))
+        self.rest_axes = [i for i in range(spec.n) if i != self.lead]
+
+    @functools.cached_property
+    def _sat(self):
+        axes = _sat_axes(self.gens)
+        # preimage projection interval per axis
+        proj_base = axes @ self.base
+        proj_g = axes @ self.gens
+        p_lo = proj_base + np.minimum(proj_g, 0.0).sum(axis=1)
+        p_hi = proj_base + np.maximum(proj_g, 0.0).sum(axis=1)
+        # cube projection offsets relative to a . z
+        c_lo = np.minimum(axes, 0.0).sum(axis=1)
+        c_hi = np.maximum(axes, 0.0).sum(axis=1)
+        return axes, p_lo, p_hi, c_lo, c_hi
+
+    def project(self, z: np.ndarray) -> np.ndarray:
+        """a . z for every separating axis a (rows) and cell z (columns)."""
+        axes = self._sat[0]
+        proj = axes[:, :1] * z[:, 0]
+        for j in range(1, z.shape[1]):
+            proj = proj + axes[:, j : j + 1] * z[:, j]
+        return proj
+
+    def tests(self, z: np.ndarray) -> np.ndarray:
+        """Pass/fail of every test (rows) for the cells z (columns)."""
+        _, p_lo, p_hi, c_lo, c_hi = (v[:, None] for v in self._sat)
+        proj = self.project(z)
+        return np.concatenate([
+            proj + c_lo <= p_hi,
+            proj + c_hi >= p_lo,
+            z.T + 1.0 > self.lo[:, None],  # half-open upper faces
+            z.T <= self.hi[:, None],
+        ])
+
+    def rows(self) -> np.ndarray:
+        """The rest mesh: one row of cells along the lead axis per point."""
+        grids = [np.arange(zmin, zmax + 1) for zmin, zmax in
+                 (self.ranges[i] for i in self.rest_axes)]
+        if not grids:
+            return np.zeros((1, 0), dtype=int)
+        return np.stack(
+            [g.ravel() for g in np.meshgrid(*grids, indexing="ij")], axis=1
+        )
+
+    def count(self) -> int:
+        """Number of candidates that pass every test, by rows.
+
+        In each row (the non-lead coordinates fixed) the cells that pass
+        form one run of lead coordinates: its ends are first estimated by
+        dividing each test through its lead coefficient, then settled with
+        the tests themselves.  A test whose lead coefficient is zero keeps
+        or drops a whole row.
+        """
+        lead, n = self.lead, len(self.ranges)
+        alpha = self._sat[0][:, lead]
+        e_lead = np.eye(n)[lead]
+        # per test: +1 passes from some lead coordinate up, -1 up to some
+        # lead coordinate, 0 in all of a row or none of it
+        rising = np.concatenate(
+            [-np.sign(alpha), np.sign(alpha), e_lead, -e_lead])
+        rest = self.rows()
+        z = np.zeros((len(rest), n))
+        z[:, self.rest_axes] = rest
+        z = z[self.tests(z)[rising == 0].all(axis=0)]
+
+        _, p_lo, p_hi, c_lo, c_hi = (v[:, None] for v in self._sat)
+        proj = self.project(z)  # lead coordinate 0
+        with np.errstate(divide="ignore", invalid="ignore"):
+            cut_hi = (p_hi - c_lo - proj) / alpha[:, None]
+            cut_lo = (p_lo - c_hi - proj) / alpha[:, None]
+        up, down = alpha > 0, alpha < 0
+        zmin, zmax = self.ranges[lead]
+        first = np.max(np.vstack([cut_lo[up], cut_hi[down]]),
+                       axis=0, initial=zmin)
+        last = np.min(np.vstack([cut_hi[up], cut_lo[down]]),
+                      axis=0, initial=zmax)
+        first = np.minimum(np.ceil(first), zmax + 1)
+        last = np.maximum(np.floor(last), zmin - 1)
+        first = self._settle(z, first, rising > 0, -1)
+        last = self._settle(z, last, rising < 0, 1)
+        return int(np.maximum(last - first + 1, 0).sum())
+
+    def _settle(self, z, x, mask, out):
+        """Settle each row's estimated end x (lead coordinate) of its run
+        of passing cells on the side out = -1 (first) or +1 (last).  The
+        tests in mask bound the run on that side, so each passes on a
+        half-line running from the true end in direction -out.  x moves
+        out while the next cell passes them, then in while x fails them,
+        and stays within the lead range (one step past it if no cell
+        passes)."""
+        lead = self.lead
+        outer, inner = self.ranges[lead][::-out]
+
+        def passes(rows, at):
+            cells = z[rows]
+            cells[:, lead] = at
+            return self.tests(cells)[mask].all(axis=0)
+
+        rows = np.flatnonzero(out * x < out * outer)
+        while rows.size:
+            rows = rows[passes(rows, x[rows] + out)]
+            x[rows] += out
+            rows = rows[out * x[rows] < out * outer]
+        rows = np.flatnonzero(out * x >= out * inner)
+        while rows.size:
+            rows = rows[~passes(rows, x[rows])]
+            x[rows] -= out
+            rows = rows[out * x[rows] >= out * inner]
+        return x
+
+
 def enumerate_packing(spec: PackingSpec) -> np.ndarray:
     """Lattice base points z of the half-open cells [z, z+1)^n meeting
     e^{-tA}(box), in lexicographic order.
@@ -175,98 +324,45 @@ def enumerate_packing(spec: PackingSpec) -> np.ndarray:
     separating-axis test per candidate (ties on oblique axes count as
     intersecting; coordinate axes apply the half-open convention).
     """
-    _ensure_cap(spec)
-    base, gens = _preimage(spec)
-    n = spec.n
-
-    lo_proj = base + np.minimum(gens, 0.0).sum(axis=1)
-    hi_proj = base + np.maximum(gens, 0.0).sum(axis=1)
-    ranges = [_axis_range(lo_proj[i], hi_proj[i]) for i in range(n)]
-    counts = [zmax - zmin + 1 for zmin, zmax in ranges]
-    total = 1
-    for c in counts:
-        total *= max(c, 0)
-    if total <= 0:
-        return np.zeros((0, n), dtype=int)
-    if total > 40 * spec.max_cells:
-        raise CapExceededError(
-            f"candidate bounding box holds {total} cells "
-            f"(estimate {volume_estimate(spec):.6g}); cap {spec.max_cells}"
-        )
-
-    axes = _sat_axes(gens)
-    # preimage projection interval per axis
-    proj_base = axes @ base
-    proj_g = axes @ gens
-    p_lo = proj_base + np.minimum(proj_g, 0.0).sum(axis=1)
-    p_hi = proj_base + np.maximum(proj_g, 0.0).sum(axis=1)
-    # cube projection offsets relative to a . z
-    c_lo = np.minimum(axes, 0.0).sum(axis=1)
-    c_hi = np.maximum(axes, 0.0).sum(axis=1)
-
-    grids = [np.arange(zmin, zmax + 1) for zmin, zmax in ranges]
-    # chunk over the largest axis so the cross product of the remaining
-    # axes stays small whatever direction the box is elongated in
-    lead = int(np.argmax(counts))
-    rest_axes = [i for i in range(n) if i != lead]
-    rest_total = max(1, total // max(counts[lead], 1))
-    chunk_rows = max(1, _CHUNK // rest_total)
-    lead_grid = grids[lead]
-    rest_mesh = None
-    if n > 1:
-        rest_mesh = np.stack(
-            [g.ravel() for g in np.meshgrid(
-                *[grids[i] for i in rest_axes], indexing="ij")],
-            axis=1,
-        )
+    cells = _Cells(spec)
+    zmin, zmax = cells.ranges[cells.lead]
+    lead_grid = np.arange(zmin, zmax + 1)
+    rest = cells.rows()
+    # chunk over the lead axis so the cross product of the remaining axes
+    # stays small whatever direction the box is elongated in
+    chunk_rows = max(1, _CHUNK // len(rest))
     kept = []
     kept_count = 0
     for start in range(0, len(lead_grid), chunk_rows):
         block_lead = lead_grid[start : start + chunk_rows]
-        if rest_mesh is not None:
-            z = np.empty((len(block_lead) * len(rest_mesh), n))
-            z[:, lead] = np.repeat(block_lead, len(rest_mesh))
-            z[:, rest_axes] = np.tile(rest_mesh, (len(block_lead), 1))
-        else:
-            z = block_lead[:, None].astype(float)
-        keep = np.ones(len(z), dtype=bool)
-        proj = z @ axes.T
-        for k in range(len(axes)):
-            keep &= (proj[:, k] + c_lo[k] <= p_hi[k]) & (
-                proj[:, k] + c_hi[k] >= p_lo[k]
-            )
-        # half-open upper faces along coordinate axes
-        for i in range(n):
-            keep &= (z[:, i] + 1.0 > lo_proj[i]) & (z[:, i] <= hi_proj[i])
-        kept_z = z[keep].astype(int)
+        z = np.empty((len(block_lead) * len(rest), spec.n))
+        z[:, cells.lead] = np.repeat(block_lead, len(rest))
+        z[:, cells.rest_axes] = np.tile(rest, (len(block_lead), 1))
+        kept_z = z[cells.tests(z).all(axis=0)].astype(int)
         kept_count += len(kept_z)
-        if kept_count > spec.max_cells:
-            raise CapExceededError(
-                f"enumerated more than max_cells {spec.max_cells} cells "
-                f"(estimate {volume_estimate(spec):.6g})"
-            )
-        if len(kept_z):
-            kept.append(kept_z)
-    if not kept:
-        return np.zeros((0, n), dtype=int)
+        _check_count(spec, kept_count)
+        kept.append(kept_z)
     out = np.vstack(kept)
     return out[np.lexsort(out.T[::-1])]
 
 
 def count_cells(spec: PackingSpec) -> int:
-    """Exact cell count; per-axis product for diagonal matrices, full
-    enumeration otherwise."""
-    _ensure_cap(spec)
+    """Exact cell count, equal to ``len(enumerate_packing(spec))``.
+
+    Diagonal matrices: the product of the bounding box's axis ranges.
+    Otherwise a sweep over the rows of cells along the longest axis of
+    the bounding box (see ``_Cells.count``): the work grows with the
+    number of rows, not of cells.  Raises ``CapExceededError`` exactly
+    where ``enumerate_packing`` does: the pre-flight estimate, the
+    bounding-box size or the count is over ``spec.max_cells``.
+    """
+    cells = _Cells(spec)
     if np.count_nonzero(spec.a - np.diag(np.diag(spec.a))) == 0:
-        base, gens = _preimage(spec)
-        lo = base + np.minimum(gens, 0.0).sum(axis=1)
-        hi = base + np.maximum(gens, 0.0).sum(axis=1)
-        total = 1
-        for i in range(spec.n):
-            zmin, zmax = _axis_range(lo[i], hi[i])
-            total *= max(zmax - zmin + 1, 0)
-        return total
-    return len(enumerate_packing(spec))
+        count = cells.total
+    else:
+        count = cells.count()
+    _check_count(spec, count)
+    return count
 
 
 def oscillation(a, t: float, u: TestFunction, cell=None) -> float:

@@ -102,11 +102,14 @@ def test_orthogonal_conjugation_on_rotated_corpus(corpus):
         assert abs(got - want) <= 1e-8
 
 
-@pytest.mark.parametrize("lam", [30.0, 100.0, 300.0])
+@pytest.mark.parametrize("lam", [30.0, 100.0, 300.0, 350.0, 400.0, 500.0,
+                                 550.0, 1000.0])
 def test_orthogonal_conjugation_on_stiff_diagonal(lam):
     # in the original coordinates the left endpoint t = -1 scales the stiff
     # component by e^lam and its rounding error lands in the slow direction
-    # (v = (0.1, 0) on lam = 100 gave log D = 59.9 against -0.0274)
+    # (v = (0.1, 0) on lam = 100 gave log D = 59.9 against -0.0274); on
+    # lam = 350 the Schur form's 3e-14 off-diagonal did the same, and from
+    # about 350 up |e^{T} v|^2 overflows
     v = np.random.default_rng(8).uniform(-5.0, 5.0, (300, 2))
     v[0] = (0.1, 0.0)
     zeros = np.zeros_like(v)
@@ -114,6 +117,40 @@ def test_orthogonal_conjugation_on_stiff_diagonal(lam):
     got = dist_pairs(BoundarySpace(a), zeros, v)
     want = dist_pairs(BoundarySpace(np.diag([1.0, lam])), zeros, v @ ROTATION)
     np.testing.assert_allclose(np.log(got), np.log(want), rtol=0, atol=1e-10)
+
+
+def test_huge_vectors_on_a_humped_matrix():
+    # on A = [[1, b], [0, d]], |e^{-tA} v| rises about b/4-fold before it
+    # falls, so with |v| near 1e154 it passes 1.34e154, where |w|^2
+    # overflows: the norm and the marching slope must be scaled
+    b, d = 100.0, 1.5
+    rng = np.random.default_rng(0)
+    v = rng.uniform(-1.0, 1.0, (40, 2))
+    v *= 10.0 ** rng.uniform(152, 154, (40, 1))
+    got = np.log(dist_pairs(BoundarySpace(np.array([[1.0, b], [0.0, d]])),
+                            np.zeros_like(v), v))
+
+    def g(t, v1, v2):
+        e1, e2 = math.exp(-t), math.exp(-d * t)
+        return math.log(math.hypot(e1 * v1 + b * (e1 - e2) / (1.0 - d) * v2,
+                                   e2 * v2))
+
+    for (v1, v2), t in zip(v, got):
+        lo, hi = t - 0.5, t + 0.5
+        assert all(g(s, v1, v2) > 0 for s in np.linspace(-1.0, lo, 200))
+        for _ in range(60):
+            mid = 0.5 * (lo + hi)
+            lo, hi = (mid, hi) if g(mid, v1, v2) > 0 else (lo, mid)
+        assert abs(t - lo) <= 1e-10
+
+
+def test_stiff_vector_past_the_last_up_rung_raises():
+    # e^{-tA}(0.01, 0) = (0.01 e^{-t}, 0) needs t < -5.4 to certify, but the
+    # up rungs stop at t = -1/2, where e^{lam/2} reaches the ladder's limit
+    space = BoundarySpace(np.array([[1.0, 1.0], [0.0, 1000.0]]))
+    with pytest.raises(SolverError, match="no certified left endpoint"):
+        dist_pairs(space, np.zeros((1, 2)), [[0.01, 0.0]])
+    assert dist_pairs(space, np.zeros((1, 2)), [[0.01, 1.0]])[0] > 0
 
 
 def test_general_space_builds_its_ladder_once(monkeypatch):

@@ -8,6 +8,7 @@ from scipy.optimize import linprog
 
 from heintze.errors import CapExceededError
 from heintze.linalg import jordan_block
+from heintze.variation import _Cells
 from heintze.variation import (
     PackingSpec,
     TestFunction,
@@ -229,6 +230,108 @@ def test_enumeration_box_elongated_in_second_axis():
     m = scipy.linalg.expm(1.0 * a)
     for z in cells[:: max(1, len(cells) // 50)]:
         assert lp_cell_touches_closed(m, box, z)
+
+
+def _count_corpus(family, seed, size=40):
+    """Seeded packings of one matrix family: random boxes and boxes with
+    integer corners (at integer t these put cell corners exactly on the
+    preimage's faces), from t = 0 down to where enumeration stays cheap:
+    about `budget` cells expected, and a bounding box that the nilpotent
+    part of A stretches by powers of |t| no deeper than `floor`."""
+    rng = np.random.default_rng(seed)
+    specs = []
+    for k in range(size):
+        lam, mu = rng.uniform(0.2, 2.0, 2)
+        j2 = jordan_block(lam, 2)
+        a, budget, floor = {
+            "J2": (j2, 1e5, -7.0),
+            "J3": (jordan_block(lam, 3), 3e3, -3.0),
+            "J2+J1": (scipy.linalg.block_diag(j2, [[mu]]), 1e4, -4.0),
+            "J1+J2": (scipy.linalg.block_diag([[mu]], j2), 1e4, -4.0),
+            "diag+J2": (scipy.linalg.block_diag(np.diag([mu, lam]),
+                                                jordan_block(mu, 2)), 3e3, -3.0),
+        }[family]
+        n = a.shape[0]
+        if k % 2:
+            lo = rng.integers(-3, 3, n).astype(float)
+            hi = lo + rng.integers(1, 3, n)
+        else:
+            lo = rng.uniform(-2.0, 2.0, n)
+            hi = lo + rng.uniform(0.05, 2.5, n)
+        t_min = max(floor, -math.log(budget / np.prod(hi - lo)) / np.trace(a))
+        if k % 2:
+            t = float(rng.integers(math.ceil(t_min), 1))
+        else:
+            t = rng.uniform(t_min, 0.0)
+        specs.append(PackingSpec(a, t, np.stack([lo, hi])))
+    return specs
+
+
+@pytest.mark.parametrize("family,seed", [
+    ("J2", 11), ("J3", 12), ("J2+J1", 13), ("J1+J2", 14), ("diag+J2", 15),
+])
+def test_count_matches_enumeration_corpus(family, seed):
+    for spec in _count_corpus(family, seed):
+        assert count_cells(spec) == len(enumerate_packing(spec)), (
+            spec.a.tolist(), spec.t, spec.box.tolist())
+
+
+def test_count_matches_enumeration_on_ties_and_elongated_box():
+    # integer t and integer corners put cell corners exactly on oblique
+    # faces of the preimage (J2(lam) at t = -3 with box [0,1]x[2,3] has its
+    # base on the line through 0 along a generator)
+    lam = 1.2851280294340095
+    j2 = jordan_block(1.0, 2)
+    specs = [
+        PackingSpec(jordan_block(lam, 2), -3.0,
+                    np.array([[0.0, 2.0], [1.0, 3.0]])),
+        PackingSpec(j2, -1.0, np.array([[0.0, 0.0], [0.4, 30.0]])),
+        PackingSpec(j2, -1.0, np.array([[0.0, 0.0], [30.0, 0.4]])),
+        PackingSpec(jordan_block(1.0, 3), -2.0,
+                    np.array([[-1.0, 0.0, 1.0], [1.0, 2.0, 2.0]])),
+    ]
+    for spec in specs:
+        assert count_cells(spec) == len(enumerate_packing(spec))
+
+
+def test_cell_tests_do_not_depend_on_the_batch():
+    # count_cells tests single rows of cells and enumerate_packing whole
+    # chunks: a cell's verdict must be the same in both
+    spec = PackingSpec(jordan_block(1.0, 3), -2.5, np.array([[0.1, 0.2, 0.3],
+                                                             [1.1, 1.2, 1.3]]))
+    # (a BLAS product z @ axes.T rounds rows of this batch differently
+    # from the same rows in smaller ones)
+    cells = _Cells(spec)
+    z = np.random.default_rng(3).integers(-40, 40, (5000, 3)).astype(float)
+    proj, whole = cells.project(z), cells.tests(z)
+    for m in (1, 2, 3, 5, 7, 16, 33):
+        for i in range(0, 4000, 397):
+            part = slice(i, i + m)
+            np.testing.assert_array_equal(cells.project(z[part]), proj[:, part])
+            np.testing.assert_array_equal(cells.tests(z[part]), whole[:, part])
+
+
+@pytest.mark.parametrize("a,t,box,cap,stage", [
+    # the pre-flight estimate e^{-t tr A} Vol(box) is over the cap
+    (np.diag([1.0, 2.0]), -5.0, UNIT_BOX, 1000, "estimated"),
+    # estimate e^12 = 162,755 passes; the 10.7M-cell bounding box does not
+    (jordan_block(1.0, 3), -4.0, np.array([[0.0] * 3, [1.0] * 3]), 200_000,
+     "bounding box"),
+    # estimate 1,202,604 and a 9.6M-cell box pass; 1,212,182 cells do not
+    (jordan_block(1.0, 2), -7.0, UNIT_BOX, 1_205_000, "more than max_cells"),
+    # closed-form diagonal count: estimate e^9 = 8103, 21 * 404 = 8484 cells
+    (np.diag([1.0, 2.0]), -3.0, UNIT_BOX, 8200, "more than max_cells"),
+])
+def test_count_cap_matches_enumeration(a, t, box, cap, stage):
+    spec = PackingSpec(a, t, box, max_cells=cap)
+    for fn in (count_cells, enumerate_packing):
+        with pytest.raises(CapExceededError, match=stage):
+            fn(spec)
+
+
+def test_count_at_the_cap_passes():
+    spec = PackingSpec(np.diag([1.0, 2.0]), -3.0, UNIT_BOX, max_cells=8484)
+    assert count_cells(spec) == len(enumerate_packing(spec)) == 8484
 
 
 def test_packing_spec_validation():
