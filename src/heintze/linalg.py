@@ -10,7 +10,6 @@ import json
 import math
 
 import numpy as np
-import scipy.linalg
 
 from .errors import MatrixFormatError, RangeError
 
@@ -75,8 +74,58 @@ def nilpotent_exp(n: int, t: float) -> np.ndarray:
     return out
 
 
+def _canonical_chains(a):
+    """Chains [(lam, size, offset), ...] if A is block-diagonal with
+    lam*I + N blocks, lam > 0 (exact structural test), else None."""
+    rows = a.tolist()
+    n = len(rows)
+    chains = []
+    for i, row in enumerate(rows):
+        link = row[i + 1] if i + 1 < n else 0.0
+        if any(row[:i]) or any(row[i + 2 :]) or link not in (0.0, 1.0):
+            return None
+        if row[i] <= 0.0:
+            return None
+        if i == 0 or rows[i - 1][i] == 0.0:
+            chains.append([row[i], 1, i])
+        elif row[i] == chains[-1][0]:
+            chains[-1][1] += 1
+        else:
+            return None
+    return [tuple(c) for c in chains]
+
+
+def exponential(a, t, chains=None) -> np.ndarray:
+    """e^{tA} for a scalar t, or the stack of e^{t_i A} for a 1-D array t.
+
+    On a canonical A (``chains`` as from ``_canonical_chains``, found when
+    not given) each chain's block is the closed form
+    e^{t lam} * sum_k t^k N^k / k!; otherwise Pade scaling-and-squaring
+    (``scipy.linalg.expm``, imported only then).
+    """
+    ts = np.asarray(t, dtype=float)
+    if chains is None:
+        chains = _canonical_chains(a)
+    if chains is None:
+        import scipy.linalg
+
+        return scipy.linalg.expm(ts[..., None, None] * a)
+    flat = ts.reshape(-1)
+    # entry (off + i, off + i + k) of a chain's block is e^{t lam} t^k / k!
+    row, col, lam, k = np.array([
+        (off + i, off + i + k, lam, k)
+        for lam, size, off in chains for k in range(size) for i in range(size - k)
+    ]).T
+    fact = np.array([math.factorial(int(j)) for j in k], dtype=float)
+    out = np.zeros((flat.size,) + a.shape)
+    out[:, row.astype(int), col.astype(int)] = (
+        np.exp(np.outer(flat, lam)) * flat[:, None] ** k / fact)
+    return out.reshape(ts.shape + a.shape)
+
+
 def mat_exp(a, t: float, guard: float = DEFAULT_EXP_GUARD) -> np.ndarray:
-    """e^{tA} by Pade scaling-and-squaring (scipy.linalg.expm).
+    """e^{tA}: exact closed form on a canonical A, Pade scaling-and-squaring
+    otherwise (see ``exponential``).
 
     Relative accuracy is ~1e-12 in the operator norm while
     |t| * ||A|| <= guard (default 50); beyond the guard a RangeError is
@@ -90,7 +139,7 @@ def mat_exp(a, t: float, guard: float = DEFAULT_EXP_GUARD) -> np.ndarray:
         raise RangeError(
             f"|t|*||A|| = {scale:.6g} exceeds the overflow guard {guard:.6g}"
         )
-    return scipy.linalg.expm(t * a)
+    return exponential(a, t)
 
 
 def frob_sq(a) -> float:

@@ -15,9 +15,14 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
-from .linalg import check_matrix, check_vector, nilpotent_exp, nilpotent_shift
+from .linalg import (
+    check_matrix,
+    check_vector,
+    exponential,
+    nilpotent_exp,
+    nilpotent_shift,
+)
 from .metric import BoundarySpace, dist_pairs
 
 
@@ -624,7 +629,7 @@ def distortion_profile(spec, space: BoundarySpace, x, radii,
         # bit, and these step lengths are kept reproducible across releases
         s = np.array([math.log(q) for q in np.concatenate(
             [targets_hi / base_d, targets_lo / base_d])])
-        steps = scipy.linalg.expm(s[:, None, None] * space.a)
+        steps = exponential(space.a, s, space.chains)
         pts = x + (steps @ np.tile(dirs, (2, 1))[:, :, None])[:, :, 0]
         fx = np.tile(eval_map_batch(spec, x[None, :]), (len(dirs), 1))
         fpts = eval_map_batch(spec, pts)

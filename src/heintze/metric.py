@@ -24,10 +24,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .errors import RangeError, SolverError
-from .linalg import check_matrix, check_vector
+from .linalg import _canonical_chains, check_matrix, check_vector
 from .spectral import (
     DEFAULT_CLUSTER_TOL,
     RealPartJordanForm,
@@ -52,35 +51,6 @@ class SolverConfig:
     def __post_init__(self):
         if not 0.0 < self.t_tol < 1.0:
             raise ValueError("t_tol must lie in (0, 1)")
-
-
-def _canonical_chains(a):
-    """Chains [(lam, size, offset), ...] if A is block-diagonal with
-    lam*I + N blocks (exact structural test), else None."""
-    n = a.shape[0]
-    off_diag = a - np.diag(np.diag(a))
-    super_diag = np.diag(a, k=1) if n > 1 else np.array([])
-    probe = off_diag.copy()
-    if n > 1:
-        probe -= np.diag(super_diag, k=1)
-    if np.count_nonzero(probe) != 0:
-        return None
-    if not np.all(np.isin(super_diag, (0.0, 1.0))):
-        return None
-    chains = []
-    i = 0
-    while i < n:
-        j = i
-        while j < n - 1 and a[j, j + 1] == 1.0:
-            if a[j + 1, j + 1] != a[i, i]:
-                return None
-            j += 1
-        lam = float(a[i, i])
-        if lam <= 0.0:
-            return None
-        chains.append((lam, j - i + 1, i))
-        i = j + 1
-    return chains
 
 
 class BoundarySpace:
@@ -199,7 +169,16 @@ def _build_ladder(a: np.ndarray, t_tol: float) -> _Ladder:
     # lam u - k log(u||N||) + log k! over u (at u = k/lam) gives
     # lam u - log S(u) >= c for every u, so g(t) > margin - c certifies
     # g > 0 on (-inf, t].
+    import scipy.linalg  # the one path with no closed-form exponential
+
     n = a.shape[0]
+    norm = np.linalg.norm(a, 2)
+    curvature = 4.0 * norm**2
+    if not 0.0 < curvature < math.inf:
+        raise RangeError(
+            f"general path: the curvature bound 4||A||^2 = {curvature:.6g} "
+            f"leaves the float range (||A|| = {norm:.6g})"
+        )
     schur, _ = scipy.linalg.schur(a, output="complex")
     re = np.diag(schur).real
     lam = re.min()
@@ -233,7 +212,7 @@ def _build_ladder(a: np.ndarray, t_tol: float) -> _Ladder:
         down=mats[: down.size],
         up=mats[down.size :],
         cert=_CERT_MARGIN - c,
-        curvature=4.0 * np.linalg.norm(a, 2) ** 2,
+        curvature=curvature,
     )
 
 
@@ -504,6 +483,8 @@ def _roots_general(space: BoundarySpace, v: np.ndarray) -> np.ndarray:
         h = np.where(slope > 0, (slope + root) / big_k,
                      2.0 * g / (root - slope))
         k = np.clip(np.frexp(h)[1] - 1 - lad.k_lo, 0, top)
+        if not 0.0 < h.min() <= h.max() < math.inf:  # NaN fails too
+            k[~((h > 0) & (h < math.inf))] = 0  # no certified step: bottom rung
         w_next = _apply(lad.down, k, w)
         g_next = _log_norm(w_next)
         cross = g_next <= 0

@@ -14,14 +14,12 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 
 from .errors import CapExceededError
-from .linalg import check_matrix, check_vector
-from .metric import _canonical_chains
+from .linalg import _canonical_chains, check_matrix, check_vector, exponential
 
 DEFAULT_MAX_CELLS = 10_000_000
 _CHUNK = 200_000
@@ -29,20 +27,25 @@ _CHUNK = 200_000
 
 @dataclass(frozen=True, eq=False)
 class PackingSpec:
-    """One packing instance: canonical matrix, scale t, target box, cap."""
+    """One packing instance: canonical matrix, scale t, target box, cap.
+
+    ``chains`` is derived: the (lam, size, offset) Jordan chains of a."""
 
     a: np.ndarray
     t: float
     box: np.ndarray  # shape (2, n): rows are the lower/upper corners
     max_cells: int = DEFAULT_MAX_CELLS
+    chains: tuple = field(init=False, repr=False)
 
     def __post_init__(self):
         a = check_matrix(self.a)
-        if _canonical_chains(a) is None:
+        chains = _canonical_chains(a)
+        if chains is None:
             raise ValueError(
                 "packing matrix must be in canonical real-part Jordan form"
             )
         object.__setattr__(self, "a", a)
+        object.__setattr__(self, "chains", tuple(chains))
         box = np.asarray(self.box, dtype=float)
         if box.shape != (2, a.shape[0]):
             raise ValueError(f"box must have shape (2, {a.shape[0]})")
@@ -130,7 +133,7 @@ def _ensure_cap(spec: PackingSpec) -> None:
 
 def _preimage(spec: PackingSpec):
     """Base point and generator matrix of e^{-tA}(box)."""
-    m = scipy.linalg.expm(-spec.t * spec.a)
+    m = exponential(spec.a, -spec.t, spec.chains)
     base = m @ spec.box[0]
     gens = m * (spec.box[1] - spec.box[0])[None, :]
     return base, gens
@@ -357,7 +360,7 @@ def count_cells(spec: PackingSpec) -> int:
     bounding-box size or the count is over ``spec.max_cells``.
     """
     cells = _Cells(spec)
-    if np.count_nonzero(spec.a - np.diag(np.diag(spec.a))) == 0:
+    if all(size == 1 for _, size, _ in spec.chains):
         count = cells.total
     else:
         count = cells.count()
@@ -365,11 +368,11 @@ def count_cells(spec: PackingSpec) -> int:
     return count
 
 
-def oscillation(a, t: float, u: TestFunction, cell=None) -> float:
+def oscillation(a, t: float, u: TestFunction) -> float:
     """Oscillation of the linear functional u over any image cell
     e^{tA}(z + [0,1]^n): sum_i |(u e^{tA})_i|, independent of z."""
     a = check_matrix(a)
-    row = u.as_array() @ scipy.linalg.expm(t * a)
+    row = u.as_array() @ exponential(a, t)
     return float(np.sum(np.abs(row)))
 
 

@@ -11,7 +11,7 @@ import math
 import numpy as np
 import pytest
 
-from heintze.metric import _canonical_chains
+from heintze.linalg import _canonical_chains
 
 
 def canonical_norm_sq(a, v, t):

@@ -6,6 +6,7 @@ corpus checks D_{RAR^T}(Rx, Ry) = D_A(x, y) against the exact
 single-eigenvalue path.
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -14,7 +15,8 @@ import scipy.linalg
 
 from test_acceptance import _adversarial_corpus
 
-from heintze.errors import SolverError
+from heintze import metric
+from heintze.errors import RangeError, SolverError
 from heintze.metric import BoundarySpace, dist, dist_pairs
 
 ANGLE = 0.7
@@ -151,6 +153,31 @@ def test_stiff_vector_past_the_last_up_rung_raises():
     with pytest.raises(SolverError, match="no certified left endpoint"):
         dist_pairs(space, np.zeros((1, 2)), [[0.01, 0.0]])
     assert dist_pairs(space, np.zeros((1, 2)), [[0.01, 1.0]])[0] > 0
+
+
+@pytest.mark.parametrize("b", [1e160, 1e200])
+def test_overflowing_curvature_never_gives_the_later_crossing(b):
+    # g(t) = log|e^{-tA}e_2| touches 0 at t = 0 (D = 1) and crosses later;
+    # 4||A||^2 overflows, so no march step could be certified
+    space = BoundarySpace(np.array([[1.0, b], [0.0, 1.5]]))
+    try:
+        d = dist(space, [0.0, 0.0], [0.0, 1.0])
+    except RangeError as exc:
+        assert f"||A|| = {b:.6g}" in str(exc)
+    else:
+        assert d == pytest.approx(1.0, abs=1e-10)
+
+
+@pytest.mark.filterwarnings("ignore:invalid value")
+def test_uncertified_steps_take_the_bottom_rung(monkeypatch):
+    # with K = inf every step length h is 0 or NaN: the march may only
+    # creep by the bottom rung, so it cannot reach the root within the cap
+    monkeypatch.setattr(metric, "_MAX_STEPS", 1000)
+    space = BoundarySpace(np.array([[1.0, -3.0], [3.0, 1.0]]))
+    space._ladder = dataclasses.replace(space._general_ladder(),
+                                        curvature=math.inf)
+    with pytest.raises(SolverError, match="step cap"):
+        dist_pairs(space, np.zeros((2, 2)), [[1.0, 0.0], [3.0, 3.0]])
 
 
 def test_general_space_builds_its_ladder_once(monkeypatch):

@@ -1,0 +1,73 @@
+"""scipy is loaded only where no closed-form exponential exists: the
+general D_A path (and mat_exp of a non-canonical matrix).  Each check
+runs in a fresh interpreter, since the test session itself imports scipy.
+"""
+
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
+import heintze
+
+SRC = str(Path(heintze.__file__).resolve().parents[1])
+
+
+def run_python(code, tmp_path):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [SRC] + [p for p in [env.get("PYTHONPATH")] if p])
+    proc = subprocess.run([sys.executable, "-c", textwrap.dedent(code)],
+                          capture_output=True, text=True, env=env, cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+def test_canonical_workflows_never_load_scipy(tmp_path):
+    out = run_python("""
+        import math, sys
+
+        def check(step):
+            assert "scipy" not in sys.modules, step
+            print(step)
+
+        import numpy as np
+        import heintze as h
+        check("import")
+        j2, j3 = h.jordan_block(1.0, 2), h.jordan_block(1.0, 3)
+        box = np.array([[0.0] * 3, [1.0] * 3])
+        assert h.count_cells(h.PackingSpec(j3, -2.0, box)) > 0
+        check("count_cells")
+        space = h.BoundarySpace(j3)
+        assert h.dist(space, [0.0, 0.0, 0.0], [1.0, 2.0, 3.0]) > 0
+        check("dist")
+        shear = h.Shear(2, h.PiecewiseLinear(((0.0, 0.0), (1.0, 0.5))))
+        rep = h.distortion_profile(shear, h.BoundarySpace(j2), np.zeros(2),
+                                   [1.0, 0.5], samples_per_radius=20)
+        assert all(math.isfinite(r.sup_ratio) for r in rep.rows)
+        check("distortion_profile")
+        c, s = math.cos(0.7), math.sin(0.7)
+        rot = np.array([[c, -s], [s, c]])
+        rotated = rot @ j2 @ rot.T
+        assert h.dist(h.BoundarySpace(rotated), [0.0, 0.0], [1.0, 2.0]) > 0
+        assert "scipy.linalg" in sys.modules
+        print("general")
+    """, tmp_path)
+    assert out.split() == ["import", "count_cells", "dist",
+                           "distortion_profile", "general"]
+
+
+def test_cli_rpjf_on_a_canonical_matrix_never_loads_scipy(tmp_path):
+    heintze.save_matrix(tmp_path / "j3.json", heintze.jordan_block(1.0, 3))
+    out = run_python("""
+        import runpy, sys
+
+        sys.argv = ["heintze", "rpjf", "j3.json"]
+        try:
+            runpy.run_module("heintze.cli", run_name="__main__")
+        except SystemExit as exc:
+            assert not exc.code, exc.code
+        assert "scipy" not in sys.modules
+    """, tmp_path)
+    assert out.strip()

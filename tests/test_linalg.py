@@ -1,13 +1,16 @@
 import math
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from heintze.errors import MatrixFormatError, RangeError
 from heintze.linalg import (
     check_matrix,
+    exponential,
     frob_sq,
     jordan_block,
     load_matrix,
@@ -116,6 +119,61 @@ def test_mat_exp_agrees_with_nilpotent_closed_form(rng):
         t = float(rng.uniform(-3, 3))
         got = mat_exp(nilpotent_shift(n), t)
         np.testing.assert_allclose(got, nilpotent_exp(n, t), atol=1e-13)
+
+
+_CANONICAL = {
+    "J2": jordan_block(1.0, 2),
+    "J3": jordan_block(1.0, 3),
+    "J4(0.3)": jordan_block(0.3, 4),
+    "J2+J1": scipy.linalg.block_diag(jordan_block(1.0, 2), [[1.0]]),
+    "J1+J2": scipy.linalg.block_diag([[1.0]], jordan_block(1.0, 2)),
+    "diag(1,2)+J2": scipy.linalg.block_diag(np.diag([1.0, 2.0]),
+                                            jordan_block(1.0, 2)),
+    "2I3": 2.0 * np.eye(3),
+}
+_TS = np.linspace(-7.0, 2.0, 37)
+
+
+@pytest.mark.parametrize("name", sorted(_CANONICAL))
+def test_exponential_matches_scipy_expm(name):
+    # Pade's own entrywise error reaches about 8e-13 on these matrices for
+    # t in [-7, 2]; the closed form is checked to 1e-15 below
+    a = _CANONICAL[name]
+    ref = scipy.linalg.expm(_TS[:, None, None] * a)
+    got = exponential(a, _TS)
+    np.testing.assert_allclose(got, ref, rtol=1e-12, atol=0)
+    for t, m in zip(_TS, got):
+        np.testing.assert_array_equal(exponential(a, float(t)), m)
+        np.testing.assert_array_equal(mat_exp(a, float(t)), m)
+
+
+@pytest.mark.parametrize("name", sorted(_CANONICAL))
+def test_exponential_is_the_closed_form_to_the_last_bits(name):
+    # e^{t lam} t^k / k! on the k-th superdiagonal of each chain, in 40 digits
+    a = _CANONICAL[name]
+    got = exponential(a, _TS)
+    with localcontext() as ctx:
+        ctx.prec = 40
+        for t, m in zip(_TS, got):
+            want = np.zeros_like(a)
+            for i in range(a.shape[0]):
+                entry = (Decimal(float(t)) * Decimal(a[i, i])).exp()
+                for j in range(i, a.shape[0]):
+                    if j > i and a[j - 1, j] != 1.0:
+                        break
+                    want[i, j] = float(entry)
+                    entry = entry * Decimal(float(t)) / (j - i + 1)
+            np.testing.assert_allclose(m, want, rtol=1e-15, atol=0)
+
+
+@pytest.mark.parametrize("a", [jordan_block(1.0, 3),
+                               np.array([[1.0, -3.0], [3.0, 1.0]])])
+def test_mat_exp_guard_is_at_the_same_scale(a):
+    t = 50.0 / operator_norm(a)
+    assert np.isfinite(mat_exp(a, t * (1 - 1e-9))).all()
+    for s in (t * (1 + 1e-9), -t * (1 + 1e-9)):
+        with pytest.raises(RangeError, match="exceeds the overflow guard 50"):
+            mat_exp(a, s)
 
 
 def test_det_exp_trace(rng):

@@ -335,6 +335,9 @@ def test_count_at_the_cap_passes():
 
 
 def test_packing_spec_validation():
+    spec = PackingSpec(np.diag([1.0, 2.0, 2.0]) + np.eye(3, k=1) * [0, 0, 1],
+                       -1.0, np.array([[0.0] * 3, [1.0] * 3]))
+    assert spec.chains == ((1.0, 1, 0), (2.0, 2, 1))
     with pytest.raises(ValueError, match="canonical"):
         PackingSpec(np.array([[1.0, 0.5], [0.0, 2.0]]), -2.0, UNIT_BOX)
     with pytest.raises(ValueError, match="non-degenerate"):
