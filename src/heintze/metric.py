@@ -7,7 +7,10 @@ g(t) = log |e^{-tA}(y - x)|:
 * diagonal A: g is strictly decreasing, plain vectorized bisection;
 * canonical single-eigenvalue A (block diagonal lam*I + N chains):
   |e^{-tN}v|^2 is an explicit polynomial, so the zeros of g are isolated
-  exactly between the real critical points of e^{-2*lam*t} * P(t);
+  exactly between the real critical points of e^{-2*lam*t} * P(t).  As
+  g' <= -(lam - cos(pi/(s_max+1))), with s_max the longest chain, g has
+  exactly one zero when lam > cos(pi/(s_max+1)); such a space skips the
+  critical points and bisects from the bracket of a row without one;
 * general A: a left endpoint t_lo with g > 0 on (-inf, t_lo], certified
   by g(t_lo) and Van Loan's Schur-form bound on ||e^{-uA}||, then a march
   whose steps never pass a zero because |g''| <= K = 4||A||^2, then
@@ -40,6 +43,7 @@ _CERT_MARGIN = 0.05
 _SAFE_LOG = 600.0
 _MAX_STEPS = 100_000
 _TINY = np.finfo(float).tiny
+_EPS = np.finfo(float).eps
 
 
 @dataclass(frozen=True)
@@ -78,6 +82,14 @@ class BoundarySpace:
             self._mode = "single"
         else:
             self._mode = "general"
+        # g' = -<Aw, w>/|w|^2 <= -(lam - cos(pi/(s+1))) with w = e^{-tA}v,
+        # cos(pi/(s+1)) the numerical radius of the longest chain's shift
+        # N (Haagerup & de la Harpe 1992): above it g strictly decreases
+        self._decreasing = False
+        if self._mode == "single":
+            lam, size = self.chains[0][0], max(c[1] for c in self.chains)
+            self._decreasing = (lam - math.cos(math.pi / (size + 1))
+                                > 4.0 * _EPS * lam)
         self._ladder = None
         self._sub_spaces = {}
 
@@ -231,28 +243,26 @@ def _roots_diagonal(space: BoundarySpace, v: np.ndarray) -> np.ndarray:
         return 0.5 * (mx + np.log(np.sum(np.exp(e - mx[:, None]), axis=1)))
 
     guess = np.log(np.linalg.norm(v, axis=1)) / space.lambda_min
-    lo = guess.copy()
-    hi = guess.copy()
-    step = 1.0
-    for _ in range(200):
-        bad = g(lo) <= 0
-        if not bad.any():
-            break
-        lo = np.where(bad, lo - step, lo)
-        step *= 2.0
-    else:
-        raise SolverError("failed to bracket from the left (diagonal path)")
-    step = 1.0
-    for _ in range(200):
-        bad = g(hi) > 0
-        if not bad.any():
-            break
-        hi = np.where(bad, hi + step, hi)
-        step *= 2.0
-    else:
-        raise SolverError("failed to bracket from the right (diagonal path)")
+    lo = _expand(g, guess, True, -1.0, "diagonal")
+    hi = _expand(g, guess.copy(), True, 1.0, "diagonal")
     _bisect_to_tol(g, lo, hi, space.solver.t_tol)
     return 0.5 * (lo + hi)
+
+
+def _expand(g, t, rows, sign, path):
+    """Step t by sign * 1, 2, 4, ... on the ``rows`` (a mask, or True)
+    where g(t) lies on the root's side: g <= 0 going left (sign < 0),
+    g > 0 going right."""
+    step = 1.0
+    for _ in range(200):
+        gt = g(t)
+        bad = rows & ((gt <= 0) if sign < 0 else (gt > 0))
+        if not bad.any():
+            return t
+        t = np.where(bad, t + sign * step, t)
+        step *= 2.0
+    side = "left" if sign < 0 else "right"
+    raise SolverError(f"failed to bracket from the {side} ({path} path)")
 
 
 def _bisect_to_tol(g, lo, hi, t_tol):
@@ -366,42 +376,29 @@ def _roots_single(space: BoundarySpace, v: np.ndarray) -> np.ndarray:
         def g(t, pc=pc):
             return -lam * t + 0.5 * np.log(_poly_eval(pc, t))
 
-        # critical points: real roots of P'(t) - 2 lam P(t)
-        rc = np.empty((len(rows), d + 1))
-        rc[:, :] = -2.0 * lam * pc
-        rc[:, :-1] += pc[:, 1:] * np.arange(1, d + 1)
-        crit = _real_critical_points(rc)
-
-        crit_safe = np.where(np.isfinite(crit), crit, 0.0)
-        gc_raw = np.stack(
-            [g(crit_safe[:, j]) for j in range(crit.shape[1])], axis=1
-        )
-        gc = np.where(np.isfinite(crit), gc_raw, np.inf)
-        neg = gc <= 0
-        first = np.where(neg.any(axis=1), neg.argmax(axis=1), crit.shape[1])
-
         guess = 0.5 * np.log(pc[:, 0].clip(min=np.finfo(float).tiny)) / lam
-        lo, hi, expand_lo, expand_hi = _single_brackets(crit, first, guess)
-
-        step = 1.0
-        for _ in range(200):
-            bad = expand_lo & (g(lo) <= 0)
-            if not bad.any():
-                break
-            lo = np.where(bad, lo - step, lo)
-            step *= 2.0
+        if space._decreasing:
+            # g has no critical point: the bracket of a row without one
+            lo, hi, expand_lo, expand_hi = guess, guess + 1.0, True, True
         else:
-            raise SolverError("failed to bracket from the left (single path)")
-        step = 1.0
-        for _ in range(200):
-            bad = expand_hi & (g(hi) > 0)
-            if not bad.any():
-                break
-            hi = np.where(bad, hi + step, hi)
-            step *= 2.0
-        else:
-            raise SolverError("failed to bracket from the right (single path)")
+            # critical points: real roots of P'(t) - 2 lam P(t)
+            rc = np.empty((len(rows), d + 1))
+            rc[:, :] = -2.0 * lam * pc
+            rc[:, :-1] += pc[:, 1:] * np.arange(1, d + 1)
+            crit = _real_critical_points(rc)
 
+            crit_safe = np.where(np.isfinite(crit), crit, 0.0)
+            gc_raw = np.stack(
+                [g(crit_safe[:, j]) for j in range(crit.shape[1])], axis=1
+            )
+            gc = np.where(np.isfinite(crit), gc_raw, np.inf)
+            neg = gc <= 0
+            first = np.where(neg.any(axis=1), neg.argmax(axis=1),
+                             crit.shape[1])
+            lo, hi, expand_lo, expand_hi = _single_brackets(crit, first, guess)
+
+        lo = _expand(g, lo, expand_lo, -1.0, "single")
+        hi = _expand(g, hi, expand_hi, 1.0, "single")
         _bisect_to_tol(g, lo, hi, t_tol)
         result[rows] = 0.5 * (lo + hi)
     return result

@@ -6,11 +6,12 @@ import scipy.linalg
 
 from conftest import oracle_roots, scan_oracle
 
-from heintze.errors import RangeError
+from heintze.errors import RangeError, SolverError
 from heintze.linalg import jordan_block
 from heintze.metric import (
     BoundarySpace,
     SolverConfig,
+    _expand,
     _single_brackets,
     block_distance_check,
     dist,
@@ -139,6 +140,21 @@ def test_single_block_matches_independent_scan(spaces, rng):
             assert dist(sp, x, y) == pytest.approx(
                 math.exp(t_star), rel=1e-9
             )
+    # J_n(1) skips the companion solve: run it at multi-root lam, and on
+    # both sides of the radius cos(pi/(s+1)) below which it is needed
+    local = np.random.default_rng(29)
+    for lam, s in [(0.35, 3), (0.3, 4)] + [
+        (math.cos(math.pi / (s + 1)) + d, s) for s in (2, 3, 4)
+        for d in (-1e-3, 1e-3)
+    ]:
+        sp = BoundarySpace(jordan_block(lam, s))
+        assert sp._decreasing == (lam > math.cos(math.pi / (s + 1)))
+        for _ in range(4):
+            x, y = local.uniform(-4, 4, (2, s))
+            t_star = scan_oracle(sp.a, y - x)
+            assert dist(sp, x, y) == pytest.approx(
+                math.exp(t_star), rel=1e-9
+            )
 
 
 def test_general_path_matches_canonical_path(rng):
@@ -204,6 +220,14 @@ def test_single_brackets_match_loop_reference():
         want = _single_brackets_loop(crit, first, guess)
         for g, w in zip(got, want):
             np.testing.assert_array_equal(g, w)
+
+
+def test_bracket_expansion_failures_name_the_path():
+    # g <= 0 everywhere never clears on the left, g > 0 never on the right
+    with pytest.raises(SolverError, match=r"the left \(diagonal path\)"):
+        _expand(np.zeros_like, np.zeros(2), True, -1.0, "diagonal")
+    with pytest.raises(SolverError, match=r"the right \(single path\)"):
+        _expand(np.ones_like, np.zeros(2), True, 1.0, "single")
 
 
 def test_quasimetric_constant_examples(spaces):
