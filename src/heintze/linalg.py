@@ -62,7 +62,8 @@ def jordan_block(lam: float, n: int) -> np.ndarray:
 def nilpotent_exp(n: int, t: float) -> np.ndarray:
     """Closed-form e^{tN}: entry (i, j) is t^(j-i) / (j-i)! for j >= i, else 0.
 
-    Bitwise deterministic; no series truncation is involved.
+    Bitwise deterministic; no series truncation is involved.  A RangeError
+    is raised where |t|^(n-1) leaves the float range.
     """
     if n < 1:
         raise ValueError("dimension must be at least 1")
@@ -70,7 +71,12 @@ def nilpotent_exp(n: int, t: float) -> np.ndarray:
         raise ValueError("t must be finite")
     out = np.zeros((n, n))
     for k in range(n):
-        out += np.eye(n, k=k) * (t**k / math.factorial(k))
+        try:
+            tk = t**k
+        except OverflowError:
+            raise RangeError(f"e^(tN): |t|^{k} leaves the float range "
+                             f"(n = {n}, t = {t:.6g})") from None
+        out += np.eye(n, k=k) * (tk / math.factorial(k))
     return out
 
 

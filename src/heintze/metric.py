@@ -4,13 +4,18 @@ D_A(x, y) = e^{t*} where t* is the smallest real number with
 |e^{-tA}(x - y)| = 1.  The solver locates the smallest zero of
 g(t) = log |e^{-tA}(y - x)|:
 
-* diagonal A: g is strictly decreasing, plain vectorized bisection;
+* diagonal A: g is strictly decreasing, and log|v|/lam_max and
+  log|v|/lam_min bracket its zero in closed form (lam*I gives log|v|/lam);
 * canonical single-eigenvalue A (block diagonal lam*I + N chains):
   |e^{-tN}v|^2 is an explicit polynomial, so the zeros of g are isolated
   exactly between the real critical points of e^{-2*lam*t} * P(t).  As
   g' <= -(lam - cos(pi/(s_max+1))), with s_max the longest chain, g has
   exactly one zero when lam > cos(pi/(s_max+1)); such a space skips the
-  critical points and bisects from the bracket of a row without one;
+  critical points and starts from the bracket of a row without one.
+  Both paths shrink each monotone bracket g(lo) > 0 >= g(hi) by
+  Chandrupatla's method (inverse quadratic interpolation, bisection where
+  it is unsafe) to hi - lo <= min(t_tol, 4e-16 max(1, |lo|)) and return
+  its midpoint;
 * general A: a left endpoint t_lo with g > 0 on (-inf, t_lo], certified
   by g(t_lo) and Van Loan's Schur-form bound on ||e^{-uA}||, then a march
   whose steps never pass a zero because |g''| <= K = 4||A||^2, then
@@ -42,6 +47,10 @@ _CERT_MARGIN = 0.05
 # log of the largest norm ||e^{sA}|| a ladder rung may reach
 _SAFE_LOG = 600.0
 _MAX_STEPS = 100_000
+# steps of the bracket refiner: the cap, and the steps before a bracket
+# must shrink at least half as fast as under bisection
+_REFINE_STEPS = 200
+_SLACK = 8
 _TINY = np.finfo(float).tiny
 _EPS = np.finfo(float).eps
 
@@ -233,49 +242,122 @@ def _build_ladder(a: np.ndarray, t_tol: float) -> _Ladder:
 
 
 def _roots_diagonal(space: BoundarySpace, v: np.ndarray) -> np.ndarray:
-    diag = np.diag(space.a)
+    lams = np.diag(space.a)
+    lam_min, lam_max = lams.min(), lams.max()
+    log_norm = np.log(np.linalg.norm(v, axis=1))
+    if lam_min == lam_max:  # lam I: g(t) = log|v| - lam t
+        return log_norm / lam_min
     v2 = v * v
     logs = np.where(v2 > 0, np.log(np.where(v2 > 0, v2, 1.0)), -np.inf)
+    two_lam = 2.0 * lams
 
-    def g(t):
-        e = logs - np.outer(t, 2.0 * diag)
+    def g(t, rows):
+        e = logs[rows] - np.outer(t, two_lam)
         mx = np.max(e, axis=1)
         return 0.5 * (mx + np.log(np.sum(np.exp(e - mx[:, None]), axis=1)))
 
-    guess = np.log(np.linalg.norm(v, axis=1)) / space.lambda_min
-    lo = _expand(g, guess, True, -1.0, "diagonal")
-    hi = _expand(g, guess.copy(), True, 1.0, "diagonal")
-    _bisect_to_tol(g, lo, hi, space.solver.t_tol)
+    # |e^{-tA}v| lies between |v| e^{-t lam_max} and |v| e^{-t lam_min}
+    # (ordered by the sign of t), so g >= 0 at the smaller of
+    # log|v| / lam_max and log|v| / lam_min and g <= 0 at the larger;
+    # rounding may put g on the wrong side, and those rows expand
+    a, b = log_norm / lam_max, log_norm / lam_min
+    lo, g_lo = _expand(g, np.minimum(a, b), -1.0, "diagonal")
+    hi, g_hi = _expand(g, np.maximum(a, b), 1.0, "diagonal")
+    lo, hi = _refine(g, lo, hi, g_lo, g_hi, space.solver.t_tol, "diagonal")
     return 0.5 * (lo + hi)
 
 
-def _expand(g, t, rows, sign, path):
-    """Step t by sign * 1, 2, 4, ... on the ``rows`` (a mask, or True)
-    where g(t) lies on the root's side: g <= 0 going left (sign < 0),
-    g > 0 going right."""
+def _expand(g, t, sign, path):
+    """g(t) on every row, then t stepped by sign * 1, 2, 4, ... on the rows
+    where g(t) lies on the root's side: g <= 0 going left (sign < 0), g > 0
+    going right.  ``g(t, rows)`` evaluates the rows indexed by ``rows``.
+    Returns the final t and g(t)."""
+    t = t.copy()
+    gt = g(t, np.arange(t.size))
     step = 1.0
     for _ in range(200):
-        gt = g(t)
-        bad = rows & ((gt <= 0) if sign < 0 else (gt > 0))
-        if not bad.any():
-            return t
-        t = np.where(bad, t + sign * step, t)
+        bad = np.flatnonzero((gt <= 0) if sign < 0 else (gt > 0))
+        if bad.size == 0:
+            return t, gt
+        t[bad] += sign * step
+        gt[bad] = g(t[bad], bad)
         step *= 2.0
     side = "left" if sign < 0 else "right"
     raise SolverError(f"failed to bracket from the {side} ({path} path)")
 
 
-def _bisect_to_tol(g, lo, hi, t_tol):
-    """In-place bisection; finishes at machine precision when that is
-    finer than t_tol (t_tol stays the guaranteed bound)."""
-    for _ in range(200):
+def _refine(g, lo, hi, g_lo, g_hi, t_tol, path):
+    """Shrink brackets with g(lo) > 0 >= g(hi), g monotone on each, until
+    hi - lo <= min(t_tol, 4e-16 max(1, |lo|)) (machine precision when that
+    is finer than t_tol, which stays the guaranteed bound) or no float lies
+    between lo and hi.  Returns the final (lo, hi).
+
+    Chandrupatla's method (1997): each step evaluates g at one point inside
+    the bracket (``_interpolation_point``), and that point replaces the
+    bracket end of its sign.  After _SLACK steps a bracket must shrink at
+    least half as fast as under bisection, or the step bisects it, so no
+    row takes more than _SLACK + 2 steps beyond twice those of bisection.
+    ``g(t, rows)`` evaluates the rows indexed by ``rows``; rows leave the
+    loop as their brackets close.
+    """
+    out_lo, out_hi = lo.copy(), hi.copy()
+    rows = np.arange(lo.size)
+    # new_lo: the newest point is lo; x3: the end it replaced.  x3 = lo at
+    # the start makes the first step a bisection
+    new_lo, x3, f3, width0 = np.zeros(lo.size, bool), lo, g_lo, hi - lo
+    for step in range(_REFINE_STEPS):
+        width, mid = hi - lo, 0.5 * (lo + hi)
         stop = np.minimum(t_tol, 4e-16 * np.maximum(1.0, np.abs(lo)))
-        if np.all(hi - lo <= stop):
-            break
-        mid = 0.5 * (lo + hi)
-        pos = g(mid) > 0
-        np.copyto(lo, np.where(pos, mid, lo))
-        np.copyto(hi, np.where(pos, hi, mid))
+        # a midpoint that rounds to an end leaves no float between them
+        done = (width <= stop) | (mid <= lo) | (mid >= hi)
+        if done.any():
+            out_lo[rows[done]], out_hi[rows[done]] = lo[done], hi[done]
+            keep = ~done
+            (rows, lo, hi, g_lo, g_hi, new_lo, x3, f3, width0, width, mid,
+             stop) = (a[keep] for a in (rows, lo, hi, g_lo, g_hi, new_lo, x3,
+                                        f3, width0, width, mid, stop))
+            if rows.size == 0:
+                return out_lo, out_hi
+        slow = width > width0 * 2.0 ** ((_SLACK - step) / 2)
+        x = np.where(slow, mid,
+                     _interpolation_point(lo, hi, g_lo, g_hi, new_lo, x3, f3,
+                                          stop))
+        x = np.where((lo < x) & (x < hi), x, mid)
+        gx = g(x, rows)
+        new_lo = gx > 0
+        x3, f3 = np.where(new_lo, lo, hi), np.where(new_lo, g_lo, g_hi)
+        lo, g_lo = np.where(new_lo, x, lo), np.where(new_lo, gx, g_lo)
+        hi, g_hi = np.where(new_lo, hi, x), np.where(new_lo, g_hi, gx)
+    raise SolverError(
+        f"{rows.size} root bracket(s) still open after {_REFINE_STEPS} "
+        f"steps ({path} path)"
+    )
+
+
+def _interpolation_point(lo, hi, g_lo, g_hi, new_lo, x3, f3, stop):
+    """The next point of Chandrupatla's method in each bracket [lo, hi]:
+    the inverse quadratic interpolant through the newest point x1 (lo where
+    ``new_lo``), the other end x2 and the end x1 replaced, x3, where that
+    interpolant is monotone across the bracket, else the midpoint.  It
+    stays half a stop width, and an ulp of x1 (eps |x1|), inside both
+    ends."""
+    x1, f1 = np.where(new_lo, lo, hi), np.where(new_lo, g_lo, g_hi)
+    x2, f2 = np.where(new_lo, hi, lo), np.where(new_lo, g_hi, g_lo)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        xi = (x1 - x2) / (x3 - x2)
+        phi = (f1 - f2) / (f3 - f2)
+        iqi = (phi * phi < xi) & ((1.0 - phi) ** 2 < 1.0 - xi)
+        t = np.where(iqi, f1 / (f2 - f1) * f3 / (f2 - f3)
+                     + (x3 - x1) / (x2 - x1) * f1 / (f3 - f1)
+                     * f2 / (f3 - f2), 0.5)
+        # an exact zero of g at hi puts every interpolant there: while g
+        # stays 0 there, double the step left from hi instead
+        zero = ~new_lo & (f1 == 0) & (f3 == 0)
+        t = np.where(zero, 2.0 * (x3 - x1) / (x1 - x2), t)
+    # fmax/fmin, unlike clip, also send a NaN t to an end
+    edge = np.maximum(0.5 * stop, _EPS * np.abs(x1)) / (hi - lo)
+    t = np.fmin(np.fmax(t, edge), 1.0 - edge)
+    return x1 + t * (x2 - x1)
 
 
 def _single_poly_coeffs(space: BoundarySpace, v: np.ndarray) -> np.ndarray:
@@ -332,7 +414,7 @@ def _single_brackets(crit, first, guess):
     between the previous critical point (or one unit left of crit[first],
     to be expanded) and crit[first].  Otherwise it lies right of the last
     finite critical point (or of ``guess`` when there is none).  Returns
-    (lo, hi, expand_lo, expand_hi).
+    (lo, hi); every end not at a critical point may need expanding.
     """
     k, width = crit.shape
     rows = np.arange(k)
@@ -348,7 +430,7 @@ def _single_brackets(crit, first, guess):
         here, np.where(has_prev, crit[rows, prev], crit[rows, f] - 1.0), anchor
     )
     hi = np.where(here, crit[rows, f], anchor + 1.0)
-    return lo, hi, (here & ~has_prev) | ~(here | any_finite), ~here
+    return lo, hi
 
 
 def _roots_single(space: BoundarySpace, v: np.ndarray) -> np.ndarray:
@@ -373,13 +455,13 @@ def _roots_single(space: BoundarySpace, v: np.ndarray) -> np.ndarray:
         rows = np.where(degree == d)[0]
         pc = p[rows, : d + 1]
 
-        def g(t, pc=pc):
-            return -lam * t + 0.5 * np.log(_poly_eval(pc, t))
+        def g(t, sub, pc=pc):
+            return -lam * t + 0.5 * np.log(_poly_eval(pc[sub], t))
 
         guess = 0.5 * np.log(pc[:, 0].clip(min=np.finfo(float).tiny)) / lam
         if space._decreasing:
             # g has no critical point: the bracket of a row without one
-            lo, hi, expand_lo, expand_hi = guess, guess + 1.0, True, True
+            lo, hi = guess, guess + 1.0
         else:
             # critical points: real roots of P'(t) - 2 lam P(t)
             rc = np.empty((len(rows), d + 1))
@@ -388,18 +470,20 @@ def _roots_single(space: BoundarySpace, v: np.ndarray) -> np.ndarray:
             crit = _real_critical_points(rc)
 
             crit_safe = np.where(np.isfinite(crit), crit, 0.0)
+            every = np.arange(len(rows))
             gc_raw = np.stack(
-                [g(crit_safe[:, j]) for j in range(crit.shape[1])], axis=1
+                [g(crit_safe[:, j], every) for j in range(crit.shape[1])],
+                axis=1,
             )
             gc = np.where(np.isfinite(crit), gc_raw, np.inf)
             neg = gc <= 0
             first = np.where(neg.any(axis=1), neg.argmax(axis=1),
                              crit.shape[1])
-            lo, hi, expand_lo, expand_hi = _single_brackets(crit, first, guess)
+            lo, hi = _single_brackets(crit, first, guess)
 
-        lo = _expand(g, lo, expand_lo, -1.0, "single")
-        hi = _expand(g, hi, expand_hi, 1.0, "single")
-        _bisect_to_tol(g, lo, hi, t_tol)
+        lo, g_lo = _expand(g, lo, -1.0, "single")
+        hi, g_hi = _expand(g, hi, 1.0, "single")
+        lo, hi = _refine(g, lo, hi, g_lo, g_hi, t_tol, "single")
         result[rows] = 0.5 * (lo + hi)
     return result
 

@@ -75,6 +75,15 @@ def test_nilpotent_exp_small_cases():
     assert m[0, 2] == 0.5
 
 
+def test_nilpotent_exp_overflow_is_a_range_error():
+    # |t|^k past the float range raises the typed error, like mat_exp's guard
+    for n, t in [(3, 1e300), (3, -1e300), (6, 4.5e61), (6, -4.5e61)]:
+        with pytest.raises(RangeError, match="leaves the float range"):
+            nilpotent_exp(n, t)
+    # just inside the range the closed form is finite
+    assert np.isfinite(nilpotent_exp(6, 4.4e61)).all()
+
+
 def test_frob_sq_values():
     assert frob_sq(np.eye(5)) == 5.0
     assert frob_sq(jordan_block(1.0, 2)) == 3.0

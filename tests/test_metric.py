@@ -188,7 +188,6 @@ def _single_brackets_loop(crit, first, guess):
     """Row-by-row reference for the single path's initial brackets."""
     k = len(first)
     lo, hi = np.empty(k), np.empty(k)
-    expand_lo, expand_hi = np.zeros(k, bool), np.zeros(k, bool)
     for i in range(k):
         f = first[i]
         finite = np.isfinite(crit[i])
@@ -198,13 +197,10 @@ def _single_brackets_loop(crit, first, guess):
                 lo[i] = crit[i, f - 1]
             else:
                 lo[i] = crit[i, f] - 1.0
-                expand_lo[i] = True
         else:
             anchor = crit[i][finite][-1] if finite.any() else guess[i]
             lo[i], hi[i] = anchor, anchor + 1.0
-            expand_hi[i] = True
-            expand_lo[i] = not finite.any()
-    return lo, hi, expand_lo, expand_hi
+    return lo, hi
 
 
 def test_single_brackets_match_loop_reference():
@@ -218,6 +214,7 @@ def test_single_brackets_match_loop_reference():
         guess = rng.normal(size=2000)
         got = _single_brackets(crit, first, guess)
         want = _single_brackets_loop(crit, first, guess)
+        assert len(got) == len(want)
         for g, w in zip(got, want):
             np.testing.assert_array_equal(g, w)
 
@@ -225,9 +222,10 @@ def test_single_brackets_match_loop_reference():
 def test_bracket_expansion_failures_name_the_path():
     # g <= 0 everywhere never clears on the left, g > 0 never on the right
     with pytest.raises(SolverError, match=r"the left \(diagonal path\)"):
-        _expand(np.zeros_like, np.zeros(2), True, -1.0, "diagonal")
+        _expand(lambda t, rows: np.zeros_like(t), np.zeros(2), -1.0,
+                "diagonal")
     with pytest.raises(SolverError, match=r"the right \(single path\)"):
-        _expand(np.ones_like, np.zeros(2), True, 1.0, "single")
+        _expand(lambda t, rows: np.ones_like(t), np.zeros(2), 1.0, "single")
 
 
 def test_quasimetric_constant_examples(spaces):
