@@ -76,7 +76,14 @@ def nilpotent_exp(n: int, t: float) -> np.ndarray:
         except OverflowError:
             raise RangeError(f"e^(tN): |t|^{k} leaves the float range "
                              f"(n = {n}, t = {t:.6g})") from None
-        out += np.eye(n, k=k) * (tk / math.factorial(k))
+        # k! leaves the float range from k = 171: there the exact quotient
+        # of the integers, correctly rounded (0 where it underflows)
+        if k <= 170:
+            term = tk / math.factorial(k)
+        else:
+            num, den = tk.as_integer_ratio()
+            term = num / (den * math.factorial(k))
+        out += np.eye(n, k=k) * term
     return out
 
 

@@ -18,9 +18,13 @@ g(t) = log |e^{-tA}(y - x)|:
   its midpoint;
 * general A: a left endpoint t_lo with g > 0 on (-inf, t_lo], certified
   by g(t_lo) and Van Loan's Schur-form bound on ||e^{-uA}||, then a march
-  whose steps never pass a zero because |g''| <= K = 4||A||^2, then
-  bisection to t_tol; every step applies a rung of a cached dyadic
-  ladder of e^{-2^k T}, with A = Q T Q^T its real Schur form.
+  whose steps never pass a zero because g'' >= -K, with K from the norms
+  of A's symmetric and skew parts.  In Schur coordinates A = Q T Q^T, a
+  step of h <= 1/(2||A||) goes exactly to the zero of the quadratic lower
+  bound (a Taylor sum of e^{-hT}); a longer one applies the largest rung
+  <= h of a cached dyadic ladder of e^{-2^k T}.  A certified step that
+  ends at g <= 0 ends at the zero up to rounding; an uncertified step of
+  the bottom rung (<= t_tol) that crosses gives its midpoint.
 
 All evaluators are pure and vectorized over batches of difference
 vectors; results for a given batch are deterministic.
@@ -47,6 +51,9 @@ _CERT_MARGIN = 0.05
 # log of the largest norm ||e^{sA}|| a ladder rung may reach
 _SAFE_LOG = 600.0
 _MAX_STEPS = 100_000
+# degree of the Taylor sum of an exact march step (h ||T|| <= 1/2): the
+# remainder is below 2^-17/17! < 3e-20 of |w|
+_TAYLOR_DEGREE = 16
 # steps of the bracket refiner: the cap, and the steps before a bracket
 # must shrink at least half as fast as under bisection
 _REFINE_STEPS = 200
@@ -169,7 +176,9 @@ class _Ladder:
     e^{-2^(k_lo+k) T}, the marching steps; the bottom rung is the largest
     power of two <= t_tol.  ``up[j]`` is e^{2^(j_lo+j) T}, the candidate
     left endpoints t = -2^(j_lo+j).  ``g(t) > cert`` certifies g > 0 on
-    (-inf, t].
+    (-inf, t].  ``curvature`` is K with g'' >= -K.  A step of length h <=
+    ``window`` = 1 / (2||T||) is applied exactly, as sum_k (h/window)^k
+    ``taylor[k]`` with ``taylor[k]`` = (-window T)^k / k!, k <= 16.
     """
 
     q: np.ndarray
@@ -180,6 +189,8 @@ class _Ladder:
     up: np.ndarray
     cert: float
     curvature: float
+    window: float
+    taylor: np.ndarray
 
 
 def _build_ladder(a: np.ndarray, t_tol: float) -> _Ladder:
@@ -194,11 +205,22 @@ def _build_ladder(a: np.ndarray, t_tol: float) -> _Ladder:
 
     n = a.shape[0]
     norm = np.linalg.norm(a, 2)
-    curvature = 4.0 * norm**2
-    if not 0.0 < curvature < math.inf:
+    # curvature: with S, Z the symmetric and skew parts of A and w a unit
+    # e^{-tA}v, g'' = 2(<Aw, Sw> - <Sw, w>^2) = 2(|p|^2 + <Zw, p>), where
+    # p = Sw - <Sw, w>w, as <Zw, w> = 0.  |p| <= rho, half the spread of
+    # S's eigenvalues, so g''/2 >= min over s in [0, rho] of s^2 - ||Z||s,
+    # and g'' >= -K with K = ||Z||^2/2 (2 rho >= ||Z||) or 2 rho(||Z|| -
+    # rho).  K = 0 leaves g convex with slope <= -min eig S < 0, or -tr A/n
+    # when S = cI.  Rounding in K moves the bound less than it moves g.
+    sym = np.linalg.eigvalsh(0.5 * a + 0.5 * a.T)
+    rho = 0.5 * float(sym[-1] - sym[0])
+    skew = float(np.linalg.norm(0.5 * a - 0.5 * a.T, 2))
+    curvature = (0.5 * skew * skew if 2.0 * rho >= skew
+                 else 2.0 * rho * (skew - rho))
+    if not 0.0 <= curvature < math.inf:
         raise RangeError(
-            f"general path: the curvature bound 4||A||^2 = {curvature:.6g} "
-            f"leaves the float range (||A|| = {norm:.6g})"
+            f"general path: the curvature bound K = {curvature:.6g} leaves "
+            f"the float range (||A|| = {norm:.6g}, ||Z|| = {skew:.6g})"
         )
     schur, _ = scipy.linalg.schur(a, output="complex")
     re = np.diag(schur).real
@@ -224,6 +246,10 @@ def _build_ladder(a: np.ndarray, t_tol: float) -> _Ladder:
     j_lo = min(0, math.floor(1.0 - math.log2(re.max())))
     up = np.ldexp(1.0, np.arange(j_lo, k_hi + 1))
     tri, q = scipy.linalg.schur(a, output="real")
+    window = 0.5 / norm
+    taylor = [np.eye(n)]
+    for k in range(1, _TAYLOR_DEGREE + 1):
+        taylor.append(taylor[-1] @ (-window / k * tri))
     mats = scipy.linalg.expm(np.concatenate([-down, up])[:, None, None] * tri)
     return _Ladder(
         q=q,
@@ -234,6 +260,8 @@ def _build_ladder(a: np.ndarray, t_tol: float) -> _Ladder:
         up=mats[down.size :],
         cert=_CERT_MARGIN - c,
         curvature=curvature,
+        window=window,
+        taylor=np.stack(taylor),
     )
 
 
@@ -493,6 +521,14 @@ def _apply(rungs, k, w):
     return np.einsum("rij,rj->ri", rungs[k], w)
 
 
+def _exact_step(lad, h, w):
+    """Row i of the result is e^{-h[i] T} w[i], for h[i] <= lad.window."""
+    x = (h / lad.window)[:, None] ** np.arange(_TAYLOR_DEGREE + 1)
+    n = w.shape[1]
+    mats = (x @ lad.taylor.reshape(_TAYLOR_DEGREE + 1, n * n)).reshape(-1, n, n)
+    return np.einsum("rij,rj->ri", mats, w)
+
+
 def _log_norm(w):
     """log |w| per row.  The norm squares |w|, so a row whose square leaves
     the float range (|w| above 1.34e154) is scaled by its largest entry
@@ -541,14 +577,17 @@ def _roots_general(space: BoundarySpace, v: np.ndarray) -> np.ndarray:
                                int(bad.sum()), t[i], g[i])
 
     # march: g(t + h) >= g + g' h - K h^2 / 2 > 0 for h below its root, so
-    # the largest rung <= that root skips no zero.  A rung below t_tol may
-    # cross; if it does not, marching resumes in certified steps.
-    lo_t = np.empty(m)
-    lo_w = np.empty_like(v)
-    width = np.empty(m, dtype=int)
+    # a step s no longer than that root skips no zero: in exact arithmetic
+    # g > 0 on [t, t + s).  Within the exact window s is that root itself;
+    # longer steps take the largest rung <= h.  A computed g(t + s) <= 0
+    # after such a step is rounding, and the zero lies at t + s.  Where h
+    # is below the bottom rung (t_tol or finer), the step is that rung and
+    # may cross: the zero is then the midpoint of [t, t + s].
+    roots = np.empty(m)
     idx = np.arange(m)
     big_k = lad.curvature
     top = lad.down.shape[0] - 1
+    bottom = math.ldexp(1.0, lad.k_lo)
     for _ in range(_MAX_STEPS):
         u = w
         if g.max() > _SAFE_LOG / 2:  # w.w may overflow: use unit rows
@@ -561,34 +600,30 @@ def _roots_general(space: BoundarySpace, v: np.ndarray) -> np.ndarray:
             raise _general_failure(space, "non-finite slope", int(nan.sum()),
                                    t[i], g[i])
         root = np.sqrt(slope * slope + 2.0 * big_k * g)
-        h = np.where(slope > 0, (slope + root) / big_k,
-                     2.0 * g / (root - slope))
+        h = 2.0 * g / (root - slope)
+        rise = slope > 0
+        if rise.any():  # the same root without cancellation; none if K = 0
+            h[rise] = ((slope[rise] + root[rise]) / big_k if big_k > 0
+                       else math.inf)
         k = np.clip(np.frexp(h)[1] - 1 - lad.k_lo, 0, top)
         if not 0.0 < h.min() <= h.max() < math.inf:  # NaN fails too
             k[~((h > 0) & (h < math.inf))] = 0  # no certified step: bottom rung
-        w_next = _apply(lad.down, k, w)
+        exact = (h >= bottom) & (h <= lad.window)
+        step = np.where(exact, h, np.ldexp(1.0, lad.k_lo + k))
+        w_next = np.empty_like(w)
+        w_next[exact] = _exact_step(lad, h[exact], w[exact])
+        w_next[~exact] = _apply(lad.down, k[~exact], w[~exact])
         g_next = _log_norm(w_next)
+        t = t + step
         cross = g_next <= 0
-        hit = idx[cross]
-        lo_t[hit], lo_w[hit], width[hit] = t[cross], w[cross], k[cross]
+        # h >= step: a certified step; NaN h fails too
+        roots[idx[cross]] = np.where(h >= step, t, t - 0.5 * bottom)[cross]
         keep = ~cross
-        idx, w, g = idx[keep], w_next[keep], g_next[keep]
-        t = (t + np.ldexp(1.0, lad.k_lo + k))[keep]
+        idx, t, w, g = idx[keep], t[keep], w_next[keep], g_next[keep]
         if idx.size == 0:
-            break
-    if idx.size:
-        raise _general_failure(space, "no sign change within the step cap",
-                               idx.size, t[0], g[0])
-
-    # polish: bisect each bracket [lo_t, lo_t + 2^(k_lo+width)] on the ladder
-    while np.any(width > 0):
-        rows = np.flatnonzero(width > 0)
-        width[rows] -= 1
-        trial = _apply(lad.down, width[rows], lo_w[rows])
-        adv = _log_norm(trial) > 0
-        lo_w[rows[adv]] = trial[adv]
-        lo_t[rows[adv]] += np.ldexp(1.0, lad.k_lo + width[rows[adv]])
-    return lo_t + np.ldexp(1.0, lad.k_lo - 1)
+            return roots
+    raise _general_failure(space, "no sign change within the step cap",
+                           idx.size, t[0], g[0])
 
 
 def _dist_from_diffs(space: BoundarySpace, diffs: np.ndarray) -> np.ndarray:
@@ -615,7 +650,16 @@ def _dist_from_diffs(space: BoundarySpace, diffs: np.ndarray) -> np.ndarray:
         roots = _roots_single(space, v)
     else:
         roots = _roots_general(space, v)
-    out[nz] = np.exp(roots)
+    with np.errstate(over="ignore"):
+        d = np.exp(roots)
+    bad = ~((d > 0.0) & (d < np.inf))
+    if bad.any():
+        raise RangeError(
+            f"{int(bad.sum())} distance(s) out of range: log D = "
+            f"{roots[np.argmax(bad)]:.6g} leaves [-745.1, 709.8], where "
+            f"e^t is a positive finite float"
+        )
+    out[nz] = d
     return out
 
 

@@ -12,12 +12,15 @@ import math
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from test_acceptance import _adversarial_corpus
+from test_refiner import _Exact
 
 from heintze import metric
 from heintze.errors import RangeError, SolverError
-from heintze.metric import BoundarySpace, dist, dist_pairs
+from heintze.metric import BoundarySpace, SolverConfig, dist, dist_pairs
 
 ANGLE = 0.7
 ROTATION = np.array([[math.cos(ANGLE), -math.sin(ANGLE)],
@@ -158,7 +161,7 @@ def test_stiff_vector_past_the_last_up_rung_raises():
 @pytest.mark.parametrize("b", [1e160, 1e200])
 def test_overflowing_curvature_never_gives_the_later_crossing(b):
     # g(t) = log|e^{-tA}e_2| touches 0 at t = 0 (D = 1) and crosses later;
-    # 4||A||^2 overflows, so no march step could be certified
+    # K = ||Z||^2/2 = b^2/8 overflows, so no march step could be certified
     space = BoundarySpace(np.array([[1.0, b], [0.0, 1.5]]))
     try:
         d = dist(space, [0.0, 0.0], [0.0, 1.0])
@@ -203,3 +206,186 @@ def test_uncertifiable_vector_raises_with_diagnostics():
     space = BoundarySpace(_rotated_j2(0.3))
     with pytest.raises(SolverError, match=r"1 vector.*matrix = \[\["):
         dist_pairs(space, np.zeros((2, 2)), [[1.0, 2.0], [0.0, 1e-150]])
+
+
+# ---------------------------------------------------------------------------
+# the march: curvature bound, step counts and accuracy
+
+
+def _g2(a, w):
+    """g'' at unit rows w of e^{-tA}v: 2(<Aw, Sw> - <Sw, w>^2)."""
+    sw = w @ (0.5 * (a + a.T)).T
+    return 2.0 * (np.einsum("ij,ij->i", w @ a.T, sw)
+                  - np.einsum("ij,ij->i", sw, w) ** 2)
+
+
+@given(st.integers(min_value=2, max_value=4), st.data())
+@settings(max_examples=60, deadline=None)
+def test_curvature_bound_holds_on_random_matrices(n, data):
+    entries = data.draw(st.lists(st.floats(min_value=-3.0, max_value=3.0),
+                                 min_size=n * n, max_size=n * n))
+    a = np.array(entries).reshape(n, n)
+    # K depends on A only through A - (tr A/n) I: shift the spectrum right
+    a += (1.0 - min(0.0, np.linalg.eigvals(a).real.min())) * np.eye(n)
+    big_k = metric._build_ladder(a, 1e-12).curvature
+    seed = data.draw(st.integers(min_value=0, max_value=2**32 - 1))
+    w = np.random.default_rng(seed).normal(size=(2000, n))
+    w /= np.linalg.norm(w, axis=1)[:, None]
+    # the bound is sharp (J2(lam) attains it), so allow the rounding of g''
+    assert _g2(a, w).min() >= -big_k - 1e-12 * (1.0 + np.abs(a).sum() ** 2)
+    sym = np.linalg.eigvalsh(0.5 * (a + a.T))
+    skew = np.linalg.norm(0.5 * (a - a.T), 2)
+    assert big_k <= skew * (sym[-1] - sym[0]) * (1.0 + 1e-12)
+
+
+@pytest.mark.parametrize("lam", [0.3, 0.45])
+def test_curvature_bound_is_attained_on_j2(lam):
+    # on J2(lam) with v = (0, 1), g(s) = -lam s + log(1 + s^2)/2, whose
+    # least g'' is -1/8 at s^2 = 3; K is ||Z||^2/2 = 1/8
+    assert metric._build_ladder(_rotated_j2(lam), 1e-12).curvature == \
+        pytest.approx(0.125, rel=1e-14)
+    for a in (np.diag([1.0, 3.0]), np.array([[1.0, -3.0], [3.0, 1.0]])):
+        assert metric._build_ladder(a, 1e-12).curvature == 0.0
+
+
+@pytest.mark.parametrize("a", [_rotated_j2(0.3),
+                               np.array([[1.0, -3.0], [3.0, 1.0]]),
+                               np.array([[2.0, 0.5, -1.0], [0.0, 1.0, 1.0],
+                                         [0.3, 0.0, 1.5]])],
+                         ids=["R.J2(0.3).RT", "spiral", "3x3"])
+def test_curvature_formula_matches_finite_differences(a):
+    v = np.random.default_rng(2).normal(size=a.shape[0])
+
+    def g(t):
+        return math.log(np.linalg.norm(scipy.linalg.expm(-t * a) @ v))
+
+    step = 1e-4
+    for t in (-0.7, 0.0, 0.4, 1.9):
+        w = scipy.linalg.expm(-t * a) @ v
+        closed = _g2(a, (w / np.linalg.norm(w))[None, :])[0]
+        diff = (g(t + step) - 2.0 * g(t) + g(t - step)) / step**2
+        assert closed == pytest.approx(diff, rel=1e-5, abs=1e-6)
+
+
+def _count_applications(monkeypatch):
+    """Rows passed through ladder rungs and exact steps, in total."""
+    count = [0]
+
+    def counted(fn):
+        def wrapper(first, second, w):
+            count[0] += w.shape[0]
+            return fn(first, second, w)
+        return wrapper
+
+    for name in ("_apply", "_exact_step"):
+        monkeypatch.setattr(metric, name, counted(getattr(metric, name)))
+    return count
+
+
+GENERAL_CASES = {
+    "R.J2(0.3).RT": _rotated_j2(0.3),
+    "spiral": np.array([[1.0, -3.0], [3.0, 1.0]]),
+    "diag(2)+J2(1)": np.array([[2.0, 0.0, 0.0], [0.0, 1.0, 1.0],
+                               [0.0, 0.0, 1.0]]),
+}
+
+
+@pytest.mark.parametrize("name, most", [("R.J2(0.3).RT", 12), ("spiral", 5),
+                                        ("diag(2)+J2(1)", 8)])
+def test_march_step_counts(monkeypatch, name, most):
+    # exact steps converge quadratically near a simple root; rounding
+    # every step down to a rung takes about one more step per binary digit
+    space = BoundarySpace(GENERAL_CASES[name])
+    space._general_ladder()
+    count = _count_applications(monkeypatch)
+    x, y = np.random.default_rng(7).uniform(-5.0, 5.0, (2, 2000, space.n))
+    dist_pairs(space, x, y)
+    per_row = count[0] / x.shape[0]
+    print(f"{name}: {per_row:.2f} applications per row")
+    assert per_row <= most
+
+
+class _Exact2:
+    """g(t) = log|e^{-tA}v| at working precision for a 2 x 2 float A, from
+    e^{-tA} = e^{-mu t}(C(t) I - S(t) B) with B = A - mu I, B^2 = delta I,
+    C = cosh(t sqrt(delta)), S = sinh(t sqrt(delta))/sqrt(delta)."""
+
+    smallest_root = _Exact.smallest_root
+
+    def __init__(self, mp, a, v):
+        self.mp = mp
+        a = mp.matrix([[mp.mpf(float(x)) for x in row] for row in a])
+        self.a = a
+        self.mu = (a[0, 0] + a[1, 1]) / 2
+        b = a - self.mu * mp.eye(2)
+        self.delta = b[0, 0] ** 2 + b[0, 1] * b[1, 0]
+        self.v = mp.matrix([mp.mpf(float(x)) for x in v])
+        self.u = b * self.v
+
+    def w(self, t):
+        mp, d, t = self.mp, self.delta, self.mp.mpf(t)
+        if d > 0:
+            r = mp.sqrt(d)
+            c, s = mp.cosh(t * r), mp.sinh(t * r) / r
+        elif d < 0:
+            r = mp.sqrt(-d)
+            c, s = mp.cos(t * r), mp.sin(t * r) / r
+        else:
+            c, s = mp.mpf(1), t
+        return mp.exp(-self.mu * t) * (c * self.v - s * self.u)
+
+    def __call__(self, t):
+        w = self.w(t)
+        return self.mp.log(w[0] ** 2 + w[1] ** 2) / 2
+
+    def slope(self, t):
+        w = self.w(t)
+        aw = self.a * w
+        return -(aw[0] * w[0] + aw[1] * w[1]) / (w[0] ** 2 + w[1] ** 2)
+
+    def critical_points(self):
+        """Zeros of g': those of f' - 2 mu f for f = |v - tu|^2 (the
+        delta = 0 case; |delta| is a rounding error here), polished."""
+        mp, mu = self.mp, self.mu
+        vv, uu = (self.v.T * self.v)[0], (self.u.T * self.u)[0]
+        vu = (self.v.T * self.u)[0]
+        out = []
+        for z in mp.polyroots([-2 * mu * uu, 2 * uu + 4 * mu * vu,
+                               -2 * vu - 2 * mu * vv], extraprec=100):
+            if abs(mp.im(z)) < 1e-30:
+                near = (mp.re(z) - 1e-6, mp.re(z) + 1e-6)
+                out.append(mp.findroot(self.slope, near, solver="anderson"))
+        return sorted(out)
+
+
+def test_general_roots_match_50_digit_roots():
+    mp = pytest.importorskip("mpmath")
+    t_tol = SolverConfig().t_tol
+    rng = np.random.default_rng(3)
+    with mp.workdps(50):
+        for name, a in GENERAL_CASES.items():
+            v = rng.uniform(-5.0, 5.0, (50, a.shape[0]))
+            got = np.log(dist_pairs(BoundarySpace(a), np.zeros_like(v), v))
+            for t, row in zip(got, v):
+                if name == "spiral":  # e^{-tA} is e^{-t} times a rotation
+                    exact = mp.log(mp.norm(mp.matrix(row.tolist())))
+                elif name == "diag(2)+J2(1)":
+                    # S has eigenvalues 2, 3/2, 1/2: g is decreasing
+                    exact = _Exact(mp, [(2.0, 1), (1.0, 2)], row).smallest_root()
+                else:
+                    exact = _Exact2(mp, a, row).smallest_root()
+                err = float(abs(mp.mpf(t) - exact))
+                assert err <= t_tol * max(1.0, abs(float(exact))), (name, row)
+        # the dips: the root sits where |g'| is about sqrt(2 depth g''), so
+        # the rounding of g over the march (budget 4e-15, about an ulp per
+        # step) moves it by 4e-15/|g'|, up to 1.6e-10; a skipped dip moves
+        # it by more than 1
+        for lam in (0.3, 0.35, 0.45):
+            for depth in (1e-7, 1e-9):
+                b = _dip(lam, depth)[0]
+                a, row = _rotated_j2(lam), ROTATION @ [0.0, b]
+                t = math.log(dist(BoundarySpace(a), [0.0, 0.0], row))
+                g = _Exact2(mp, a, row)
+                exact = g.smallest_root()
+                err = float(abs(mp.mpf(t) - exact))
+                assert err <= t_tol + 4e-15 / abs(float(g.slope(exact)))

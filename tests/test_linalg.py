@@ -1,5 +1,6 @@
 import math
 from decimal import Decimal, localcontext
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -82,6 +83,25 @@ def test_nilpotent_exp_overflow_is_a_range_error():
             nilpotent_exp(n, t)
     # just inside the range the closed form is finite
     assert np.isfinite(nilpotent_exp(6, 4.4e61)).all()
+
+
+@pytest.mark.parametrize("n", [172, 200])
+def test_nilpotent_exp_past_171_factorial(n):
+    # 171! is past the float range; the entries t^k/k! are not
+    for t in (0.5, -2.0, 3.0, -7.5):
+        m = nilpotent_exp(n, t)
+        for k in range(n):
+            tk = t**k
+            exact = Fraction(t) ** k / math.factorial(k)
+            assert np.all(np.diagonal(m, k) == m[0, k])
+            if k <= 170:  # as before, float(k!) and one division
+                assert m[0, k] == tk / math.factorial(k)
+            elif tk == Fraction(t) ** k:  # t^k exact: correctly rounded
+                assert m[0, k] == float(exact)
+            else:
+                assert abs(m[0, k] - exact) <= 4 * np.finfo(float).eps * abs(exact)
+    assert nilpotent_exp(n, 7.5)[0, n - 1] > 0.0
+    assert nilpotent_exp(n, 1e-3)[0, n - 1] == 0.0  # underflows
 
 
 def test_frob_sq_values():

@@ -356,6 +356,21 @@ def test_out_of_float_range_differences_raise(spaces):
         assert dist(space, [1e-300, 0.0], [1e-300, 0.0]) == 0.0
 
 
+def test_out_of_float_range_distances_raise():
+    # |y - x| is in range, but the root log|v|/lam is not: exp gave D = 0
+    # for distinct points and D = inf
+    space = BoundarySpace(np.diag([0.01, 0.02]))
+    for b, root in ((1e-10, "-2302.59"), (1e10, "2302.59")):
+        with pytest.raises(RangeError,
+                           match=rf"^1 distance\(s\) out of range: log D = "
+                                 rf"{root} "):
+            dist(space, [0.0, 0.0], [b, 0.0])
+    with pytest.raises(RangeError, match=r"^2 distance"):
+        dist_pairs(space, np.zeros((3, 2)),
+                   [[1e-10, 0.0], [1.0, 0.0], [1e10, 0.0]])
+    assert 0.0 < dist(space, [0.0, 0.0], [1e-3, 0.0]) < 1e-290
+
+
 def test_dist_pairs_shape_mismatch(spaces):
     with pytest.raises(ValueError):
         dist_pairs(spaces["I2"], np.zeros((3, 2)), np.zeros((4, 2)))
