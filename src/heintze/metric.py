@@ -4,18 +4,18 @@ D_A(x, y) = e^{t*} where t* is the smallest real number with
 |e^{-tA}(x - y)| = 1.  The solver locates the smallest zero of
 g(t) = log |e^{-tA}(y - x)|:
 
-* diagonal A: g is strictly decreasing, and log|v|/lam_max and
-  log|v|/lam_min bracket its zero in closed form (lam*I gives log|v|/lam);
-* canonical single-eigenvalue A (block diagonal lam*I + N chains):
-  |e^{-tN}v|^2 is an explicit polynomial, so the zeros of g are isolated
-  exactly between the real critical points of e^{-2*lam*t} * P(t).  As
-  g' <= -(lam - cos(pi/(s_max+1))), with s_max the longest chain, g has
-  exactly one zero when lam > cos(pi/(s_max+1)); such a space skips the
-  critical points and starts from the bracket of a row without one.
-  Both paths shrink each monotone bracket g(lo) > 0 >= g(hi) by
-  Chandrupatla's method (inverse quadratic interpolation, bisection where
-  it is unsafe) to hi - lo <= min(t_tol, 4e-16 max(1, |lo|)) and return
-  its midpoint;
+* canonical A (block diagonal lam*I + N chains): g is the closed form
+  (1/2) logsumexp over the eigenvalues of log P_lam(t) - 2 lam t, with
+  P_lam(t) = |e^{-tN} v_lam|^2 an explicit polynomial (constant on a
+  diagonal, lam*I gives log|v|/lam).  The numerical range of A is the
+  hull of its chains' discs, lam about radius cos(pi/(s+1)), so g' <=
+  -min over chains of (lam - cos(pi/(s+1))).  Where that is negative, g
+  has exactly one zero, and log|v|/lam_max, log|v|/lam_min start its
+  bracket; elsewhere the march below, on the closed-form ladder, finds
+  the bracket [t, t + s] of the first crossing.  Chandrupatla's method
+  (inverse quadratic interpolation, bisection where it is unsafe) then
+  shrinks each bracket g(lo) > 0 >= g(hi) to hi - lo <= min(t_tol,
+  4e-16 max(1, |lo|)) and returns its midpoint;
 * general A: a left endpoint t_lo with g > 0 on (-inf, t_lo], certified
   by g(t_lo) and Van Loan's Schur-form bound on ||e^{-uA}||, then a march
   whose steps never pass a zero because g'' >= -K, with K from the norms
@@ -38,7 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import RangeError, SolverError
-from .linalg import _canonical_chains, check_matrix, check_vector
+from .linalg import _canonical_chains, check_matrix, check_vector, exponential
 from .spectral import (
     DEFAULT_CLUSTER_TOL,
     RealPartJordanForm,
@@ -46,7 +46,6 @@ from .spectral import (
     real_part_jordan_form,
 )
 
-_CRIT_IMAG_TOL = 1e-9
 _CERT_MARGIN = 0.05
 # log of the largest norm ||e^{sA}|| a ladder rung may reach
 _SAFE_LOG = 600.0
@@ -92,20 +91,15 @@ class BoundarySpace:
         self.lambda_max = self.form.lambda_max
         self.max_block = self.form.max_block
         self.chains = _canonical_chains(self.a)
-        if self.chains is not None and all(s == 1 for _, s, _ in self.chains):
-            self._mode = "diagonal"
-        elif self.chains is not None and len({c[0] for c in self.chains}) == 1:
-            self._mode = "single"
-        else:
-            self._mode = "general"
-        # g' = -<Aw, w>/|w|^2 <= -(lam - cos(pi/(s+1))) with w = e^{-tA}v,
-        # cos(pi/(s+1)) the numerical radius of the longest chain's shift
-        # N (Haagerup & de la Harpe 1992): above it g strictly decreases
-        self._decreasing = False
-        if self._mode == "single":
-            lam, size = self.chains[0][0], max(c[1] for c in self.chains)
-            self._decreasing = (lam - math.cos(math.pi / (size + 1))
-                                > 4.0 * _EPS * lam)
+        # g' = -<Aw, w>/|w|^2 with w = e^{-tA}v.  The numerical range of a
+        # direct sum is the hull of its blocks' ranges, and that of lam*I +
+        # N_s is the disc of radius cos(pi/(s+1)) about lam (Haagerup & de
+        # la Harpe 1992): where every chain's disc lies right of 0, g
+        # strictly decreases
+        self._decreasing = self.chains is not None and all(
+            lam - math.cos(math.pi / (s + 1)) > 4.0 * _EPS * lam
+            for lam, s, _ in self.chains
+        )
         self._ladder = None
         self._sub_spaces = {}
 
@@ -136,9 +130,7 @@ class BoundarySpace:
         return np.array(idx, dtype=int)
 
     def _require_single(self):
-        if self._mode not in ("single",) and not (
-            self._mode == "diagonal" and self.eigenvalue_count == 1
-        ):
+        if self.chains is None or self.eigenvalue_count != 1:
             raise ValueError(
                 "operation requires a canonical single-eigenvalue matrix"
             )
@@ -157,28 +149,31 @@ class BoundarySpace:
         )
         return self._sub_spaces[blocks], idx
 
-    # -- general-path machinery ---------------------------------------------
+    # -- march machinery -----------------------------------------------------
 
-    def _general_ladder(self) -> "_Ladder":
+    def _march_ladder(self) -> "_Ladder":
         if self._ladder is None:
-            self._ladder = _build_ladder(self.a, self.solver.t_tol)
+            self._ladder = _build_ladder(self.a, self.solver.t_tol,
+                                         self.chains)
         return self._ladder
 
 
 @dataclass(frozen=True)
 class _Ladder:
-    """Matrices of the general path, built once per space.
+    """Matrices of the march, built once per space.
 
-    The path works in real Schur coordinates A = Q T Q^T (``q``, ``tri``),
+    The march works in real Schur coordinates A = Q T Q^T (``q``, ``tri``),
     where |e^{-tA}v| = |e^{-tT} Q^T v|: there a rung scales each invariant
     subspace by its own eigenvalues, so the rounding error of a stiff
-    component does not land in a slow one.  ``down[k]`` is
-    e^{-2^(k_lo+k) T}, the marching steps; the bottom rung is the largest
-    power of two <= t_tol.  ``up[j]`` is e^{2^(j_lo+j) T}, the candidate
-    left endpoints t = -2^(j_lo+j).  ``g(t) > cert`` certifies g > 0 on
-    (-inf, t].  ``curvature`` is K with g'' >= -K.  A step of length h <=
-    ``window`` = 1 / (2||T||) is applied exactly, as sum_k (h/window)^k
-    ``taylor[k]`` with ``taylor[k]`` = (-window T)^k / k!, k <= 16.
+    component does not land in a slow one.  A canonical A is its own
+    Schur form (Q = I, T = A), and its rungs are closed forms.
+    ``down[k]`` is e^{-2^(k_lo+k) T}, the marching steps; the bottom rung
+    is the largest power of two <= t_tol.  ``up[j]`` is e^{2^(j_lo+j) T},
+    the candidate left endpoints t = -2^(j_lo+j).  ``g(t) > cert``
+    certifies g > 0 on (-inf, t].  ``curvature`` is K with g'' >= -K.  A
+    step of length h <= ``window`` = 1 / (2||T||) is applied exactly, as
+    sum_k (h/window)^k ``taylor[k]`` with ``taylor[k]`` = (-window T)^k /
+    k!, k <= 16.
     """
 
     q: np.ndarray
@@ -193,7 +188,7 @@ class _Ladder:
     taylor: np.ndarray
 
 
-def _build_ladder(a: np.ndarray, t_tol: float) -> _Ladder:
+def _build_ladder(a: np.ndarray, t_tol: float, chains=None) -> _Ladder:
     # Van Loan: with the Schur form A = Q(D + N)Q*, lam = min Re(eig) and
     # u >= 0, ||e^{-uA}|| <= e^{-u lam} S(u), S(u) = sum_{k<n} (u||N||)^k/k!.
     # As e^{-(t-u)A}v = e^{uA} e^{-tA}v, g(t - u) >= g(t) + lam u - log S(u).
@@ -201,8 +196,6 @@ def _build_ladder(a: np.ndarray, t_tol: float) -> _Ladder:
     # lam u - k log(u||N||) + log k! over u (at u = k/lam) gives
     # lam u - log S(u) >= c for every u, so g(t) > margin - c certifies
     # g > 0 on (-inf, t].
-    import scipy.linalg  # the one path with no closed-form exponential
-
     n = a.shape[0]
     norm = np.linalg.norm(a, 2)
     # curvature: with S, Z the symmetric and skew parts of A and w a unit
@@ -222,7 +215,13 @@ def _build_ladder(a: np.ndarray, t_tol: float) -> _Ladder:
             f"general path: the curvature bound K = {curvature:.6g} leaves "
             f"the float range (||A|| = {norm:.6g}, ||Z|| = {skew:.6g})"
         )
-    schur, _ = scipy.linalg.schur(a, output="complex")
+    if chains is None:
+        import scipy.linalg  # the one path with no closed-form exponential
+
+        schur, _ = scipy.linalg.schur(a, output="complex")
+        tri, q = scipy.linalg.schur(a, output="real")
+    else:
+        schur, tri, q = a, a, np.eye(n)
     re = np.diag(schur).real
     lam = re.min()
     nil = np.linalg.norm(np.triu(schur, 1), 2)
@@ -245,12 +244,13 @@ def _build_ladder(a: np.ndarray, t_tol: float) -> _Ladder:
     # 3e-14 put 1e136 into the slow coordinate at t = -1)
     j_lo = min(0, math.floor(1.0 - math.log2(re.max())))
     up = np.ldexp(1.0, np.arange(j_lo, k_hi + 1))
-    tri, q = scipy.linalg.schur(a, output="real")
     window = 0.5 / norm
     taylor = [np.eye(n)]
     for k in range(1, _TAYLOR_DEGREE + 1):
         taylor.append(taylor[-1] @ (-window / k * tri))
-    mats = scipy.linalg.expm(np.concatenate([-down, up])[:, None, None] * tri)
+    rungs = np.concatenate([-down, up])
+    mats = (exponential(a, rungs, chains) if chains is not None
+            else scipy.linalg.expm(rungs[:, None, None] * tri))
     return _Ladder(
         q=q,
         tri=tri,
@@ -267,32 +267,6 @@ def _build_ladder(a: np.ndarray, t_tol: float) -> _Ladder:
 
 # ---------------------------------------------------------------------------
 # root finding
-
-
-def _roots_diagonal(space: BoundarySpace, v: np.ndarray) -> np.ndarray:
-    lams = np.diag(space.a)
-    lam_min, lam_max = lams.min(), lams.max()
-    log_norm = np.log(np.linalg.norm(v, axis=1))
-    if lam_min == lam_max:  # lam I: g(t) = log|v| - lam t
-        return log_norm / lam_min
-    v2 = v * v
-    logs = np.where(v2 > 0, np.log(np.where(v2 > 0, v2, 1.0)), -np.inf)
-    two_lam = 2.0 * lams
-
-    def g(t, rows):
-        e = logs[rows] - np.outer(t, two_lam)
-        mx = np.max(e, axis=1)
-        return 0.5 * (mx + np.log(np.sum(np.exp(e - mx[:, None]), axis=1)))
-
-    # |e^{-tA}v| lies between |v| e^{-t lam_max} and |v| e^{-t lam_min}
-    # (ordered by the sign of t), so g >= 0 at the smaller of
-    # log|v| / lam_max and log|v| / lam_min and g <= 0 at the larger;
-    # rounding may put g on the wrong side, and those rows expand
-    a, b = log_norm / lam_max, log_norm / lam_min
-    lo, g_lo = _expand(g, np.minimum(a, b), -1.0, "diagonal")
-    hi, g_hi = _expand(g, np.maximum(a, b), 1.0, "diagonal")
-    lo, hi = _refine(g, lo, hi, g_lo, g_hi, space.solver.t_tol, "diagonal")
-    return 0.5 * (lo + hi)
 
 
 def _expand(g, t, sign, path):
@@ -388,12 +362,12 @@ def _interpolation_point(lo, hi, g_lo, g_hi, new_lo, x3, f3, stop):
     return x1 + t * (x2 - x1)
 
 
-def _single_poly_coeffs(space: BoundarySpace, v: np.ndarray) -> np.ndarray:
-    """Coefficients (ascending) of P(t) = |e^{-tN_blocks} v|^2 per row."""
+def _poly_coeffs(chains, v: np.ndarray) -> np.ndarray:
+    """Coefficients (ascending) of |e^{-tN} v|^2 on ``chains``, per row."""
     m = v.shape[0]
-    max_size = max(size for _, size, _ in space.chains)
+    max_size = max(size for _, size, _ in chains)
     p = np.zeros((m, 2 * max_size - 1))
-    for _, size, off in space.chains:
+    for _, size, off in chains:
         for i in range(size):
             span = size - i
             c = np.empty((m, span))
@@ -413,107 +387,61 @@ def _poly_eval(coeffs: np.ndarray, t: np.ndarray) -> np.ndarray:
     return acc
 
 
-def _real_critical_points(r_coeffs: np.ndarray):
-    """Real roots of each row's polynomial via companion eigenvalues.
+def _roots_canonical(space: BoundarySpace, v: np.ndarray) -> np.ndarray:
+    # g = logsumexp over lam of (log P_lam(t) - 2 lam t) / 2, with P_lam =
+    # |e^{-tN} v_lam|^2 on lam's chains: -lam t + log P / 2 for one lam.  A
+    # constant P_lam (chains of size 1) has its log taken once; a zero one
+    # (v has no part at lam) is -inf
+    lams = list(dict.fromkeys(lam for lam, _, _ in space.chains))
+    polys = [_poly_coeffs([c for c in space.chains if c[0] == lam], v)
+             for lam in lams]
+    lam_min, lam_max = min(lams), max(lams)
+    log_norm = np.log(np.linalg.norm(v, axis=1))
+    if len(lams) == 1 and polys[0].shape[1] == 1:  # lam I: g = log|v| - lam t
+        return log_norm / lam_min
+    if len(lams) == 1:
 
-    Returns a (m, deg) array padded with +inf, sorted ascending per row.
-    """
-    m, width = r_coeffs.shape
-    deg = width - 1
-    out = np.full((m, max(deg, 1)), np.inf)
-    if deg == 0:
-        return out
-    monic = r_coeffs / r_coeffs[:, -1][:, None]
-    comp = np.zeros((m, deg, deg))
-    comp[:, 1:, :-1] = np.eye(deg - 1)
-    comp[:, :, -1] = -monic[:, :-1]
-    roots = np.linalg.eigvals(comp)
-    real = np.abs(roots.imag) <= _CRIT_IMAG_TOL * (1.0 + np.abs(roots.real))
-    vals = np.where(real, roots.real, np.inf)
-    vals.sort(axis=1)
-    out[:, :deg] = vals
-    return out
+        def g(t, rows):
+            return -lam_min * t + 0.5 * np.log(_poly_eval(polys[0][rows], t))
 
+    else:
+        with np.errstate(divide="ignore"):
+            logs = np.log(np.stack([p[:, 0] for p in polys], axis=1))
+        curved = [(j, p) for j, p in enumerate(polys) if p.shape[1] > 1]
+        two_lam = 2.0 * np.array(lams)
 
-def _single_brackets(crit, first, guess):
-    """Initial brackets of the single path, one per row.
+        def g(t, rows):
+            e = logs[rows]
+            with np.errstate(divide="ignore"):
+                for j, p in curved:
+                    e[:, j] = np.log(_poly_eval(p[rows], t))
+            e -= t[:, None] * two_lam
+            mx = np.max(e, axis=1)
+            return 0.5 * (mx + np.log(np.sum(np.exp(e - mx[:, None]),
+                                             axis=1)))
 
-    With a critical value g <= 0 at crit[first], the first zero lies
-    between the previous critical point (or one unit left of crit[first],
-    to be expanded) and crit[first].  Otherwise it lies right of the last
-    finite critical point (or of ``guess`` when there is none).  Returns
-    (lo, hi); every end not at a critical point may need expanding.
-    """
-    k, width = crit.shape
-    rows = np.arange(k)
-    finite = np.isfinite(crit)
-    f = np.minimum(first, width - 1)
-    here = (first < width) & finite[rows, f]
-    prev = np.maximum(f - 1, 0)
-    has_prev = here & (first > 0) & finite[rows, prev]
-    any_finite = finite.any(axis=1)
-    last = width - 1 - np.argmax(finite[:, ::-1], axis=1)
-    anchor = np.where(any_finite, crit[rows, last], guess)
-    lo = np.where(
-        here, np.where(has_prev, crit[rows, prev], crit[rows, f] - 1.0), anchor
-    )
-    hi = np.where(here, crit[rows, f], anchor + 1.0)
-    return lo, hi
-
-
-def _roots_single(space: BoundarySpace, v: np.ndarray) -> np.ndarray:
-    lam = space.chains[0][0]
-    p = _single_poly_coeffs(space, v)
-    m = p.shape[0]
-    t_tol = space.solver.t_tol
-    result = np.empty(m)
-
-    # group rows by true polynomial degree (top coefficients are exact
-    # products of the input coordinates, so an exact zero test is sound)
-    degree = np.zeros(m, dtype=int)
-    for k in range(p.shape[1] - 1, 0, -1):
-        mask = (degree == 0) & (p[:, k] != 0.0)
-        degree[mask] = k
-
-    const = degree == 0
-    if const.any():
-        result[const] = np.log(p[const, 0]) / (2.0 * lam)
-
-    for d in np.unique(degree[~const]):
-        rows = np.where(degree == d)[0]
-        pc = p[rows, : d + 1]
-
-        def g(t, sub, pc=pc):
-            return -lam * t + 0.5 * np.log(_poly_eval(pc[sub], t))
-
-        guess = 0.5 * np.log(pc[:, 0].clip(min=np.finfo(float).tiny)) / lam
-        if space._decreasing:
-            # g has no critical point: the bracket of a row without one
-            lo, hi = guess, guess + 1.0
-        else:
-            # critical points: real roots of P'(t) - 2 lam P(t)
-            rc = np.empty((len(rows), d + 1))
-            rc[:, :] = -2.0 * lam * pc
-            rc[:, :-1] += pc[:, 1:] * np.arange(1, d + 1)
-            crit = _real_critical_points(rc)
-
-            crit_safe = np.where(np.isfinite(crit), crit, 0.0)
-            every = np.arange(len(rows))
-            gc_raw = np.stack(
-                [g(crit_safe[:, j], every) for j in range(crit.shape[1])],
-                axis=1,
-            )
-            gc = np.where(np.isfinite(crit), gc_raw, np.inf)
-            neg = gc <= 0
-            first = np.where(neg.any(axis=1), neg.argmax(axis=1),
-                             crit.shape[1])
-            lo, hi = _single_brackets(crit, first, guess)
-
-        lo, g_lo = _expand(g, lo, -1.0, "single")
-        hi, g_hi = _expand(g, hi, 1.0, "single")
-        lo, hi = _refine(g, lo, hi, g_lo, g_hi, t_tol, "single")
-        result[rows] = 0.5 * (lo + hi)
-    return result
+    if space._decreasing:
+        # one zero.  On a diagonal |e^{-tA}v| lies between |v| e^{-t lam_max}
+        # and |v| e^{-t lam_min} (ordered by the sign of t), so g >= 0 at
+        # the smaller of log|v|/lam_max and log|v|/lam_min and g <= 0 at
+        # the larger.  With one eigenvalue the two coincide, and the
+        # bracket starts one unit wide; on longer chains, or where rounding
+        # puts g on the wrong side, the ends expand
+        a, b = log_norm / lam_max, log_norm / lam_min
+        lo, g_lo = _expand(g, np.minimum(a, b), -1.0, "canonical")
+        hi, g_hi = _expand(g, np.maximum(a, b) + (lam_min == lam_max), 1.0,
+                           "canonical")
+    else:
+        lo, hi, _ = _march(space, v)
+        every = np.arange(v.shape[0])
+        g_lo, g_hi = g(lo, every), g(hi, every)
+        # the march certified g > 0 at lo and found g <= 0 at hi: an end
+        # where this g has the other sign is the root up to rounding, and
+        # the bracket closes on it
+        hi = np.where(g_lo > 0, hi, lo)
+        lo = np.where((g_lo > 0) & (g_hi > 0), hi, lo)
+    lo, hi = _refine(g, lo, hi, g_lo, g_hi, space.solver.t_tol, "canonical")
+    return 0.5 * (lo + hi)
 
 
 def _apply(rungs, k, w):
@@ -544,16 +472,27 @@ def _log_norm(w):
     return g
 
 
-def _general_failure(space, what, rows, t, g):
+def _march_failure(space, what, rows, t, g):
+    path = "general" if space.chains is None else "canonical"
     return SolverError(
-        f"general path: {what} for {rows} vector(s); last t = {t:.17g}, "
+        f"{path} path: {what} for {rows} vector(s); last t = {t:.17g}, "
         f"g = {g:.6g}; matrix = {space.a.tolist()}"
     )
 
 
-@np.errstate(over="ignore", divide="ignore")
 def _roots_general(space: BoundarySpace, v: np.ndarray) -> np.ndarray:
-    lad = space._general_ladder()
+    lo, hi, certified = _march(space, v)
+    # an uncertified crossing is a bottom-rung step: its midpoint
+    bottom = math.ldexp(1.0, space._march_ladder().k_lo)
+    return np.where(certified, hi, hi - 0.5 * bottom)
+
+
+@np.errstate(over="ignore", divide="ignore")
+def _march(space: BoundarySpace, v: np.ndarray):
+    """The bracket [lo, hi] = [t, t + s] of each row's first crossing, from
+    a certified left endpoint and the march, and whether its step was
+    certified (else it is the bottom rung)."""
+    lad = space._march_ladder()
     m = v.shape[0]
 
     v = v @ lad.q  # rows Q^T v: Schur coordinates
@@ -573,7 +512,7 @@ def _roots_general(space: BoundarySpace, v: np.ndarray) -> np.ndarray:
     bad = ~((g > lad.cert) & np.isfinite(g))
     if bad.any():
         i = int(np.argmax(bad))
-        raise _general_failure(space, "no certified left endpoint",
+        raise _march_failure(space, "no certified left endpoint",
                                int(bad.sum()), t[i], g[i])
 
     # march: g(t + h) >= g + g' h - K h^2 / 2 > 0 for h below its root, so
@@ -582,8 +521,8 @@ def _roots_general(space: BoundarySpace, v: np.ndarray) -> np.ndarray:
     # longer steps take the largest rung <= h.  A computed g(t + s) <= 0
     # after such a step is rounding, and the zero lies at t + s.  Where h
     # is below the bottom rung (t_tol or finer), the step is that rung and
-    # may cross: the zero is then the midpoint of [t, t + s].
-    roots = np.empty(m)
+    # may cross anywhere in [t, t + s].
+    lo, hi, certified = np.empty(m), np.empty(m), np.empty(m, dtype=bool)
     idx = np.arange(m)
     big_k = lad.curvature
     top = lad.down.shape[0] - 1
@@ -597,7 +536,7 @@ def _roots_general(space: BoundarySpace, v: np.ndarray) -> np.ndarray:
         if not math.isfinite(slope.sum()):
             nan = ~np.isfinite(slope)
             i = int(np.argmax(nan))
-            raise _general_failure(space, "non-finite slope", int(nan.sum()),
+            raise _march_failure(space, "non-finite slope", int(nan.sum()),
                                    t[i], g[i])
         root = np.sqrt(slope * slope + 2.0 * big_k * g)
         h = 2.0 * g / (root - slope)
@@ -614,15 +553,16 @@ def _roots_general(space: BoundarySpace, v: np.ndarray) -> np.ndarray:
         w_next[exact] = _exact_step(lad, h[exact], w[exact])
         w_next[~exact] = _apply(lad.down, k[~exact], w[~exact])
         g_next = _log_norm(w_next)
-        t = t + step
+        t_next = t + step
         cross = g_next <= 0
-        # h >= step: a certified step; NaN h fails too
-        roots[idx[cross]] = np.where(h >= step, t, t - 0.5 * bottom)[cross]
+        done = idx[cross]
+        lo[done], hi[done] = t[cross], t_next[cross]
+        certified[done] = (h >= step)[cross]  # NaN h fails too
         keep = ~cross
-        idx, t, w, g = idx[keep], t[keep], w_next[keep], g_next[keep]
+        idx, t, w, g = idx[keep], t_next[keep], w_next[keep], g_next[keep]
         if idx.size == 0:
-            return roots
-    raise _general_failure(space, "no sign change within the step cap",
+            return lo, hi, certified
+    raise _march_failure(space, "no sign change within the step cap",
                            idx.size, t[0], g[0])
 
 
@@ -644,12 +584,8 @@ def _dist_from_diffs(space: BoundarySpace, diffs: np.ndarray) -> np.ndarray:
     if not nz.any():
         return out
     v = diffs[nz]
-    if space._mode == "diagonal":
-        roots = _roots_diagonal(space, v)
-    elif space._mode == "single":
-        roots = _roots_single(space, v)
-    else:
-        roots = _roots_general(space, v)
+    roots = (_roots_general(space, v) if space.chains is None
+             else _roots_canonical(space, v))
     with np.errstate(over="ignore"):
         d = np.exp(roots)
     bad = ~((d > 0.0) & (d < np.inf))

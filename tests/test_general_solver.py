@@ -100,7 +100,7 @@ def test_orthogonal_conjugation_on_rotated_corpus(corpus):
         # J3 + J1 raises ConditioningError on two of these matrices; the
         # general solver itself does not use the classification
         rotated = BoundarySpace(r @ a @ r.T, tol=1e-4)
-        assert rotated._mode == "general"
+        assert rotated.chains is None
         x = rng.uniform(-3.0, 3.0, n)
         want = math.log(dist(BoundarySpace(a), x, x + v))
         got = math.log(dist(rotated, r @ x, r @ (x + v)))
@@ -177,7 +177,7 @@ def test_uncertified_steps_take_the_bottom_rung(monkeypatch):
     # creep by the bottom rung, so it cannot reach the root within the cap
     monkeypatch.setattr(metric, "_MAX_STEPS", 1000)
     space = BoundarySpace(np.array([[1.0, -3.0], [3.0, 1.0]]))
-    space._ladder = dataclasses.replace(space._general_ladder(),
+    space._ladder = dataclasses.replace(space._march_ladder(),
                                         curvature=math.inf)
     with pytest.raises(SolverError, match="step cap"):
         dist_pairs(space, np.zeros((2, 2)), [[1.0, 0.0], [3.0, 3.0]])
@@ -296,7 +296,10 @@ def test_march_step_counts(monkeypatch, name, most):
     # exact steps converge quadratically near a simple root; rounding
     # every step down to a rung takes about one more step per binary digit
     space = BoundarySpace(GENERAL_CASES[name])
-    space._general_ladder()
+    # diag(2)+J2(1) is canonical with a decreasing g, which never marches:
+    # force the march, on its closed-form ladder
+    space._decreasing = False
+    space._march_ladder()
     count = _count_applications(monkeypatch)
     x, y = np.random.default_rng(7).uniform(-5.0, 5.0, (2, 2000, space.n))
     dist_pairs(space, x, y)

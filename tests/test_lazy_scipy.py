@@ -1,5 +1,7 @@
 """scipy is loaded only where no closed-form exponential exists: the
-general D_A path (and mat_exp of a non-canonical matrix).  Each check
+general D_A path (and mat_exp of a non-canonical matrix).  Canonical
+spaces with several eigenvalues, or whose g may rise (and so march on a
+closed-form ladder), load none.  Each check
 runs in a fresh interpreter, since the test session itself imports scipy.
 """
 
@@ -42,6 +44,21 @@ def test_canonical_workflows_never_load_scipy(tmp_path):
         space = h.BoundarySpace(j3)
         assert h.dist(space, [0.0, 0.0, 0.0], [1.0, 2.0, 3.0]) > 0
         check("dist")
+
+        def block_sum(*blocks):
+            n = sum(len(b) for b in blocks)
+            a, i = np.zeros((n, n)), 0
+            for b in blocks:
+                a[i:i + len(b), i:i + len(b)] = b
+                i += len(b)
+            return a
+
+        rng = np.random.default_rng(0)
+        for a in (block_sum([[2.0]], j2), h.jordan_block(0.3, 2),
+                  block_sum(h.jordan_block(0.45, 3), [[0.45]])):
+            x, y = rng.uniform(-3.0, 3.0, (2, 50, len(a)))
+            assert (h.dist_pairs(h.BoundarySpace(a), x, y) > 0).all()
+        check("dist on several eigenvalues and a rising g")
         shear = h.Shear(2, h.PiecewiseLinear(((0.0, 0.0), (1.0, 0.5))))
         rep = h.distortion_profile(shear, h.BoundarySpace(j2), np.zeros(2),
                                    [1.0, 0.5], samples_per_radius=20)
@@ -54,8 +71,10 @@ def test_canonical_workflows_never_load_scipy(tmp_path):
         assert "scipy.linalg" in sys.modules
         print("general")
     """, tmp_path)
-    assert out.split() == ["import", "count_cells", "dist",
-                           "distortion_profile", "general"]
+    assert out.splitlines() == [
+        "import", "count_cells", "dist",
+        "dist on several eigenvalues and a rising g", "distortion_profile",
+        "general"]
 
 
 def test_cli_rpjf_on_a_canonical_matrix_never_loads_scipy(tmp_path):

@@ -3,16 +3,17 @@ import math
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from conftest import oracle_roots, scan_oracle
 
-from heintze.errors import RangeError, SolverError
+from heintze.errors import ConditioningError, RangeError, SolverError
 from heintze.linalg import jordan_block
 from heintze.metric import (
     BoundarySpace,
     SolverConfig,
     _expand,
-    _single_brackets,
     block_distance_check,
     dist,
     dist_pairs,
@@ -140,8 +141,9 @@ def test_single_block_matches_independent_scan(spaces, rng):
             assert dist(sp, x, y) == pytest.approx(
                 math.exp(t_star), rel=1e-9
             )
-    # J_n(1) skips the companion solve: run it at multi-root lam, and on
-    # both sides of the radius cos(pi/(s+1)) below which it is needed
+    # below the radius cos(pi/(s+1)) g may rise and the march brackets
+    # its first zero: run it at multi-root lam, and on both sides of the
+    # radius
     local = np.random.default_rng(29)
     for lam, s in [(0.35, 3), (0.3, 4)] + [
         (math.cos(math.pi / (s + 1)) + d, s) for s in (2, 3, 4)
@@ -157,13 +159,42 @@ def test_single_block_matches_independent_scan(spaces, rng):
             )
 
 
+@given(st.lists(st.tuples(st.integers(min_value=1, max_value=30).map(
+                              lambda k: k / 10),
+                          st.integers(min_value=1, max_value=5)),
+                min_size=1, max_size=3),
+       st.data())
+@settings(max_examples=200, deadline=None)
+def test_decreasing_certificate_on_block_sums(chains, data):
+    # the numerical range of a direct sum is the hull of its blocks'
+    # ranges, and that of lam I + N_s is the disc of radius cos(pi/(s+1))
+    # about lam, so -g' = <Aw, w> >= min over chains of lam - cos(pi/(s+1))
+    a = scipy.linalg.block_diag(*[jordan_block(lam, s) for lam, s in chains])
+    w = np.array(data.draw(st.lists(st.floats(min_value=-1.0, max_value=1.0),
+                                    min_size=a.shape[0],
+                                    max_size=a.shape[0])))
+    assume(np.linalg.norm(w) > 1e-3)
+    w /= np.linalg.norm(w)
+    margin = [lam - math.cos(math.pi / (s + 1)) for lam, s in chains]
+    assert w @ a @ w >= min(margin) - 1e-12
+    try:
+        space = BoundarySpace(a)
+    except ConditioningError:
+        # the Jordan form's rank test cannot resolve some close eigenvalues
+        # next to long chains (see ROADMAP, Jordan-form verdicts)
+        return
+    eps = np.finfo(float).eps
+    assert space._decreasing == all(
+        m > 4.0 * eps * lam for m, (lam, _) in zip(margin, chains))
+
+
 def test_general_path_matches_canonical_path(rng):
     # force the general path on a canonical matrix by
     # perturbing the superdiagonal away from the exact 0/1 pattern
     a = jordan_block(1.0, 2)
     a[0, 1] = 1.0 + 1e-13
     sp_general = BoundarySpace(a)
-    assert sp_general._mode == "general"
+    assert sp_general.chains is None
     sp_single = BoundarySpace(jordan_block(1.0, 2))
     for _ in range(10):
         x, y = rng.uniform(-4, 4, (2, 2))
@@ -184,48 +215,40 @@ def test_smallest_root_multi_root_case():
     assert got == pytest.approx(math.exp(roots[0]), rel=1e-8)
 
 
-def _single_brackets_loop(crit, first, guess):
-    """Row-by-row reference for the single path's initial brackets."""
-    k = len(first)
-    lo, hi = np.empty(k), np.empty(k)
-    for i in range(k):
-        f = first[i]
-        finite = np.isfinite(crit[i])
-        if f < crit.shape[1] and np.isfinite(crit[i, f]):
-            hi[i] = crit[i, f]
-            if f > 0 and np.isfinite(crit[i, f - 1]):
-                lo[i] = crit[i, f - 1]
-            else:
-                lo[i] = crit[i, f] - 1.0
-        else:
-            anchor = crit[i][finite][-1] if finite.any() else guess[i]
-            lo[i], hi[i] = anchor, anchor + 1.0
-    return lo, hi
+def test_stiff_canonical_sum_decouples_its_chains():
+    # diag(1000) + J2(1): two eigenvalues on one canonical matrix.  The
+    # chains never mix, so a vector in the J2 chain gets its J2 distance;
+    # a march on one ladder for both could not certify a left endpoint
+    # past t = -1/2, where e^{1000 t} leaves the ladder's range
+    sp = BoundarySpace(scipy.linalg.block_diag([[1000.0]],
+                                               jordan_block(1.0, 2)))
+    zero = np.zeros(3)
+    # e^{-tA}(0, 0.01, 0) = 0.01 e^{-t} (0, 1, 0): D = 0.01, up to the
+    # rounding of log D (about 4.6) to a few ulps
+    got = dist(sp, zero, [0.0, 0.01, 0.0])
+    assert math.log(got) == pytest.approx(math.log(0.01), rel=1e-15, abs=0)
 
+    # e^{-tA}(0, 0, c) = c e^{-t} (0, -t, 1): g(t) = -t + log c +
+    # log(1 + t^2)/2, with g' <= -1/2
+    def g(t):
+        return -t + math.log(1e-3) + 0.5 * math.log1p(t * t)
 
-def test_single_brackets_match_loop_reference():
-    rng = np.random.default_rng(11)
-    for width in (1, 2, 3, 6):
-        # sorted critical points padded with +inf, as _real_critical_points
-        crit = np.sort(3.0 * rng.normal(size=(2000, width)), axis=1)
-        count = rng.integers(0, width + 1, 2000)
-        crit[np.arange(width) >= count[:, None]] = np.inf
-        first = rng.integers(0, width + 1, 2000)
-        guess = rng.normal(size=2000)
-        got = _single_brackets(crit, first, guess)
-        want = _single_brackets_loop(crit, first, guess)
-        assert len(got) == len(want)
-        for g, w in zip(got, want):
-            np.testing.assert_array_equal(g, w)
+    lo, hi = -20.0, 0.0
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if g(mid) > 0 else (lo, mid)
+    got = dist(sp, zero, [0.0, 0.0, 1e-3])
+    assert math.log(got) == pytest.approx(lo, rel=1e-15, abs=0)
 
 
 def test_bracket_expansion_failures_name_the_path():
     # g <= 0 everywhere never clears on the left, g > 0 never on the right
-    with pytest.raises(SolverError, match=r"the left \(diagonal path\)"):
+    with pytest.raises(SolverError, match=r"the left \(canonical path\)"):
         _expand(lambda t, rows: np.zeros_like(t), np.zeros(2), -1.0,
-                "diagonal")
-    with pytest.raises(SolverError, match=r"the right \(single path\)"):
-        _expand(lambda t, rows: np.ones_like(t), np.zeros(2), 1.0, "single")
+                "canonical")
+    with pytest.raises(SolverError, match=r"the right \(canonical path\)"):
+        _expand(lambda t, rows: np.ones_like(t), np.zeros(2), 1.0,
+                "canonical")
 
 
 def test_quasimetric_constant_examples(spaces):

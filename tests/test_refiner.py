@@ -1,4 +1,4 @@
-"""The bracket refiner of the diagonal and single-eigenvalue paths.
+"""The bracket refiner of canonical (lam I + N chain) spaces.
 
 ``metric._refine`` shrinks sign-certified brackets g(lo) > 0 >= g(hi) by
 Chandrupatla's method.  These tests check its invariants on synthetic
@@ -81,14 +81,14 @@ def test_refine_reaching_the_cap_raises():
 
     with pytest.raises(SolverError,
                        match=r"3 root bracket\(s\) still open after 200 steps "
-                             r"\(diagonal path\)"):
-        metric._refine(g, lo, hi, g(lo, None), g(hi, None), T_TOL, "diagonal")
+                             r"\(canonical path\)"):
+        metric._refine(g, lo, hi, g(lo, None), g(hi, None), T_TOL, "canonical")
 
 
 def _count_calls(monkeypatch):
     """Count the evaluations of g that bracket expansion and refinement
-    make, by function: all of them on the diagonal path and on a single
-    path that skips the critical points."""
+    make, by function: all of them on a space whose g strictly
+    decreases."""
     calls = {"_expand": 0, "_refine": 0}
 
     def counted(name, fn):
@@ -255,7 +255,8 @@ def test_roots_match_50_digit_roots(monkeypatch, name):
     mp = pytest.importorskip("mpmath")
     chains = CASES[name]
     sp = _space(chains)
-    assert sp._mode == ("diagonal" if chains[0][1] == 1 else "single")
+    # J3(0.35) marches to its brackets; the others start from log|v|/lam
+    assert sp._decreasing == (name != "J3(0.35)")
     with mp.workdps(50):
         rows = _rows(mp, name, chains, np.random.default_rng(5))
         t = np.log(dist_pairs(sp, np.zeros_like(rows), rows))
