@@ -399,26 +399,19 @@ def _roots_canonical(space: BoundarySpace, v: np.ndarray) -> np.ndarray:
     log_norm = np.log(np.linalg.norm(v, axis=1))
     if len(lams) == 1 and polys[0].shape[1] == 1:  # lam I: g = log|v| - lam t
         return log_norm / lam_min
-    if len(lams) == 1:
+    with np.errstate(divide="ignore"):
+        logs = np.log(np.stack([p[:, 0] for p in polys], axis=1))
+    curved = [(j, p) for j, p in enumerate(polys) if p.shape[1] > 1]
+    two_lam = 2.0 * np.array(lams)
 
-        def g(t, rows):
-            return -lam_min * t + 0.5 * np.log(_poly_eval(polys[0][rows], t))
-
-    else:
+    def g(t, rows):
+        e = logs[rows]
         with np.errstate(divide="ignore"):
-            logs = np.log(np.stack([p[:, 0] for p in polys], axis=1))
-        curved = [(j, p) for j, p in enumerate(polys) if p.shape[1] > 1]
-        two_lam = 2.0 * np.array(lams)
-
-        def g(t, rows):
-            e = logs[rows]
-            with np.errstate(divide="ignore"):
-                for j, p in curved:
-                    e[:, j] = np.log(_poly_eval(p[rows], t))
-            e -= t[:, None] * two_lam
-            mx = np.max(e, axis=1)
-            return 0.5 * (mx + np.log(np.sum(np.exp(e - mx[:, None]),
-                                             axis=1)))
+            for j, p in curved:
+                e[:, j] = np.log(_poly_eval(p[rows], t))
+        e -= t[:, None] * two_lam
+        mx = e.max(axis=1)
+        return 0.5 * (mx + np.log(np.exp(e - mx[:, None]).sum(axis=1)))
 
     if space._decreasing:
         # one zero.  On a diagonal |e^{-tA}v| lies between |v| e^{-t lam_max}

@@ -31,6 +31,17 @@ def _rotated_j2(lam):
     return ROTATION @ np.array([[lam, 1.0], [0.0, lam]]) @ ROTATION.T
 
 
+# a rotation of R^3 that mixes every coordinate: no block structure of
+# diag(2) + J2(1) survives it, so the rotated matrix takes the general path
+ROTATION3 = (np.array([[math.cos(ANGLE), -math.sin(ANGLE), 0.0],
+                       [math.sin(ANGLE), math.cos(ANGLE), 0.0],
+                       [0.0, 0.0, 1.0]])
+             @ np.array([[1.0, 0.0, 0.0],
+                         [0.0, math.cos(ANGLE), -math.sin(ANGLE)],
+                         [0.0, math.sin(ANGLE), math.cos(ANGLE)]]))
+DIAG2_J2 = np.array([[2.0, 0.0, 0.0], [0.0, 1.0, 1.0], [0.0, 0.0, 1.0]])
+
+
 def _dip(lam, depth):
     """b with g's local minimum at -depth for J2(lam) and v = (0, b), plus
     g(s) = -lam s + log b + log(1 + s^2)/2 and its critical points."""
@@ -285,19 +296,22 @@ def _count_applications(monkeypatch):
 GENERAL_CASES = {
     "R.J2(0.3).RT": _rotated_j2(0.3),
     "spiral": np.array([[1.0, -3.0], [3.0, 1.0]]),
-    "diag(2)+J2(1)": np.array([[2.0, 0.0, 0.0], [0.0, 1.0, 1.0],
-                               [0.0, 0.0, 1.0]]),
+    "diag(2)+J2(1)": DIAG2_J2,
+    "R.(diag(2)+J2(1)).RT": ROTATION3 @ DIAG2_J2 @ ROTATION3.T,
 }
 
 
 @pytest.mark.parametrize("name, most", [("R.J2(0.3).RT", 12), ("spiral", 5),
-                                        ("diag(2)+J2(1)", 8)])
+                                        ("diag(2)+J2(1)", 8),
+                                        ("R.(diag(2)+J2(1)).RT", 8)])
 def test_march_step_counts(monkeypatch, name, most):
     # exact steps converge quadratically near a simple root; rounding
     # every step down to a rung takes about one more step per binary digit
     space = BoundarySpace(GENERAL_CASES[name])
-    # diag(2)+J2(1) is canonical with a decreasing g, which never marches:
-    # force the march, on its closed-form ladder
+    # the canonical diag(2)+J2(1) has a decreasing g and takes no march by
+    # itself: forced, it counts the steps of the closed-form ladder, which
+    # canonical spaces whose g may rise march on; its rotation counts
+    # those of the general path's Schur ladder on the same g
     space._decreasing = False
     space._march_ladder()
     count = _count_applications(monkeypatch)
@@ -375,6 +389,11 @@ def test_general_roots_match_50_digit_roots():
                 elif name == "diag(2)+J2(1)":
                     # S has eigenvalues 2, 3/2, 1/2: g is decreasing
                     exact = _Exact(mp, [(2.0, 1), (1.0, 2)], row).smallest_root()
+                elif name == "R.(diag(2)+J2(1)).RT":
+                    # |e^{-t RAR^T} v| = |e^{-tA} R^T v|; rounding R A R^T
+                    # and R^T v moves the root by about eps
+                    exact = _Exact(mp, [(2.0, 1), (1.0, 2)],
+                                   ROTATION3.T @ row).smallest_root()
                 else:
                     exact = _Exact2(mp, a, row).smallest_root()
                 err = float(abs(mp.mpf(t) - exact))

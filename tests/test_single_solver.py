@@ -6,8 +6,13 @@ strictly decreasing g: its one zero is bracketed from log|v|/lam.  Every
 other canonical space marches to the bracket of its first crossing, as
 the general path does, before the same refiner.  These tests pin which
 spaces march, and that forcing the march on a decreasing space moves
-log D by rounding only.  (The test names keep "companion", after the
-companion-matrix solve of g's critical points that the march replaced.)
+log D by rounding only.
+
+The test names are older than the march and keep their IDs: "skip the
+companion solve" reads "never march", "run the companion solve" reads
+"march", and "matches the companion path bit for bit" reads "the forced
+march matches the bracket path within 1e-14 max(1, |log D|)".  The
+companion-matrix solve of g's critical points that they name is gone.
 """
 
 import numpy as np
