@@ -611,38 +611,43 @@ def distortion_profile(spec, space: BoundarySpace, x, radii,
                 DistortionRadius(r, ratio * r, ratio * r, ratio, ratio, 1, 0)
             )
         return DistortionReport(tuple(rows))
+    # no draw depends on a distance: every radius draws first, and the
+    # solver sees two batches, the base distances and the annulus rows
     rng = np.random.default_rng(seed)
-    rows = []
-    k = samples_per_radius
+    draws = []
     for r in radii:
-        dirs = rng.normal(size=(k, space.n))
+        dirs = rng.normal(size=(samples_per_radius, space.n))
         norms = np.linalg.norm(dirs, axis=1)
         good = norms > 0
-        failures = int(np.sum(~good))
         dirs = dirs[good] / norms[good][:, None]
-        base_d = dist_pairs(space, np.tile(x, (len(dirs), 1)), x + dirs)
-        targets_hi = r * rng.uniform(0.9, 1.0, len(dirs))
-        targets_lo = r * rng.uniform(1.0, 1.1, len(dirs))
-        targets_hi[0] = r
-        targets_lo[0] = r
+        # sup targets in [0.9r, r], then inf targets in [r, 1.1r]
+        targets = r * np.concatenate([rng.uniform(0.9, 1.0, len(dirs)),
+                                      rng.uniform(1.0, 1.1, len(dirs))])
+        targets[[0, len(dirs)]] = r
+        draws.append((dirs, targets, int(np.sum(~good))))
+    counts = [len(dirs) for dirs, _, _ in draws]
+    every = np.concatenate([dirs for dirs, _, _ in draws])
+    base = np.split(dist_pairs(space, np.tile(x, (len(every), 1)), x + every),
+                    np.cumsum(counts)[:-1])
+    fpts = []
+    for (dirs, targets, _), base_d in zip(draws, base):
         # math.log per element: np.log's vector loop can differ in the last
         # bit, and these step lengths are kept reproducible across releases
-        s = np.array([math.log(q) for q in np.concatenate(
-            [targets_hi / base_d, targets_lo / base_d])])
+        s = np.array([math.log(q) for q in targets / np.tile(base_d, 2)])
         steps = exponential(space.a, s, space.chains)
         pts = x + (steps @ np.tile(dirs, (2, 1))[:, :, None])[:, :, 0]
-        fx = np.tile(eval_map_batch(spec, x[None, :]), (len(dirs), 1))
-        fpts = eval_map_batch(spec, pts)
-        sup_vals = dist_pairs(space, fx, fpts[: len(dirs)])
-        inf_vals = dist_pairs(space, fx, fpts[len(dirs) :])
-        sup_out = float(np.max(sup_vals))
-        inf_out = float(np.min(inf_vals))
-        rows.append(
-            DistortionRadius(
-                r, sup_out, inf_out, sup_out / r, inf_out / r,
-                len(dirs), failures,
-            )
-        )
+        fpts.append(eval_map_batch(spec, pts))
+    fpts = np.concatenate(fpts)
+    fx = np.tile(eval_map_batch(spec, x[None, :]), (len(fpts), 1))
+    # per radius, its sup rows then its inf rows
+    vals = np.split(dist_pairs(space, fx, fpts),
+                    np.cumsum(np.repeat(counts, 2))[:-1])
+    rows = []
+    for r, k, (_, _, failures), sup_vals, inf_vals in zip(
+            radii, counts, draws, vals[::2], vals[1::2]):
+        sup_out, inf_out = float(np.max(sup_vals)), float(np.min(inf_vals))
+        rows.append(DistortionRadius(r, sup_out, inf_out, sup_out / r,
+                                     inf_out / r, k, failures))
     return DistortionReport(tuple(rows))
 
 
@@ -671,15 +676,15 @@ def qs_profile(spec, space: BoundarySpace, triples: int = 10_000,
     rng = np.random.default_rng(seed)
     pts = rng.uniform(-box_radius, box_radius, (3, triples, space.n))
     x, y, z = pts
-    dxy = dist_pairs(space, x, y)
-    dxz = dist_pairs(space, x, z)
+    dxy, dxz = np.split(dist_pairs(space, np.concatenate([x, x]),
+                                   np.concatenate([y, z])), 2)
     ok = (dxy > 0) & (dxz > 0)
     skipped = int(np.sum(~ok))
     fx = eval_map_batch(spec, x[ok])
     fy = eval_map_batch(spec, y[ok])
     fz = eval_map_batch(spec, z[ok])
-    oxy = dist_pairs(space, fx, fy)
-    oxz = dist_pairs(space, fx, fz)
+    oxy, oxz = np.split(dist_pairs(space, np.concatenate([fx, fx]),
+                                   np.concatenate([fy, fz])), 2)
     inner = (oxz > 0)
     rin = (dxy[ok] / dxz[ok])[inner]
     rout = (oxy / oxz)[inner]

@@ -27,7 +27,12 @@ g(t) = log |e^{-tA}(y - x)|:
   the bottom rung (<= t_tol) that crosses gives its midpoint.
 
 All evaluators are pure and vectorized over batches of difference
-vectors; results for a given batch are deterministic.
+vectors.  Where g decreases, every operation acts row by row, so a row's
+distance does not depend on the rest of its batch, bit for bit, and
+independent batches may share one call.  The march multiplies rows
+through BLAS, whose rounding depends on the batch: there a row's root
+may move by that rounding, within t_tol.  Results for a given batch are
+deterministic.
 """
 
 from __future__ import annotations
@@ -405,11 +410,13 @@ def _roots_canonical(space: BoundarySpace, v: np.ndarray) -> np.ndarray:
     two_lam = 2.0 * np.array(lams)
 
     def g(t, rows):
-        e = logs[rows]
+        e = logs.take(rows, axis=0)
         with np.errstate(divide="ignore"):
             for j, p in curved:
-                e[:, j] = np.log(_poly_eval(p[rows], t))
+                e[:, j] = np.log(_poly_eval(p.take(rows, axis=0), t))
         e -= t[:, None] * two_lam
+        if e.shape[1] == 1:  # the log-sum-exp of one column, bit for bit
+            return 0.5 * e[:, 0]
         mx = e.max(axis=1)
         return 0.5 * (mx + np.log(np.exp(e - mx[:, None]).sum(axis=1)))
 
@@ -628,8 +635,10 @@ def quasimetric_constant(space: BoundarySpace, samples: int = 10_000,
     x, y, z = pts
     repeat = rng.random(samples) < 0.125
     y[repeat] = z[repeat]
-    dxz = dist_pairs(space, x, z)
-    den = dist_pairs(space, x, y) + dist_pairs(space, y, z)
+    dxz, dxy, dyz = np.split(
+        dist_pairs(space, np.concatenate([x, x, y]), np.concatenate([z, y, z])),
+        3)
+    den = dxy + dyz
     ok = den > 0
     if not ok.any():
         return 0.0

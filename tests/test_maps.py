@@ -5,6 +5,7 @@ import pytest
 import scipy.linalg
 from scipy.optimize import brentq
 
+from heintze import maps, metric
 from heintze.linalg import jordan_block
 from heintze.maps import (
     Composition,
@@ -30,7 +31,12 @@ from heintze.maps import (
     shear_bilip_bound,
     transfer_check,
 )
-from heintze.metric import BoundarySpace, dist, dist_pairs
+from heintze.metric import (
+    BoundarySpace,
+    dist,
+    dist_pairs,
+    quasimetric_constant,
+)
 
 
 def random_pwl(rng, max_slope=2.0, knots=4):
@@ -364,3 +370,33 @@ def test_map_validation():
         map_from_json_dict({"kind": ["shear"]})
     with pytest.raises(KeyError):
         map_from_json_dict({"kind": "jordan_family", "n": 2})
+
+
+def test_one_solver_batch_per_estimator_stage(monkeypatch):
+    # stages whose points do not depend on a distance share one batch: a
+    # row's distance does not depend on the rest of its batch
+    calls = []
+
+    def counted(real):
+        def dist_pairs(*args):
+            calls.append(args)
+            return real(*args)
+        return dist_pairs
+
+    monkeypatch.setattr(maps, "dist_pairs", counted(maps.dist_pairs))
+    monkeypatch.setattr(metric, "dist_pairs", counted(metric.dist_pairs))
+    space = BoundarySpace(jordan_block(1.0, 3))
+    spec = JordanFamilyMap(3, (1.2, -0.4), (0.5, -1.0, 2.0),
+                           PiecewiseLinear(((0.0, 0.0), (1.0, 0.8))))
+
+    def count(fn, *args, **kwargs):
+        calls.clear()
+        fn(*args, **kwargs)
+        return len(calls)
+
+    assert count(qs_profile, spec, space, triples=300) == 2
+    for radii in ([1.0], [1.0, 0.3, 0.1], [2.0, 1.0, 0.5, 0.25, 0.1]):
+        assert count(distortion_profile, spec, space, np.zeros(3), radii,
+                     samples_per_radius=20) == 2
+    assert count(quasimetric_constant, space, 300) == 1
+    assert count(empirical_bilip, spec, space, 300) == 2

@@ -404,3 +404,40 @@ def test_hypothesis_violation_on_construction():
 
     with pytest.raises(HypothesisViolationError):
         BoundarySpace(np.diag([-1.0, 1.0]))
+
+
+_TURN = np.array([[math.cos(0.7), -math.sin(0.7)],
+                  [math.sin(0.7), math.cos(0.7)]])
+# name -> (matrix, whether it marches).  A canonical space whose g
+# decreases never marches, and its arithmetic is elementwise per row; the
+# march multiplies rows through BLAS, whose rounding depends on the size
+# of the batch and on a row's place in it
+STACKED = {
+    "J3": (jordan_block(1.0, 3), False),
+    "diag(2)+J2(1)": (scipy.linalg.block_diag([[2.0]], jordan_block(1.0, 2)),
+                      False),
+    "J3(0.35)": (jordan_block(0.35, 3), True),
+    "R.J2(0.3).RT": (_TURN @ jordan_block(0.3, 2) @ _TURN.T, True),
+    "spiral": (np.array([[1.0, -3.0], [3.0, 1.0]]), True),
+}
+
+
+@pytest.mark.parametrize("name", STACKED)
+def test_stacked_batch_equals_its_parts(name):
+    a, marches = STACKED[name]
+    sp = BoundarySpace(a)
+    x, y = np.random.default_rng(29).uniform(-5, 5, (2, 1000, sp.n))
+    whole = dist_pairs(sp, x, y)
+    parts = np.concatenate([dist_pairs(sp, x[:37], y[:37]),
+                            dist_pairs(sp, x[37:], y[37:])]
+                           + [dist_pairs(sp, x[i:i + 1], y[i:i + 1])
+                              for i in range(20)])
+    whole = np.concatenate([whole, whole[:20]])
+    differ = np.count_nonzero(whole != parts)
+    print(f"{name}: {differ} of {len(parts)} rows differ")
+    if marches:
+        # each root lies within t_tol of the exact one
+        assert (np.abs(np.log(whole) - np.log(parts)).max()
+                <= 2.0 * sp.solver.t_tol)
+    else:
+        assert differ == 0

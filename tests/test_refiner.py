@@ -235,8 +235,9 @@ def _rows(mp, name, chains, rng, count=50):
     return np.array(rows)
 
 
-def _program_g(monkeypatch, space, v, t):
-    """The float g the program refines for the row v, at the points t."""
+def _program_gs(monkeypatch, space, rows):
+    """The float g the program refines for the batch ``rows``: g(t, idx)
+    evaluates the rows indexed by idx."""
     seen = []
     real = metric._refine
 
@@ -245,9 +246,28 @@ def _program_g(monkeypatch, space, v, t):
         return real(g, *args)
 
     monkeypatch.setattr(metric, "_refine", keep_g)
-    dist_pairs(space, np.zeros((1, v.size)), v[None, :])
+    dist_pairs(space, np.zeros_like(rows), rows)
     monkeypatch.setattr(metric, "_refine", real)
-    return seen[0](t, np.zeros(t.size, dtype=int))
+    return seen[0]
+
+
+def _program_g(monkeypatch, space, v, t):
+    """The float g the program refines for the row v, at the points t."""
+    return _program_gs(monkeypatch, space, v[None, :])(
+        t, np.zeros(t.size, dtype=int))
+
+
+def test_one_eigenvalue_g_is_its_column(monkeypatch):
+    # the log-sum-exp of one column (log P - 2 lam t) is that column, and
+    # halving it rounds as -lam t + log P / 2: scaling by 2 commutes with
+    # rounding
+    sp = _space([(1.0, 3)])
+    rng = np.random.default_rng(43)
+    v = rng.uniform(-5, 5, (4000, 3))
+    t = rng.uniform(-4, 4, 4000)
+    g = _program_gs(monkeypatch, sp, v)
+    p = metric._poly_eval(metric._poly_coeffs(sp.chains, v), t)
+    assert np.array_equal(g(t, np.arange(4000)), -1.0 * t + 0.5 * np.log(p))
 
 
 @pytest.mark.parametrize("name", CASES)

@@ -7,12 +7,6 @@ other canonical space marches to the bracket of its first crossing, as
 the general path does, before the same refiner.  These tests pin which
 spaces march, and that forcing the march on a decreasing space moves
 log D by rounding only.
-
-The test names are older than the march and keep their IDs: "skip the
-companion solve" reads "never march", "run the companion solve" reads
-"march", and "matches the companion path bit for bit" reads "the forced
-march matches the bracket path within 1e-14 max(1, |log D|)".  The
-companion-matrix solve of g's critical points that they name is gone.
 """
 
 import numpy as np
@@ -61,7 +55,7 @@ def _no_march(*args):
 
 
 @pytest.mark.parametrize("name", DECREASING)
-def test_decreasing_spaces_skip_the_companion_solve(name, monkeypatch):
+def test_decreasing_spaces_never_march(name, monkeypatch):
     monkeypatch.setattr(metric, "_march", _no_march)
     sp = _space(DECREASING[name])
     x, y = np.random.default_rng(3).uniform(-5, 5, (2, 200, sp.n))
@@ -70,7 +64,7 @@ def test_decreasing_spaces_skip_the_companion_solve(name, monkeypatch):
 
 
 @pytest.mark.parametrize("name", NOT_DECREASING)
-def test_other_spaces_run_the_companion_solve(name, monkeypatch):
+def test_other_spaces_march(name, monkeypatch):
     monkeypatch.setattr(metric, "_march", _no_march)
     sp = _space(NOT_DECREASING[name])
     x, y = np.random.default_rng(3).uniform(-5, 5, (2, 200, sp.n))
@@ -79,7 +73,7 @@ def test_other_spaces_run_the_companion_solve(name, monkeypatch):
 
 
 @pytest.mark.parametrize("name", DECREASING)
-def test_skipping_matches_the_companion_path_bit_for_bit(name):
+def test_forced_march_matches_the_bracket_path(name):
     # both ways end in the same refiner on the same g, so the results
     # differ only where the two brackets close on different sides of the
     # last float steps
