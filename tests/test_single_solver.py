@@ -7,6 +7,11 @@ other canonical space marches to the bracket of its first crossing, as
 the general path does, before the same refiner.  These tests pin which
 spaces march, and that forcing the march on a decreasing space moves
 log D by rounding only.
+
+Two test names are older than the march and keep their IDs: "skip the
+companion solve" reads "never march", and "run the companion solve"
+reads "march".  The companion-matrix solve of g's critical points that
+they name is gone.
 """
 
 import numpy as np
@@ -55,7 +60,7 @@ def _no_march(*args):
 
 
 @pytest.mark.parametrize("name", DECREASING)
-def test_decreasing_spaces_never_march(name, monkeypatch):
+def test_decreasing_spaces_skip_the_companion_solve(name, monkeypatch):
     monkeypatch.setattr(metric, "_march", _no_march)
     sp = _space(DECREASING[name])
     x, y = np.random.default_rng(3).uniform(-5, 5, (2, 200, sp.n))
@@ -64,7 +69,7 @@ def test_decreasing_spaces_never_march(name, monkeypatch):
 
 
 @pytest.mark.parametrize("name", NOT_DECREASING)
-def test_other_spaces_march(name, monkeypatch):
+def test_other_spaces_run_the_companion_solve(name, monkeypatch):
     monkeypatch.setattr(metric, "_march", _no_march)
     sp = _space(NOT_DECREASING[name])
     x, y = np.random.default_rng(3).uniform(-5, 5, (2, 200, sp.n))
