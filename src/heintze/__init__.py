@@ -16,7 +16,6 @@ from .linalg import (
 )
 from .metric import (
     BoundarySpace,
-    SolverConfig,
     block_distance_check,
     dist,
     dist_pairs,

@@ -11,8 +11,9 @@ g(t) = log |e^{-tA}(y - x)|:
   hull of its chains' discs, lam about radius cos(pi/(s+1)), so g' <=
   -min over chains of (lam - cos(pi/(s+1))).  Where that is negative, g
   has exactly one zero, and log|v|/lam_max, log|v|/lam_min start its
-  bracket; elsewhere the march below, on the closed-form ladder, finds
-  the bracket [t, t + s] of the first crossing.  Chandrupatla's method
+  bracket; elsewhere a march on the same g, from a closed-form left
+  endpoint and with the step rule of the general march below, finds the
+  bracket [t, t + s] of the first crossing.  Chandrupatla's method
   (inverse quadratic interpolation, bisection where it is unsafe) then
   shrinks each bracket g(lo) > 0 >= g(hi) to hi - lo <= min(t_tol,
   4e-16 max(1, |lo|)) and returns its midpoint;
@@ -26,13 +27,13 @@ g(t) = log |e^{-tA}(y - x)|:
   ends at g <= 0 ends at the zero up to rounding; an uncertified step of
   the bottom rung (<= t_tol) that crosses gives its midpoint.
 
-All evaluators are pure and vectorized over batches of difference
-vectors.  Where g decreases, every operation acts row by row, so a row's
-distance does not depend on the rest of its batch, bit for bit, and
-independent batches may share one call.  The march multiplies rows
-through BLAS, whose rounding depends on the batch: there a row's root
-may move by that rounding, within t_tol.  Results for a given batch are
-deterministic.
+t_tol is 1e-12.  All evaluators are pure and vectorized over batches of
+difference vectors.  On a canonical A every operation acts row by row,
+so a row's distance does not depend on the rest of its batch, bit for
+bit, and independent batches may share one call.  The general march
+multiplies rows through BLAS, whose rounding depends on the batch: there
+a row's root may move by that rounding, within t_tol.  Results for a
+given batch are deterministic.
 """
 
 from __future__ import annotations
@@ -42,15 +43,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import RangeError, SolverError
-from .linalg import _canonical_chains, check_matrix, check_vector, exponential
-from .spectral import (
-    DEFAULT_CLUSTER_TOL,
-    RealPartJordanForm,
-    canonical_matrix,
-    real_part_jordan_form,
-)
+from .errors import HypothesisViolationError, RangeError, SolverError
+from .linalg import _canonical_chains, check_matrix, check_vector
+from .spectral import DEFAULT_CLUSTER_TOL
 
+_T_TOL = 1e-12
 _CERT_MARGIN = 0.05
 # log of the largest norm ||e^{sA}|| a ladder rung may reach
 _SAFE_LOG = 600.0
@@ -66,36 +63,27 @@ _TINY = np.finfo(float).tiny
 _EPS = np.finfo(float).eps
 
 
-@dataclass(frozen=True)
-class SolverConfig:
-    """Knobs of the smallest-root search."""
-
-    t_tol: float = 1e-12
-
-    def __post_init__(self):
-        if not 0.0 < self.t_tol < 1.0:
-            raise ValueError("t_tol must lie in (0, 1)")
-
-
 class BoundarySpace:
-    """A boundary (R^n, D_A): the matrix plus cached spectral data.
+    """A boundary (R^n, D_A): the matrix plus cached solver data.
 
     Value-immutable after construction (internal caches are populated
     lazily but never change results); all evaluators are pure, so
     concurrent batch evaluation is safe and per-batch deterministic.
-    Boundary points are plain finite float vectors.
+    Boundary points are plain finite float vectors.  Eigenvalues of A
+    with real part <= 1e-6 raise HypothesisViolationError.
     """
 
-    def __init__(self, a, solver: SolverConfig | None = None,
-                 tol: float = DEFAULT_CLUSTER_TOL):
+    def __init__(self, a):
         self.a = check_matrix(a)
         self.n = self.a.shape[0]
-        self.solver = solver if solver is not None else SolverConfig()
-        self.form: RealPartJordanForm = real_part_jordan_form(self.a, tol)
-        self.lambda_min = self.form.lambda_min
-        self.lambda_max = self.form.lambda_max
-        self.max_block = self.form.max_block
         self.chains = _canonical_chains(self.a)
+        eigs = (np.array([lam for lam, _, _ in self.chains])
+                if self.chains is not None else np.linalg.eigvals(self.a))
+        low = eigs[eigs.real <= DEFAULT_CLUSTER_TOL]
+        if low.size:
+            raise HypothesisViolationError(
+                f"eigenvalue {low[0]:.6g} has real part <= 1e-06; the "
+                "positive-real-part hypothesis fails")
         # g' = -<Aw, w>/|w|^2 with w = e^{-tA}v.  The numerical range of a
         # direct sum is the hull of its blocks' ranges, and that of lam*I +
         # N_s is the disc of radius cos(pi/(s+1)) about lam (Haagerup & de
@@ -109,13 +97,6 @@ class BoundarySpace:
         self._sub_spaces = {}
 
     # -- structure helpers -------------------------------------------------
-
-    @property
-    def eigenvalue_count(self) -> int:
-        """Number of distinct eigenvalues (chains grouped by lambda)."""
-        if self.chains is None:
-            return len({lam for lam, _ in self.form.blocks})
-        return len({c[0] for c in self.chains})
 
     def projection_indices(self):
         """Coordinates of pi_A (single-eigenvalue canonical form only):
@@ -135,50 +116,46 @@ class BoundarySpace:
         return np.array(idx, dtype=int)
 
     def _require_single(self):
-        if self.chains is None or self.eigenvalue_count != 1:
+        if self.chains is None or len({c[0] for c in self.chains}) != 1:
             raise ValueError(
                 "operation requires a canonical single-eigenvalue matrix"
             )
 
     def _canonical_sub_space(self, chains):
         """The canonical space of the (lam, size, offset) ``chains``,
-        cached, and the coordinates of this space in its block order."""
+        cached, and the coordinates of this space in its block order: its
+        matrix is A's principal submatrix there (each a chain's head)."""
         chains = sorted(chains, key=lambda c: (c[0], -c[1]))
         blocks = tuple((lam, size) for lam, size, _ in chains)
-        if blocks not in self._sub_spaces:
-            form = RealPartJordanForm(blocks, sum(s for _, s in blocks))
-            self._sub_spaces[blocks] = BoundarySpace(canonical_matrix(form),
-                                                     self.solver)
         idx = np.concatenate(
             [np.arange(off, off + size) for _, size, off in chains]
         )
+        if blocks not in self._sub_spaces:
+            self._sub_spaces[blocks] = BoundarySpace(self.a[np.ix_(idx, idx)])
         return self._sub_spaces[blocks], idx
 
     # -- march machinery -----------------------------------------------------
 
     def _march_ladder(self) -> "_Ladder":
         if self._ladder is None:
-            self._ladder = _build_ladder(self.a, self.solver.t_tol,
-                                         self.chains)
+            self._ladder = _build_ladder(self.a)
         return self._ladder
 
 
 @dataclass(frozen=True)
 class _Ladder:
-    """Matrices of the march, built once per space.
+    """Matrices of the general march, built once per space.
 
     The march works in real Schur coordinates A = Q T Q^T (``q``, ``tri``),
     where |e^{-tA}v| = |e^{-tT} Q^T v|: there a rung scales each invariant
     subspace by its own eigenvalues, so the rounding error of a stiff
-    component does not land in a slow one.  A canonical A is its own
-    Schur form (Q = I, T = A), and its rungs are closed forms.
-    ``down[k]`` is e^{-2^(k_lo+k) T}, the marching steps; the bottom rung
-    is the largest power of two <= t_tol.  ``up[j]`` is e^{2^(j_lo+j) T},
-    the candidate left endpoints t = -2^(j_lo+j).  ``g(t) > cert``
-    certifies g > 0 on (-inf, t].  ``curvature`` is K with g'' >= -K.  A
-    step of length h <= ``window`` = 1 / (2||T||) is applied exactly, as
-    sum_k (h/window)^k ``taylor[k]`` with ``taylor[k]`` = (-window T)^k /
-    k!, k <= 16.
+    component does not land in a slow one.  ``down[k]`` is
+    e^{-2^(k_lo+k) T}, the marching steps; the bottom rung is the largest
+    power of two <= t_tol.  ``up[j]`` is e^{2^(j_lo+j) T}, the candidate
+    left endpoints t = -2^(j_lo+j).  ``g(t) > cert`` certifies g > 0 on
+    (-inf, t].  ``curvature`` is K with g'' >= -K.  A step of length h <=
+    ``window`` = 1 / (2||T||) is applied exactly, as sum_k (h/window)^k
+    ``taylor[k]`` with ``taylor[k]`` = (-window T)^k / k!, k <= 16.
     """
 
     q: np.ndarray
@@ -193,7 +170,31 @@ class _Ladder:
     taylor: np.ndarray
 
 
-def _build_ladder(a: np.ndarray, t_tol: float, chains=None) -> _Ladder:
+def _curvature(a: np.ndarray) -> float:
+    # K with g'' >= -K for every v: with S, Z the symmetric and skew parts
+    # of A and w a unit e^{-tA}v, g'' = 2(<Aw, Sw> - <Sw, w>^2) = 2(|p|^2 +
+    # <Zw, p>), where p = Sw - <Sw, w>w, as <Zw, w> = 0.  |p| <= rho, half
+    # the spread of S's eigenvalues, so g''/2 >= min over s in [0, rho] of
+    # s^2 - ||Z||s, and g'' >= -K with K = ||Z||^2/2 (2 rho >= ||Z||) or
+    # 2 rho(||Z|| - rho).  K = 0 leaves g convex with slope <= -min eig S
+    # < 0, or -tr A/n when S = cI.  Rounding in K moves the bound less
+    # than it moves g.
+    sym = np.linalg.eigvalsh(0.5 * a + 0.5 * a.T)
+    rho = 0.5 * float(sym[-1] - sym[0])
+    skew = float(np.linalg.norm(0.5 * a - 0.5 * a.T, 2))
+    curvature = (0.5 * skew * skew if 2.0 * rho >= skew
+                 else 2.0 * rho * (skew - rho))
+    if not 0.0 <= curvature < math.inf:
+        raise RangeError(
+            f"the curvature bound K = {curvature:.6g} leaves the float range "
+            f"(||A|| = {np.linalg.norm(a, 2):.6g}, ||Z|| = {skew:.6g})"
+        )
+    return curvature
+
+
+def _build_ladder(a: np.ndarray) -> _Ladder:
+    import scipy.linalg  # the one path with no closed-form exponential
+
     # Van Loan: with the Schur form A = Q(D + N)Q*, lam = min Re(eig) and
     # u >= 0, ||e^{-uA}|| <= e^{-u lam} S(u), S(u) = sum_{k<n} (u||N||)^k/k!.
     # As e^{-(t-u)A}v = e^{uA} e^{-tA}v, g(t - u) >= g(t) + lam u - log S(u).
@@ -202,31 +203,9 @@ def _build_ladder(a: np.ndarray, t_tol: float, chains=None) -> _Ladder:
     # lam u - log S(u) >= c for every u, so g(t) > margin - c certifies
     # g > 0 on (-inf, t].
     n = a.shape[0]
-    norm = np.linalg.norm(a, 2)
-    # curvature: with S, Z the symmetric and skew parts of A and w a unit
-    # e^{-tA}v, g'' = 2(<Aw, Sw> - <Sw, w>^2) = 2(|p|^2 + <Zw, p>), where
-    # p = Sw - <Sw, w>w, as <Zw, w> = 0.  |p| <= rho, half the spread of
-    # S's eigenvalues, so g''/2 >= min over s in [0, rho] of s^2 - ||Z||s,
-    # and g'' >= -K with K = ||Z||^2/2 (2 rho >= ||Z||) or 2 rho(||Z|| -
-    # rho).  K = 0 leaves g convex with slope <= -min eig S < 0, or -tr A/n
-    # when S = cI.  Rounding in K moves the bound less than it moves g.
-    sym = np.linalg.eigvalsh(0.5 * a + 0.5 * a.T)
-    rho = 0.5 * float(sym[-1] - sym[0])
-    skew = float(np.linalg.norm(0.5 * a - 0.5 * a.T, 2))
-    curvature = (0.5 * skew * skew if 2.0 * rho >= skew
-                 else 2.0 * rho * (skew - rho))
-    if not 0.0 <= curvature < math.inf:
-        raise RangeError(
-            f"general path: the curvature bound K = {curvature:.6g} leaves "
-            f"the float range (||A|| = {norm:.6g}, ||Z|| = {skew:.6g})"
-        )
-    if chains is None:
-        import scipy.linalg  # the one path with no closed-form exponential
-
-        schur, _ = scipy.linalg.schur(a, output="complex")
-        tri, q = scipy.linalg.schur(a, output="real")
-    else:
-        schur, tri, q = a, a, np.eye(n)
+    curvature = _curvature(a)
+    schur, _ = scipy.linalg.schur(a, output="complex")
+    tri, q = scipy.linalg.schur(a, output="real")
     re = np.diag(schur).real
     lam = re.min()
     nil = np.linalg.norm(np.triu(schur, 1), 2)
@@ -235,7 +214,7 @@ def _build_ladder(a: np.ndarray, t_tol: float, chains=None) -> _Ladder:
         for k in range(1, n) if nil > 0
     ])
 
-    k_lo = math.frexp(t_tol)[1] - 1
+    k_lo = math.frexp(_T_TOL)[1] - 1
     ks = np.arange(k_lo, 64)
     s = np.ldexp(1.0, ks)
     with np.errstate(over="ignore"):
@@ -249,13 +228,12 @@ def _build_ladder(a: np.ndarray, t_tol: float, chains=None) -> _Ladder:
     # 3e-14 put 1e136 into the slow coordinate at t = -1)
     j_lo = min(0, math.floor(1.0 - math.log2(re.max())))
     up = np.ldexp(1.0, np.arange(j_lo, k_hi + 1))
-    window = 0.5 / norm
+    window = 0.5 / np.linalg.norm(a, 2)
     taylor = [np.eye(n)]
     for k in range(1, _TAYLOR_DEGREE + 1):
         taylor.append(taylor[-1] @ (-window / k * tri))
     rungs = np.concatenate([-down, up])
-    mats = (exponential(a, rungs, chains) if chains is not None
-            else scipy.linalg.expm(rungs[:, None, None] * tri))
+    mats = scipy.linalg.expm(rungs[:, None, None] * tri)
     return _Ladder(
         q=q,
         tri=tri,
@@ -406,19 +384,31 @@ def _roots_canonical(space: BoundarySpace, v: np.ndarray) -> np.ndarray:
         return log_norm / lam_min
     with np.errstate(divide="ignore"):
         logs = np.log(np.stack([p[:, 0] for p in polys], axis=1))
-    curved = [(j, p) for j, p in enumerate(polys) if p.shape[1] > 1]
+    curved = [(j, p, p[:, 1:] * np.arange(1, p.shape[1]))
+              for j, p in enumerate(polys) if p.shape[1] > 1]
     two_lam = 2.0 * np.array(lams)
 
-    def g(t, rows):
+    def g(t, rows, slope=False):
+        # with slope, also g' = sum softmax_lam(e) (P_lam'/P_lam - 2 lam) / 2
         e = logs.take(rows, axis=0)
+        rate = np.zeros(e.shape) if slope else None  # P_lam'/P_lam
         with np.errstate(divide="ignore"):
-            for j, p in curved:
-                e[:, j] = np.log(_poly_eval(p.take(rows, axis=0), t))
+            for j, p, dp in curved:
+                val = _poly_eval(p.take(rows, axis=0), t)
+                e[:, j] = np.log(val)
+                if slope:
+                    np.divide(_poly_eval(dp.take(rows, axis=0), t), val,
+                              out=rate[:, j], where=val != 0)
         e -= t[:, None] * two_lam
         if e.shape[1] == 1:  # the log-sum-exp of one column, bit for bit
-            return 0.5 * e[:, 0]
-        mx = e.max(axis=1)
-        return 0.5 * (mx + np.log(np.exp(e - mx[:, None]).sum(axis=1)))
+            gt, weights, total = 0.5 * e[:, 0], 1.0, 1.0
+        else:
+            mx = e.max(axis=1)
+            weights = np.exp(e - mx[:, None])
+            total = weights.sum(axis=1)
+            gt = 0.5 * (mx + np.log(total))
+        return ((gt, 0.5 * (weights * (rate - two_lam)).sum(axis=1) / total)
+                if slope else gt)
 
     if space._decreasing:
         # one zero.  On a diagonal |e^{-tA}v| lies between |v| e^{-t lam_max}
@@ -432,21 +422,59 @@ def _roots_canonical(space: BoundarySpace, v: np.ndarray) -> np.ndarray:
         hi, g_hi = _expand(g, np.maximum(a, b) + (lam_min == lam_max), 1.0,
                            "canonical")
     else:
-        lo, hi, _ = _march(space, v)
-        every = np.arange(v.shape[0])
-        g_lo, g_hi = g(lo, every), g(hi, every)
-        # the march certified g > 0 at lo and found g <= 0 at hi: an end
-        # where this g has the other sign is the root up to rounding, and
-        # the bracket closes on it
-        hi = np.where(g_lo > 0, hi, lo)
-        lo = np.where((g_lo > 0) & (g_hi > 0), hi, lo)
-    lo, hi = _refine(g, lo, hi, g_lo, g_hi, space.solver.t_tol, "canonical")
+        # the last nonzero entry of v on a chain is an entry of e^{-tN}v for
+        # every t, so |e^{-tA}v| >= |entry| e^{-lam t}: g > 0 left of
+        # log|entry|/lam, where the march starts (further left if rounding
+        # says g <= 0 there)
+        start = np.full(v.shape[0], -math.inf)
+        with np.errstate(divide="ignore"):
+            for lam, size, off in space.chains:
+                block = v[:, off:off + size]
+                last = size - 1 - np.argmax(block[:, ::-1] != 0, axis=1)
+                entry = np.take_along_axis(block, last[:, None], axis=1)
+                start = np.maximum(start, np.log(np.abs(entry[:, 0])) / lam)
+        lo = _expand(g, start, -1.0, "canonical")[0]
+        lo, hi, g_lo, g_hi = _march(space, g, lo)
+    lo, hi = _refine(g, lo, hi, g_lo, g_hi, _T_TOL, "canonical")
     return 0.5 * (lo + hi)
 
 
-def _apply(rungs, k, w):
-    """Row i of the result is rungs[k[i]] @ w[i]."""
-    return np.einsum("rij,rj->ri", rungs[k], w)
+def _step_length(g, slope, big_k):
+    """Per row, the root h > 0 of g + g'h - Kh^2/2 <= g(t + h) (g'' >= -K):
+    g(t) > 0 leaves g > 0 on [t, t + h).  inf where K = 0 and g' >= 0."""
+    root = np.sqrt(slope * slope + 2.0 * big_k * g)
+    h = 2.0 * g / (root - slope)
+    rise = slope > 0
+    if rise.any():  # the same root without cancellation; none if K = 0
+        h[rise] = ((slope[rise] + root[rise]) / big_k if big_k > 0
+                   else math.inf)
+    return h
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def _march(space: BoundarySpace, g, lo):
+    """lo, hi, g(lo) > 0, g(hi) <= 0 bracketing each row's first zero of
+    ``g``, marching right from ``lo`` (g > 0 on (-inf, lo]) by
+    ``_step_length`` floored at t_tol (or an ulp of t, where coarser)."""
+    out, idx, t = np.empty((4, lo.size)), np.arange(lo.size), lo
+    gt, slope = g(t, idx, slope=True)
+    big_k = _curvature(space.a)
+    for _ in range(_MAX_STEPS):
+        if not math.isfinite(gt.sum() + slope.sum()):
+            raise _march_failure("canonical", space, "non-finite g or slope",
+                                 ~np.isfinite(gt + slope), t, gt)
+        h = _step_length(gt, slope, big_k)
+        t_next = t + np.fmax(h, np.maximum(_T_TOL, _EPS * np.abs(t)))
+        g_next, slope = g(t_next, idx, slope=True)
+        cross = g_next <= 0
+        out[:, idx[cross]] = np.stack([t, t_next, gt, g_next])[:, cross]
+        keep = ~cross
+        idx, t, gt, slope = idx[keep], t_next[keep], g_next[keep], slope[keep]
+        if idx.size == 0:
+            return tuple(out)
+    raise _march_failure("canonical", space,
+                         "no sign change within the step cap",
+                         np.ones(idx.size, bool), t, gt)
 
 
 def _exact_step(lad, h, w):
@@ -472,26 +500,17 @@ def _log_norm(w):
     return g
 
 
-def _march_failure(space, what, rows, t, g):
-    path = "general" if space.chains is None else "canonical"
+def _march_failure(path, space, what, bad, t, g):
+    i = int(np.argmax(bad))  # the first row where bad
     return SolverError(
-        f"{path} path: {what} for {rows} vector(s); last t = {t:.17g}, "
-        f"g = {g:.6g}; matrix = {space.a.tolist()}"
+        f"{path} path: {what} for {int(bad.sum())} vector(s); last t = "
+        f"{t[i]:.17g}, g = {g[i]:.6g}; matrix = {space.a.tolist()}"
     )
 
 
-def _roots_general(space: BoundarySpace, v: np.ndarray) -> np.ndarray:
-    lo, hi, certified = _march(space, v)
-    # an uncertified crossing is a bottom-rung step: its midpoint
-    bottom = math.ldexp(1.0, space._march_ladder().k_lo)
-    return np.where(certified, hi, hi - 0.5 * bottom)
-
-
 @np.errstate(over="ignore", divide="ignore")
-def _march(space: BoundarySpace, v: np.ndarray):
-    """The bracket [lo, hi] = [t, t + s] of each row's first crossing, from
-    a certified left endpoint and the march, and whether its step was
-    certified (else it is the bottom rung)."""
+def _roots_general(space: BoundarySpace, v: np.ndarray) -> np.ndarray:
+    """Each row's root by the march in Schur coordinates."""
     lad = space._march_ladder()
     m = v.shape[0]
 
@@ -511,9 +530,8 @@ def _march(space: BoundarySpace, v: np.ndarray):
         g[low] = _log_norm(w[low])
     bad = ~((g > lad.cert) & np.isfinite(g))
     if bad.any():
-        i = int(np.argmax(bad))
-        raise _march_failure(space, "no certified left endpoint",
-                               int(bad.sum()), t[i], g[i])
+        raise _march_failure("general", space, "no certified left endpoint",
+                             bad, t, g)
 
     # march: g(t + h) >= g + g' h - K h^2 / 2 > 0 for h below its root, so
     # a step s no longer than that root skips no zero: in exact arithmetic
@@ -521,10 +539,9 @@ def _march(space: BoundarySpace, v: np.ndarray):
     # longer steps take the largest rung <= h.  A computed g(t + s) <= 0
     # after such a step is rounding, and the zero lies at t + s.  Where h
     # is below the bottom rung (t_tol or finer), the step is that rung and
-    # may cross anywhere in [t, t + s].
-    lo, hi, certified = np.empty(m), np.empty(m), np.empty(m, dtype=bool)
+    # may cross anywhere in [t, t + s]: the root is its midpoint.
+    roots = np.empty(m)
     idx = np.arange(m)
-    big_k = lad.curvature
     top = lad.down.shape[0] - 1
     bottom = math.ldexp(1.0, lad.k_lo)
     for _ in range(_MAX_STEPS):
@@ -534,16 +551,9 @@ def _march(space: BoundarySpace, v: np.ndarray):
         slope = (-np.einsum("ij,ij->i", u, u @ lad.tri.T)
                  / np.einsum("ij,ij->i", u, u))
         if not math.isfinite(slope.sum()):
-            nan = ~np.isfinite(slope)
-            i = int(np.argmax(nan))
-            raise _march_failure(space, "non-finite slope", int(nan.sum()),
-                                   t[i], g[i])
-        root = np.sqrt(slope * slope + 2.0 * big_k * g)
-        h = 2.0 * g / (root - slope)
-        rise = slope > 0
-        if rise.any():  # the same root without cancellation; none if K = 0
-            h[rise] = ((slope[rise] + root[rise]) / big_k if big_k > 0
-                       else math.inf)
+            raise _march_failure("general", space, "non-finite slope",
+                                 ~np.isfinite(slope), t, g)
+        h = _step_length(g, slope, lad.curvature)
         k = np.clip(np.frexp(h)[1] - 1 - lad.k_lo, 0, top)
         if not 0.0 < h.min() <= h.max() < math.inf:  # NaN fails too
             k[~((h > 0) & (h < math.inf))] = 0  # no certified step: bottom rung
@@ -551,19 +561,21 @@ def _march(space: BoundarySpace, v: np.ndarray):
         step = np.where(exact, h, np.ldexp(1.0, lad.k_lo + k))
         w_next = np.empty_like(w)
         w_next[exact] = _exact_step(lad, h[exact], w[exact])
-        w_next[~exact] = _apply(lad.down, k[~exact], w[~exact])
+        w_next[~exact] = np.einsum("rij,rj->ri", lad.down[k[~exact]],
+                                   w[~exact])
         g_next = _log_norm(w_next)
         t_next = t + step
         cross = g_next <= 0
-        done = idx[cross]
-        lo[done], hi[done] = t[cross], t_next[cross]
-        certified[done] = (h >= step)[cross]  # NaN h fails too
+        # NaN h fails the certificate too
+        roots[idx[cross]] = np.where(h >= step, t_next,
+                                     t_next - 0.5 * bottom)[cross]
         keep = ~cross
         idx, t, w, g = idx[keep], t_next[keep], w_next[keep], g_next[keep]
         if idx.size == 0:
-            return lo, hi, certified
-    raise _march_failure(space, "no sign change within the step cap",
-                           idx.size, t[0], g[0])
+            return roots
+    raise _march_failure("general", space,
+                         "no sign change within the step cap",
+                         np.ones(idx.size, bool), t, g)
 
 
 def _dist_from_diffs(space: BoundarySpace, diffs: np.ndarray) -> np.ndarray:
@@ -727,7 +739,8 @@ def point_to_fiber(space: BoundarySpace, p, y2, samples: int = 10_000,
         q[pi_idx] = y2
         return dist(space, p, q)
     t0 = math.log(gap) / lam
-    width = 4.0 * (1.0 + gap) * (1.0 + abs(t0)) ** (space.max_block - 1)
+    width = 4.0 * (1.0 + gap) * (1.0 + abs(t0)) ** (
+        max(size for _, size, _ in space.chains) - 1)
     return _shrinking_search(space, p, inner, pi_idx, y2, width, samples, seed)
 
 

@@ -51,19 +51,6 @@ class RealPartJordanForm:
     def lambda_min(self) -> float:
         return self.blocks[0][0]
 
-    @property
-    def lambda_max(self) -> float:
-        return self.blocks[-1][0]
-
-    @property
-    def max_block(self) -> int:
-        return max(s for _, s in self.blocks)
-
-    def scaled(self, s: float) -> "RealPartJordanForm":
-        return RealPartJordanForm(
-            tuple((s * lam, size) for lam, size in self.blocks), self.n
-        )
-
     def as_lists(self):
         return [[lam, size] for lam, size in self.blocks]
 

@@ -20,7 +20,8 @@ from test_refiner import _Exact
 
 from heintze import metric
 from heintze.errors import RangeError, SolverError
-from heintze.metric import BoundarySpace, SolverConfig, dist, dist_pairs
+from heintze.linalg import jordan_block
+from heintze.metric import BoundarySpace, dist, dist_pairs
 
 ANGLE = 0.7
 ROTATION = np.array([[math.cos(ANGLE), -math.sin(ANGLE)],
@@ -102,15 +103,29 @@ def corpus():
     return _adversarial_corpus(50)
 
 
+# J3 and J4, whose eigenvalue rounding splits once rotated, and two
+# canonical sums whose numerical Jordan form raises ConditioningError
+BUILD_CASES = [
+    jordan_block(1.0, 3),
+    jordan_block(1.0, 4),
+    scipy.linalg.block_diag(jordan_block(0.25, 5), jordan_block(0.5, 5),
+                            jordan_block(2.0, 2)),
+    scipy.linalg.block_diag([[0.1]], jordan_block(0.1, 3),
+                            jordan_block(0.2, 5)),
+]
+
+
 def test_orthogonal_conjugation_on_rotated_corpus(corpus):
     rng = np.random.default_rng(31)
-    for a, v in corpus:
+    extra = np.random.default_rng(37)
+    cases = corpus + [(a, extra.uniform(-3.0, 3.0, a.shape[0]))
+                      for a in BUILD_CASES]
+    for a, v in cases:
         n = a.shape[0]
         r, _ = np.linalg.qr(rng.normal(size=(n, n)))
-        # at the default cluster tolerance (1e-6) classifying a rotated
-        # J3 + J1 raises ConditioningError on two of these matrices; the
-        # general solver itself does not use the classification
-        rotated = BoundarySpace(r @ a @ r.T, tol=1e-4)
+        # spaces read only the matrix: no Jordan form, so no cluster
+        # tolerance to resolve the rotated spectrum with
+        rotated = BoundarySpace(r @ a @ r.T)
         assert rotated.chains is None
         x = rng.uniform(-3.0, 3.0, n)
         want = math.log(dist(BoundarySpace(a), x, x + v))
@@ -238,7 +253,7 @@ def test_curvature_bound_holds_on_random_matrices(n, data):
     a = np.array(entries).reshape(n, n)
     # K depends on A only through A - (tr A/n) I: shift the spectrum right
     a += (1.0 - min(0.0, np.linalg.eigvals(a).real.min())) * np.eye(n)
-    big_k = metric._build_ladder(a, 1e-12).curvature
+    big_k = metric._curvature(a)
     seed = data.draw(st.integers(min_value=0, max_value=2**32 - 1))
     w = np.random.default_rng(seed).normal(size=(2000, n))
     w /= np.linalg.norm(w, axis=1)[:, None]
@@ -253,10 +268,10 @@ def test_curvature_bound_holds_on_random_matrices(n, data):
 def test_curvature_bound_is_attained_on_j2(lam):
     # on J2(lam) with v = (0, 1), g(s) = -lam s + log(1 + s^2)/2, whose
     # least g'' is -1/8 at s^2 = 3; K is ||Z||^2/2 = 1/8
-    assert metric._build_ladder(_rotated_j2(lam), 1e-12).curvature == \
+    assert metric._curvature(_rotated_j2(lam)) == \
         pytest.approx(0.125, rel=1e-14)
     for a in (np.diag([1.0, 3.0]), np.array([[1.0, -3.0], [3.0, 1.0]])):
-        assert metric._build_ladder(a, 1e-12).curvature == 0.0
+        assert metric._curvature(a) == 0.0
 
 
 @pytest.mark.parametrize("a", [_rotated_j2(0.3),
@@ -278,18 +293,17 @@ def test_curvature_formula_matches_finite_differences(a):
         assert closed == pytest.approx(diff, rel=1e-5, abs=1e-6)
 
 
-def _count_applications(monkeypatch):
-    """Rows passed through ladder rungs and exact steps, in total."""
+def _count_steps(monkeypatch):
+    """March steps over all rows: both marches take the length of each
+    row's step from ``_step_length``, once per step."""
     count = [0]
+    real = metric._step_length
 
-    def counted(fn):
-        def wrapper(first, second, w):
-            count[0] += w.shape[0]
-            return fn(first, second, w)
-        return wrapper
+    def counted(g, slope, big_k):
+        count[0] += g.shape[0]
+        return real(g, slope, big_k)
 
-    for name in ("_apply", "_exact_step"):
-        monkeypatch.setattr(metric, name, counted(getattr(metric, name)))
+    monkeypatch.setattr(metric, "_step_length", counted)
     return count
 
 
@@ -309,16 +323,16 @@ def test_march_step_counts(monkeypatch, name, most):
     # every step down to a rung takes about one more step per binary digit
     space = BoundarySpace(GENERAL_CASES[name])
     # the canonical diag(2)+J2(1) has a decreasing g and takes no march by
-    # itself: forced, it counts the steps of the closed-form ladder, which
-    # canonical spaces whose g may rise march on; its rotation counts
+    # itself: forced, it counts the steps of the march on the closed-form
+    # g, which canonical spaces whose g may rise take; its rotation counts
     # those of the general path's Schur ladder on the same g
     space._decreasing = False
-    space._march_ladder()
-    count = _count_applications(monkeypatch)
+    count = _count_steps(monkeypatch)
     x, y = np.random.default_rng(7).uniform(-5.0, 5.0, (2, 2000, space.n))
     dist_pairs(space, x, y)
     per_row = count[0] / x.shape[0]
-    print(f"{name}: {per_row:.2f} applications per row")
+    assert per_row > 0
+    print(f"{name}: {per_row:.2f} steps per row")
     assert per_row <= most
 
 
@@ -377,7 +391,7 @@ class _Exact2:
 
 def test_general_roots_match_50_digit_roots():
     mp = pytest.importorskip("mpmath")
-    t_tol = SolverConfig().t_tol
+    t_tol = metric._T_TOL
     rng = np.random.default_rng(3)
     with mp.workdps(50):
         for name, a in GENERAL_CASES.items():

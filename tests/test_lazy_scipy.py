@@ -1,7 +1,7 @@
 """scipy is loaded only where no closed-form exponential exists: the
 general D_A path (and mat_exp of a non-canonical matrix).  Canonical
-spaces with several eigenvalues, or whose g may rise (and so march on a
-closed-form ladder), load none.  Each check
+spaces with several eigenvalues, or whose g may rise (and so march on
+the closed-form g), load none.  Each check
 runs in a fresh interpreter, since the test session itself imports scipy.
 """
 

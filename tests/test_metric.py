@@ -8,11 +8,11 @@ from hypothesis import strategies as st
 
 from conftest import oracle_roots, scan_oracle
 
-from heintze.errors import ConditioningError, RangeError, SolverError
+from heintze import metric
+from heintze.errors import RangeError, SolverError
 from heintze.linalg import jordan_block
 from heintze.metric import (
     BoundarySpace,
-    SolverConfig,
     _expand,
     block_distance_check,
     dist,
@@ -37,12 +37,6 @@ def spaces():
         "diag12": BoundarySpace(np.diag([1.0, 2.0])),
         "rot": BoundarySpace(ROTATION_PLUS),
     }
-
-
-def test_solver_config_validation():
-    for bad in (-1.0, 0.0, 1.0, math.nan):
-        with pytest.raises(ValueError):
-            SolverConfig(t_tol=bad)
 
 
 def test_dist_coincident_is_zero(spaces):
@@ -177,12 +171,7 @@ def test_decreasing_certificate_on_block_sums(chains, data):
     w /= np.linalg.norm(w)
     margin = [lam - math.cos(math.pi / (s + 1)) for lam, s in chains]
     assert w @ a @ w >= min(margin) - 1e-12
-    try:
-        space = BoundarySpace(a)
-    except ConditioningError:
-        # the Jordan form's rank test cannot resolve some close eigenvalues
-        # next to long chains (see ROADMAP, Jordan-form verdicts)
-        return
+    space = BoundarySpace(a)
     eps = np.finfo(float).eps
     assert space._decreasing == all(
         m > 4.0 * eps * lam for m, (lam, _) in zip(margin, chains))
@@ -239,6 +228,16 @@ def test_stiff_canonical_sum_decouples_its_chains():
         lo, hi = (mid, hi) if g(mid) > 0 else (lo, mid)
     got = dist(sp, zero, [0.0, 0.0, 1e-3])
     assert math.log(got) == pytest.approx(lo, rel=1e-15, abs=0)
+
+    # J2(0.3) + J1(1000) marches, as g may rise: e^{-tA}(0.01, 0, 0) =
+    # 0.01 e^{-0.3 t} (1, 0, 0), so log D = log(0.01)/0.3, about -15.4,
+    # where e^{-1000 t} is far outside the float range
+    sp = BoundarySpace(scipy.linalg.block_diag(jordan_block(0.3, 2),
+                                               [[1000.0]]))
+    assert not sp._decreasing
+    got = dist(sp, zero, [0.01, 0.0, 0.0])
+    assert math.log(got) == pytest.approx(math.log(0.01) / 0.3, rel=1e-15,
+                                          abs=0)
 
 
 def test_bracket_expansion_failures_name_the_path():
@@ -408,15 +407,15 @@ def test_hypothesis_violation_on_construction():
 
 _TURN = np.array([[math.cos(0.7), -math.sin(0.7)],
                   [math.sin(0.7), math.cos(0.7)]])
-# name -> (matrix, whether it marches).  A canonical space whose g
-# decreases never marches, and its arithmetic is elementwise per row; the
-# march multiplies rows through BLAS, whose rounding depends on the size
-# of the batch and on a row's place in it
+# name -> (matrix, whether it takes the general march).  On a canonical
+# space, marching (J3(0.35)) or not, the arithmetic is elementwise per
+# row; the general march multiplies rows through BLAS, whose rounding
+# depends on the size of the batch and on a row's place in it
 STACKED = {
     "J3": (jordan_block(1.0, 3), False),
     "diag(2)+J2(1)": (scipy.linalg.block_diag([[2.0]], jordan_block(1.0, 2)),
                       False),
-    "J3(0.35)": (jordan_block(0.35, 3), True),
+    "J3(0.35)": (jordan_block(0.35, 3), False),
     "R.J2(0.3).RT": (_TURN @ jordan_block(0.3, 2) @ _TURN.T, True),
     "spiral": (np.array([[1.0, -3.0], [3.0, 1.0]]), True),
 }
@@ -438,6 +437,6 @@ def test_stacked_batch_equals_its_parts(name):
     if marches:
         # each root lies within t_tol of the exact one
         assert (np.abs(np.log(whole) - np.log(parts)).max()
-                <= 2.0 * sp.solver.t_tol)
+                <= 2.0 * metric._T_TOL)
     else:
         assert differ == 0

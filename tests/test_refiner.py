@@ -141,7 +141,12 @@ CASES = {
     "J3": [(1.0, 3)],
     "J2+J2": [(1.0, 2), (1.0, 2)],
     "J3(0.35)": [(0.35, 3)],
+    "J4(0.3)": [(0.3, 4)],
+    "J2(0.3)": [(0.3, 2)],
 }
+# the cases whose g may rise: they march to their brackets, and the
+# others start from log|v|/lam
+MARCHING = {"J3(0.35)", "J4(0.3)", "J2(0.3)"}
 
 
 class _Exact:
@@ -223,8 +228,8 @@ def _rows(mp, name, chains, rng, count=50):
     n = sum(s for _, s in chains)
     rows = []
     while len(rows) < count:
-        if name == "J3(0.35)":
-            # multi-root rows, as in the benchmark: v in [-3, 3]^3 with
+        if name in MARCHING:
+            # multi-root rows, as in the benchmark: v in [-3, 3]^n with
             # at least three sign changes of g
             v = rng.uniform(-3, 3, n)
             if _Exact(mp, chains, v).sign_changes() < 3:
@@ -275,8 +280,7 @@ def test_roots_match_50_digit_roots(monkeypatch, name):
     mp = pytest.importorskip("mpmath")
     chains = CASES[name]
     sp = _space(chains)
-    # J3(0.35) marches to its brackets; the others start from log|v|/lam
-    assert sp._decreasing == (name != "J3(0.35)")
+    assert sp._decreasing == (name not in MARCHING)
     with mp.workdps(50):
         rows = _rows(mp, name, chains, np.random.default_rng(5))
         t = np.log(dist_pairs(sp, np.zeros_like(rows), rows))
@@ -287,7 +291,7 @@ def test_roots_match_50_digit_roots(monkeypatch, name):
             err = float(abs(mp.mpf(ti) - exact))
             allowed = 8e-16 * max(1.0, abs(ti))
             plain = max(plain, err / allowed)
-            if name == "J3(0.35)":
+            if name in MARCHING:
                 # near a double root g is flat, and the float g the program
                 # brackets differs from the exact one by its rounding: the
                 # root may move by that rounding over |g'|
