@@ -71,20 +71,22 @@ def nilpotent_exp(n: int, t: float) -> np.ndarray:
         raise ValueError("t must be finite")
     out = np.zeros((n, n))
     for k in range(n):
-        try:
-            tk = t**k
-        except OverflowError:
-            raise RangeError(f"e^(tN): |t|^{k} leaves the float range "
-                             f"(n = {n}, t = {t:.6g})") from None
-        # k! leaves the float range from k = 171: there the exact quotient
-        # of the integers, correctly rounded (0 where it underflows)
-        if k <= 170:
-            term = tk / math.factorial(k)
-        else:
-            num, den = tk.as_integer_ratio()
-            term = num / (den * math.factorial(k))
-        out += np.eye(n, k=k) * term
+        out += np.eye(n, k=k) * _power_over_factorial(t, k)
     return out
+
+
+def _power_over_factorial(t: float, k: int) -> float:
+    """t^k / k!.  k! leaves the float range from k = 171: there the exact
+    quotient of the integers, correctly rounded (0 where it underflows)."""
+    try:
+        tk = t**k
+    except OverflowError:
+        raise RangeError(f"e^(tN): |t|^{k} leaves the float range "
+                         f"(t = {t:.6g})") from None
+    if k <= 170:
+        return tk / math.factorial(k)
+    num, den = tk.as_integer_ratio()
+    return num / (den * math.factorial(k))
 
 
 def _canonical_chains(a):
@@ -129,10 +131,15 @@ def exponential(a, t, chains=None) -> np.ndarray:
         (off + i, off + i + k, lam, k)
         for lam, size, off in chains for k in range(size) for i in range(size - k)
     ]).T
-    fact = np.array([math.factorial(int(j)) for j in k], dtype=float)
+    small = k <= 170
+    vals = np.exp(np.outer(flat, lam))
+    vals[:, small] = vals[:, small] * flat[:, None] ** k[small] / np.array(
+        [math.factorial(int(j)) for j in k[small]], dtype=float)
+    if not small.all():  # as in nilpotent_exp: t^k / k! past 170!
+        vals[:, ~small] *= [[_power_over_factorial(t, int(j))
+                             for j in k[~small]] for t in flat.tolist()]
     out = np.zeros((flat.size,) + a.shape)
-    out[:, row.astype(int), col.astype(int)] = (
-        np.exp(np.outer(flat, lam)) * flat[:, None] ** k / fact)
+    out[:, row.astype(int), col.astype(int)] = vals
     return out.reshape(ts.shape + a.shape)
 
 

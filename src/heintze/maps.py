@@ -23,7 +23,8 @@ from .linalg import (
     nilpotent_exp,
     nilpotent_shift,
 )
-from .metric import BoundarySpace, dist_pairs
+from .errors import RangeError
+from .metric import BoundarySpace, _solve_decreasing, dist_pairs
 
 
 # ---------------------------------------------------------------------------
@@ -68,7 +69,8 @@ class PiecewiseLinear:
         ys, vs = self._arrays()
         if len(ys) == 1:
             return np.zeros(1)
-        return np.diff(vs) / np.diff(ys)
+        with np.errstate(over="ignore"):  # a slope past the float range: inf
+            return np.diff(vs) / np.diff(ys)
 
     def lipschitz(self) -> float:
         return float(np.max(np.abs(self.slopes())))
@@ -402,48 +404,36 @@ def q_exp_nilpotent(n: int, u) -> np.ndarray:
     return total
 
 
-def _largest_root(fn, tol: float = 1e-12) -> float:
-    """Largest real root of fn (fn -> +inf right of it, -inf far left)."""
-    hi = 1.0
-    for _ in range(60):
-        if fn(hi) > 0:
-            break
-        hi *= 2.0
-    else:
-        raise RuntimeError("no positive tail found while bracketing")
-    lo = hi
-    step = 0.05
-    for _ in range(200_000):
-        lo -= step
-        if fn(lo) <= 0:
-            break
-        step *= 1.1
-    else:
-        raise RuntimeError("no sign change found while bracketing")
-    hi = lo + step
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if fn(mid) <= 0:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+def _bound_exponents(n: int, consts) -> np.ndarray:
+    """Per constant c, the one u with u = c + log Q(e^{uN}) / 2: with a_k
+    = u^k / k!, Q'/2 = sum_k (n - k) a_k a_{k-1} is below Q for u > 0
+    (AM-GM) and negative for u < 0, so u - c - log Q / 2 increases.  As Q
+    >= n, the bracket starts at c + log(n) / 2, where it is <= 0."""
+    consts = np.asarray(consts, dtype=float)
+    if np.isnan(consts).any():
+        raise ValueError("bound constants must not be NaN")
+    if np.isinf(consts).any():
+        raise RangeError("the bound's constant, log(1 + L) or log Q(B) / 2, "
+                         "leaves the float range")
+
+    def g(u, rows):
+        return consts[rows] + 0.5 * np.log(q_exp_nilpotent(n, u)) - u
+
+    start = consts + 0.5 * math.log(n)
+    return _solve_decreasing(g, start, start, "bound")
 
 
 def shear_bilip_bound(n: int, lipschitz: float) -> float:
-    """e^a with a the largest u solving e^u = (1+L) sqrt(Q(e^{uN})).
+    """e^a with a the u solving e^u = (1+L) sqrt(Q(e^{uN})).
 
     Any shear x + (C(x_n), 0, .., 0) with L-Lipschitz C distorts
     D_{J_n} by at most this factor in either direction.
     """
-    if lipschitz < 0:
-        raise ValueError("Lipschitz constant must be nonnegative")
+    if not lipschitz >= 0:
+        raise ValueError("Lipschitz constant must be a nonnegative number")
     if n == 1:
         return 1.0
-    a = _largest_root(
-        lambda u: u - math.log1p(lipschitz)
-        - 0.5 * math.log(float(q_exp_nilpotent(n, u)))
-    )
+    a = float(_bound_exponents(n, [math.log1p(lipschitz)])[0])
     return math.exp(max(a, 0.0))
 
 
@@ -473,29 +463,18 @@ def nilpotent_poly_inverse(coeffs) -> tuple:
     return tuple(c / coeffs[0] for c in acc)
 
 
-def _q_nilpotent_poly(coeffs) -> float:
-    n = len(coeffs)
-    return float(sum((n - k) * c * c for k, c in enumerate(coeffs)))
-
-
 def poly_bilip_bound(n: int, coeffs) -> float:
-    """e^{max(a, a')} with a, a' the largest u solving
+    """e^{max(a, a', 0)} with a, a' the u solving
     e^u = sqrt(Q(e^{uN}) Q(B)) for B = B_2 and B = B_2^{-1}."""
     coeffs = tuple(float(c) for c in coeffs)
     if len(coeffs) != n:
         raise ValueError(f"need exactly {n} coefficients")
     if coeffs[0] == 0.0:
         raise ValueError("leading coefficient a_0 must be nonzero")
-    roots = []
-    for cs in (coeffs, nilpotent_poly_inverse(coeffs)):
-        qb = _q_nilpotent_poly(cs)
-        roots.append(
-            _largest_root(
-                lambda u, qb=qb: u
-                - 0.5 * math.log(float(q_exp_nilpotent(n, u)) * qb)
-            )
-        )
-    return math.exp(max(max(roots), 0.0))
+    roots = _bound_exponents(n, [  # log Q(B) / 2
+        0.5 * math.log(sum((n - k) * c * c for k, c in enumerate(cs)))
+        for cs in (coeffs, nilpotent_poly_inverse(coeffs))])
+    return math.exp(max(float(roots.max()), 0.0))
 
 
 def jordan_family_bound(spec: JordanFamilyMap) -> float:

@@ -418,24 +418,35 @@ def _roots_canonical(space: BoundarySpace, v: np.ndarray) -> np.ndarray:
         # bracket starts one unit wide; on longer chains, or where rounding
         # puts g on the wrong side, the ends expand
         a, b = log_norm / lam_max, log_norm / lam_min
-        lo, g_lo = _expand(g, np.minimum(a, b), -1.0, "canonical")
-        hi, g_hi = _expand(g, np.maximum(a, b) + (lam_min == lam_max), 1.0,
-                           "canonical")
-    else:
-        # the last nonzero entry of v on a chain is an entry of e^{-tN}v for
-        # every t, so |e^{-tA}v| >= |entry| e^{-lam t}: g > 0 left of
-        # log|entry|/lam, where the march starts (further left if rounding
-        # says g <= 0 there)
-        start = np.full(v.shape[0], -math.inf)
-        with np.errstate(divide="ignore"):
-            for lam, size, off in space.chains:
-                block = v[:, off:off + size]
-                last = size - 1 - np.argmax(block[:, ::-1] != 0, axis=1)
-                entry = np.take_along_axis(block, last[:, None], axis=1)
-                start = np.maximum(start, np.log(np.abs(entry[:, 0])) / lam)
-        lo = _expand(g, start, -1.0, "canonical")[0]
-        lo, hi, g_lo, g_hi = _march(space, g, lo)
+        return _solve_decreasing(g, np.minimum(a, b),
+                                 np.maximum(a, b) + (lam_min == lam_max),
+                                 "canonical")
+    # the last nonzero entry c = v_l of v on a chain is an entry of
+    # e^{-tN}v for every t, so |e^{-tA}v| >= |c| e^{-lam t}: g > 0 left of
+    # log|c|/lam.  Where l >= 1, entry l - 1 is v_{l-1} - tc, so g >= -lam
+    # t > 0 left of -(1 + |v_{l-1}|)/|c|.  The march starts at the largest
+    # of these points (further left if rounding says g <= 0 there)
+    start = np.full(v.shape[0], -math.inf)
+    with np.errstate(divide="ignore"):
+        for lam, size, off in space.chains:
+            block = v[:, off:off + size]
+            last = size - 1 - np.argmax(block[:, ::-1] != 0, axis=1)
+            entry, prev = np.abs(np.take_along_axis(
+                block, np.stack([last, np.maximum(last - 1, 0)], 1), 1)).T
+            near = np.where(last >= 1, -(1.0 + prev) / entry, -math.inf)
+            start = np.maximum(start, np.maximum(np.log(entry) / lam, near))
+    lo = _expand(g, start, -1.0, "canonical")[0]
+    lo, hi, g_lo, g_hi = _march(space, g, lo)
     lo, hi = _refine(g, lo, hi, g_lo, g_hi, _T_TOL, "canonical")
+    return 0.5 * (lo + hi)
+
+
+def _solve_decreasing(g, left, right, path):
+    """Each row's one zero of ``g``: ``_expand`` widens [left, right] to
+    g(lo) > 0 >= g(hi), ``_refine`` shrinks it; its midpoint."""
+    lo, g_lo = _expand(g, left, -1.0, path)
+    hi, g_hi = _expand(g, right, 1.0, path)
+    lo, hi = _refine(g, lo, hi, g_lo, g_hi, _T_TOL, path)
     return 0.5 * (lo + hi)
 
 

@@ -164,7 +164,7 @@ PROBE_GOLDEN = {
     "shear": (
         {"kind": "shear", "n": 2,
          "C": {"knots": [[-1.0, 0.0], [0.5, 0.25], [1.0, 1.0]]}},
-        '{\n  "bound": 5.557504237414044,\n  "box_radius": 5.0,\n'
+        '{\n  "bound": 5.557504237413571,\n  "box_radius": 5.0,\n'
         '  "max_ratio": 1.6271809890822992,\n'
         '  "min_ratio": 0.3443208731561612,\n  "samples": 300,\n'
         '  "seed": 4,\n  "within_bound": true\n}\n',
@@ -173,7 +173,7 @@ PROBE_GOLDEN = {
     "jordan_family": (
         {"kind": "jordan_family", "n": 2, "a": [1.5], "v": [0.1, -0.2],
          "C": {"knots": [[0.0, 0.0], [1.0, 0.5]]}},
-        '{\n  "bound": 9.241432094151826,\n  "box_radius": 5.0,\n'
+        '{\n  "bound": 9.241432094149962,\n  "box_radius": 5.0,\n'
         '  "max_ratio": 1.6117356999601278,\n'
         '  "min_ratio": 1.4643952204884956,\n  "samples": 300,\n'
         '  "seed": 4,\n  "within_bound": true\n}\n',

@@ -1,7 +1,8 @@
 """scipy is loaded only where no closed-form exponential exists: the
 general D_A path (and mat_exp of a non-canonical matrix).  Canonical
 spaces with several eigenvalues, or whose g may rise (and so march on
-the closed-form g), load none.  Each check
+the closed-form g), load none, and neither do the map bounds, which
+share the metric's bracket-and-refine.  Each check
 runs in a fresh interpreter, since the test session itself imports scipy.
 """
 
@@ -64,6 +65,11 @@ def test_canonical_workflows_never_load_scipy(tmp_path):
                                    [1.0, 0.5], samples_per_radius=20)
         assert all(math.isfinite(r.sup_ratio) for r in rep.rows)
         check("distortion_profile")
+        family = h.JordanFamilyMap(3, (1.5, -0.5), (0.1, 0.0, -0.2),
+                                   h.PiecewiseLinear(((0.0, 0.0), (1.0, 0.5))))
+        assert h.jordan_family_bound(family) > 1.0
+        assert h.poly_bilip_bound(3, (-1.7, 0.3, 1.1)) > 1.0
+        check("bounds")
         c, s = math.cos(0.7), math.sin(0.7)
         rot = np.array([[c, -s], [s, c]])
         rotated = rot @ j2 @ rot.T
@@ -74,7 +80,7 @@ def test_canonical_workflows_never_load_scipy(tmp_path):
     assert out.splitlines() == [
         "import", "count_cells", "dist",
         "dist on several eigenvalues and a rising g", "distortion_profile",
-        "general"]
+        "bounds", "general"]
 
 
 def test_cli_rpjf_on_a_canonical_matrix_never_loads_scipy(tmp_path):

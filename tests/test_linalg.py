@@ -104,6 +104,20 @@ def test_nilpotent_exp_past_171_factorial(n):
     assert nilpotent_exp(n, 1e-3)[0, n - 1] == 0.0  # underflows
 
 
+def test_closed_form_exponential_past_171_factorial():
+    # a chain of size 172 has entries e^t t^k / k! with k = 171, past the
+    # float range of k!; the entries with k <= 170 keep their bits
+    assert np.isfinite(mat_exp(jordan_block(1.0, 172), 0.1)).all()
+    for t in (0.1, -3.0, 20.0):
+        m171 = mat_exp(jordan_block(1.0, 171), t)
+        m172 = mat_exp(jordan_block(1.0, 172), t)
+        assert np.array_equal(m172[:171, :171], m171)
+        assert np.array_equal(m172[1:, 1:], m171)
+        exact = Fraction(math.exp(t)) * Fraction(t) ** 171 / math.factorial(171)
+        assert abs(m172[0, 171] - exact) <= 4 * np.finfo(float).eps * abs(exact)
+    assert mat_exp(jordan_block(1.0, 172), 20.0)[0, 171] > 0.0
+
+
 def test_frob_sq_values():
     assert frob_sq(np.eye(5)) == 5.0
     assert frob_sq(jordan_block(1.0, 2)) == 3.0

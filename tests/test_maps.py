@@ -6,6 +6,7 @@ import scipy.linalg
 from scipy.optimize import brentq
 
 from heintze import maps, metric
+from heintze.errors import RangeError
 from heintze.linalg import jordan_block
 from heintze.maps import (
     Composition,
@@ -147,6 +148,85 @@ def test_poly_bound_examples():
     )
     with pytest.raises(ValueError):
         poly_bilip_bound(2, (0.0, 1.0))
+
+
+def _exact_exponent(mp, n, c):
+    """The u with u = c + log Q(e^{uN}) / 2, at the working precision:
+    widen a bracket from c + log(n) / 2, where u - c - log Q / 2 <= 0."""
+    def f(u):
+        q = mp.fsum((n - k) * (u**k / mp.factorial(k)) ** 2 for k in range(n))
+        return u - c - mp.log(q) / 2
+
+    lo = c + mp.log(n) / 2
+    if f(lo) == 0:
+        return lo
+    step = mp.mpf(1)
+    while f(lo + step) <= 0:
+        lo, step = lo + step, 2 * step
+    return mp.findroot(f, (lo, lo + step), solver="anderson")
+
+
+def test_bounds_match_50_digit_roots():
+    mp = pytest.importorskip("mpmath")
+
+    def q_b(cs):
+        return mp.fsum((len(cs) - k) * c * c for k, c in enumerate(cs))
+
+    def inverse(cs):  # B_2^{-1} = a_0^{-1} sum_j beta^j, beta = -(B_2 - a_0)/a_0
+        n = len(cs)
+        beta = [mp.mpf(0)] + [-c / cs[0] for c in cs[1:]]
+        acc, term = [mp.mpf(1)] + [mp.mpf(0)] * (n - 1), [mp.mpf(1)] + [0] * (n - 1)
+        for _ in range(1, n):
+            term = [mp.fsum(term[i] * beta[k - i] for i in range(k + 1))
+                    for k in range(n)]
+            acc = [x + y for x, y in zip(acc, term)]
+        return [x / cs[0] for x in acc]
+
+    def poly_exponent(coeffs):
+        cs = [mp.mpf(c) for c in coeffs]
+        return max([_exact_exponent(mp, len(cs), mp.log(q_b(b)) / 2)
+                    for b in (cs, inverse(cs))] + [mp.mpf(0)])
+
+    def check(bound, exact):
+        got = mp.log(mp.mpf(bound))
+        assert abs(float(got - exact)) <= 2e-15 * max(1.0, abs(float(exact))), (
+            bound, float(exact))
+
+    with mp.workdps(50):
+        for n in range(1, 9):
+            for lip in (0.0, 1e-3, 0.5, 1.0, 3.0, 10.0, 1e3, 1e8):
+                exact = (_exact_exponent(mp, n, mp.log(1 + mp.mpf(lip)))
+                         if n > 1 else mp.mpf(0))  # no shear on n = 1
+                check(shear_bilip_bound(n, lip), exact)
+        for coeffs in ((3.0,), (1e-3, 0.0, 0.0), (-1.7, 0.3, 1.1, -0.4),
+                       (1.0, 0.0), (2.0, 0.0), (0.5, -2.0, 0.25)):
+            check(poly_bilip_bound(len(coeffs), coeffs), poly_exponent(coeffs))
+        # the two maps of test_cli's PROBE_GOLDEN: the shear has L = 1.5,
+        # the Jordan-family map a shear of L = 0.5/1.5 (the float the
+        # program passes) and B_2 = 1.5 I
+        shear = Shear(2, PiecewiseLinear(((-1.0, 0.0), (0.5, 0.25), (1.0, 1.0))))
+        family = JordanFamilyMap(2, (1.5,), (0.1, -0.2),
+                                 PiecewiseLinear(((0.0, 0.0), (1.0, 0.5))))
+        exact_shear = _exact_exponent(mp, 2, mp.log(mp.mpf(5) / 2))
+        exact_family = (_exact_exponent(mp, 2, mp.log(1 + mp.mpf(0.5 / 1.5)))
+                        + poly_exponent((1.5, 0.0)))
+        assert mp.nstr(mp.exp(exact_shear), 18) == "5.55750423741357357"
+        assert mp.nstr(mp.exp(exact_family), 18) == "9.2414320941499599"
+        check(shear.bound(), exact_shear)
+        check(jordan_family_bound(family), exact_family)
+
+
+def test_bounds_reject_nan_and_overflow():
+    # NaN is no Lipschitz constant; an infinite L or Q(B) leaves no bound
+    with pytest.raises(ValueError, match="nonnegative number"):
+        shear_bilip_bound(2, math.nan)
+    with pytest.raises(RangeError):
+        shear_bilip_bound(2, math.inf)
+    with pytest.raises(RangeError):
+        poly_bilip_bound(2, (1e-300, 1e300))
+    # the slope (1e308 + 1e308) / 1e-300 is inf, without a warning
+    with pytest.raises(RangeError):
+        Shear(2, PiecewiseLinear(((0.0, -1e308), (1e-300, 1e308)))).bound()
 
 
 def test_bounds_at_least_one(rng):

@@ -1,4 +1,5 @@
 import math
+import time
 
 import numpy as np
 import pytest
@@ -238,6 +239,32 @@ def test_stiff_canonical_sum_decouples_its_chains():
     got = dist(sp, zero, [0.01, 0.0, 0.0])
     assert math.log(got) == pytest.approx(math.log(0.01) / 0.3, rel=1e-15,
                                           abs=0)
+
+
+def test_march_starts_at_the_closer_certified_point():
+    # J3(1e-5) marches.  For v = (0, 0, 1e-3), log|1e-3|/lam = -690776 is
+    # a certified start, but so is -1000: entry 1 of e^{-tN}v is -1e-3 t,
+    # at least 1 in size left of it.  Both rows' roots lie near the second
+    # point, and a march from the first took seconds
+    sp = BoundarySpace(jordan_block(1e-5, 3))
+    zero = np.zeros(3)
+
+    # e^{-tA}v = 1e-3 e^{-lam t} (t^2/2, -t, 1): the root left of 0, where
+    # g decreases
+    def g(t):
+        return -1e-5 * t + math.log(1e-3) + 0.5 * math.log1p(t * t + t**4 / 4)
+
+    lo, hi = -1000.0, 0.0
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if g(mid) > 0 else (lo, mid)
+    start = time.perf_counter()
+    got = dist(sp, zero, [0.0, 0.0, 1e-3])
+    # (0, 1e-3, 0) has its root at log D = -990.1, below the float range
+    with pytest.raises(RangeError, match=r"log D = -990\.1"):
+        dist(sp, zero, [0.0, 1e-3, 0.0])
+    assert time.perf_counter() - start < 1.0
+    assert math.log(got) == pytest.approx(lo, rel=1e-15, abs=0)
 
 
 def test_bracket_expansion_failures_name_the_path():
