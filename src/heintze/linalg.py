@@ -62,31 +62,48 @@ def jordan_block(lam: float, n: int) -> np.ndarray:
 def nilpotent_exp(n: int, t: float) -> np.ndarray:
     """Closed-form e^{tN}: entry (i, j) is t^(j-i) / (j-i)! for j >= i, else 0.
 
-    Bitwise deterministic; no series truncation is involved.  A RangeError
-    is raised where |t|^(n-1) leaves the float range.
+    Bitwise deterministic and exact past 170! (``_taylor_terms``); a
+    RangeError is raised only where an entry t^k / k! leaves the float range.
     """
     if n < 1:
         raise ValueError("dimension must be at least 1")
     if not math.isfinite(t):
         raise ValueError("t must be finite")
-    out = np.zeros((n, n))
-    for k in range(n):
-        out += np.eye(n, k=k) * _power_over_factorial(t, k)
+    return _upper_toeplitz(_taylor_terms(t, n))
+
+
+def _taylor_terms(t, n: int) -> np.ndarray:
+    """t^k / k! for k < n on a new last axis of t: t**k / k! in Python floats
+    (C's pow, not numpy's SIMD power) where both are floats, else the exact
+    p^k / (q^k k!) of t = p / q, correctly rounded; RangeError past floats."""
+    def term(x, k, fact):
+        try:
+            return x**k / float(fact)
+        except OverflowError:  # t**k or k! is past the float range
+            num, den = x.as_integer_ratio()
+            return num**k / (den**k * fact)
+
+    ts = np.asarray(t, dtype=float)
+    out = np.ones(ts.shape + (n,))  # t**0 / 0! = 1 and t**1 / 1! = t
+    rows, xs = out.reshape(-1, n), ts.reshape(-1).tolist()
+    rows[:, 1:2] = ts.reshape(-1, 1)
+    for k in range(2, n):
+        fact = math.factorial(k)
+        try:
+            rows[:, k] = [term(x, k, fact) for x in xs]
+        except OverflowError:  # the quotient t^k / k! itself
+            raise RangeError(f"t^{k}/{k}! leaves the float range") from None
     return out
 
 
-def _power_over_factorial(t: float, k: int) -> float:
-    """t^k / k!.  k! leaves the float range from k = 171: there the exact
-    quotient of the integers, correctly rounded (0 where it underflows)."""
-    try:
-        tk = t**k
-    except OverflowError:
-        raise RangeError(f"e^(tN): |t|^{k} leaves the float range "
-                         f"(t = {t:.6g})") from None
-    if k <= 170:
-        return tk / math.factorial(k)
-    num, den = tk.as_integer_ratio()
-    return num / (den * math.factorial(k))
+def _upper_toeplitz(c) -> np.ndarray:
+    """sum_k c[..., k] N^k, of size n = c.shape[-1] (-0.0 gives 0.0)."""
+    n = c.shape[-1]
+    out = np.zeros(c.shape + (n,))
+    flat = out.reshape(c.shape[:-1] + (n * n,))
+    for k in range(n):  # the k-th superdiagonal, a strided slice
+        flat[..., k:n * (n - k):n + 1] = c[..., k:k + 1] + 0.0
+    return out
 
 
 def _canonical_chains(a):
@@ -114,9 +131,9 @@ def exponential(a, t, chains=None) -> np.ndarray:
     """e^{tA} for a scalar t, or the stack of e^{t_i A} for a 1-D array t.
 
     On a canonical A (``chains`` as from ``_canonical_chains``, found when
-    not given) each chain's block is the closed form
-    e^{t lam} * sum_k t^k N^k / k!; otherwise Pade scaling-and-squaring
-    (``scipy.linalg.expm``, imported only then).
+    not given) each chain's block is the closed form e^{t lam} * sum_k t^k
+    N^k / k!, from math.exp and ``_taylor_terms``; otherwise Pade
+    scaling-and-squaring (``scipy.linalg.expm``, imported only then).
     """
     ts = np.asarray(t, dtype=float)
     if chains is None:
@@ -125,21 +142,16 @@ def exponential(a, t, chains=None) -> np.ndarray:
         import scipy.linalg
 
         return scipy.linalg.expm(ts[..., None, None] * a)
-    flat = ts.reshape(-1)
-    # entry (off + i, off + i + k) of a chain's block is e^{t lam} t^k / k!
-    row, col, lam, k = np.array([
-        (off + i, off + i + k, lam, k)
-        for lam, size, off in chains for k in range(size) for i in range(size - k)
-    ]).T
-    small = k <= 170
-    vals = np.exp(np.outer(flat, lam))
-    vals[:, small] = vals[:, small] * flat[:, None] ** k[small] / np.array(
-        [math.factorial(int(j)) for j in k[small]], dtype=float)
-    if not small.all():  # as in nilpotent_exp: t^k / k! past 170!
-        vals[:, ~small] *= [[_power_over_factorial(t, int(j))
-                             for j in k[~small]] for t in flat.tolist()]
+    flat, xs = ts.reshape(-1), ts.reshape(-1).tolist()
+    terms = _taylor_terms(flat, max(size for _, size, _ in chains))
     out = np.zeros((flat.size,) + a.shape)
-    out[:, row.astype(int), col.astype(int)] = vals
+    for lam, size, off in chains:
+        try:  # math.exp, like t**k, keeps the bits off numpy's SIMD loops
+            scale = np.array([math.exp(x * lam) for x in xs])
+        except OverflowError:
+            raise RangeError("e^(t lam) leaves the float range") from None
+        out[:, off:off + size, off:off + size] = _upper_toeplitz(
+            scale[:, None] * terms[:, :size])
     return out.reshape(ts.shape + a.shape)
 
 

@@ -16,13 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import (
-    check_matrix,
-    check_vector,
-    exponential,
-    nilpotent_exp,
-    nilpotent_shift,
-)
+from .linalg import (_taylor_terms, _upper_toeplitz, check_matrix,
+                     check_vector, exponential, nilpotent_exp)
 from .errors import RangeError
 from .metric import BoundarySpace, _solve_decreasing, dist_pairs
 
@@ -69,8 +64,12 @@ class PiecewiseLinear:
         ys, vs = self._arrays()
         if len(ys) == 1:
             return np.zeros(1)
-        with np.errstate(over="ignore"):  # a slope past the float range: inf
-            return np.diff(vs) / np.diff(ys)
+        with np.errstate(over="ignore", divide="ignore"):
+            dv, dy = np.diff(vs), np.diff(ys)
+            big = ~(np.isfinite(dv) & np.isfinite(dy))
+            if big.any():  # a difference past the float range: halve the knots
+                dv[big], dy[big] = np.diff(vs / 2)[big], np.diff(ys / 2)[big]
+            return dv / dy
 
     def lipschitz(self) -> float:
         return float(np.max(np.abs(self.slopes())))
@@ -322,15 +321,10 @@ _KINDS = {cls.kind: cls for cls in (Translation, LinearMap, Shear,
 
 
 def poly_in_nilpotent(n: int, coeffs) -> np.ndarray:
-    """sum_k coeffs[k] N^k as an n x n matrix."""
-    shift = nilpotent_shift(n)
-    out = np.zeros((n, n))
-    power = np.eye(n)
-    for k, c in enumerate(coeffs):
-        if k > 0:
-            power = power @ shift
-        out += c * power
-    return out
+    """sum_k coeffs[k] N^k as an n x n matrix (N^k = 0 from k = n)."""
+    c = np.zeros(n)
+    c[:len(coeffs)] = coeffs[:n]
+    return _upper_toeplitz(c)
 
 
 def eval_map_batch(spec, x) -> np.ndarray:
@@ -395,13 +389,14 @@ def save_map(path, spec) -> None:
 # theoretical biLipschitz bounds
 
 
+def _q(c) -> np.ndarray:
+    """Q(sum_k c[..., k] N^k) = sum_k (n - k) c_k^2, n = c.shape[-1]."""
+    return (np.arange(c.shape[-1], 0, -1) * c * c).sum(axis=-1)
+
+
 def q_exp_nilpotent(n: int, u) -> np.ndarray:
     """Q(e^{uN}) = sum_{k=0}^{n-1} (n-k) (u^k / k!)^2 (even in u)."""
-    u = np.asarray(u, dtype=float)
-    total = np.zeros(u.shape)
-    for k in range(n):
-        total += (n - k) * (u**k / math.factorial(k)) ** 2
-    return total
+    return _q(_taylor_terms(u, n))
 
 
 def _bound_exponents(n: int, consts) -> np.ndarray:
@@ -455,8 +450,7 @@ def nilpotent_poly_inverse(coeffs) -> tuple:
     if coeffs[0] == 0.0:
         raise ValueError("leading coefficient a_0 must be nonzero")
     beta = [0.0] + [-c / coeffs[0] for c in coeffs[1:]]
-    acc = [1.0] + [0.0] * (n - 1)
-    term = [1.0] + [0.0] * (n - 1)
+    acc = term = [1.0] + [0.0] * (n - 1)
     for _ in range(1, n):
         term = _nilpotent_coeff_mul(term, beta, n)
         acc = [x + y for x, y in zip(acc, term)]
@@ -471,9 +465,12 @@ def poly_bilip_bound(n: int, coeffs) -> float:
         raise ValueError(f"need exactly {n} coefficients")
     if coeffs[0] == 0.0:
         raise ValueError("leading coefficient a_0 must be nonzero")
-    roots = _bound_exponents(n, [  # log Q(B) / 2
-        0.5 * math.log(sum((n - k) * c * c for k, c in enumerate(cs)))
-        for cs in (coeffs, nilpotent_poly_inverse(coeffs))])
+    consts = []  # log Q(B) / 2, as log(4^e Q(2^-e B)) where Q(B) is 0 or inf
+    with np.errstate(over="ignore", under="ignore"):
+        for c in map(np.array, (coeffs, nilpotent_poly_inverse(coeffs))):
+            e = 0 if 0.0 < _q(c) < math.inf else math.frexp(np.abs(c).max())[1]
+            consts.append(0.5 * math.log(_q(np.ldexp(c, -e))) + e * math.log(2))
+    roots = _bound_exponents(n, consts)
     return math.exp(max(float(roots.max()), 0.0))
 
 
@@ -684,17 +681,12 @@ def conformal_probe(spec, n: int, t_values, base=None) -> np.ndarray:
     sqrt(1 + C'(0)^2): equal to 1 iff the map is conformal at the point,
     and reached exactly at every t when C is globally affine.
     """
-    if base is None:
-        base = np.zeros(n)
-    base = check_vector(base, n)
+    base = check_vector(np.zeros(n) if base is None else base, n)
     t_values = np.asarray(t_values, dtype=float)
     ratios = np.empty(t_values.shape)
     f_base = eval_map(spec, base)
     for i, t in enumerate(t_values):
-        tail = math.exp(t) * nilpotent_exp(n, t)[:, -1]
-        xt = base + tail
+        xt = base + math.exp(t) * nilpotent_exp(n, t)[:, -1]
         diff = eval_map(spec, xt) - f_base
-        ratios[i] = float(
-            np.linalg.norm(nilpotent_exp(n, -t) @ diff) / math.exp(t)
-        )
+        ratios[i] = np.linalg.norm(nilpotent_exp(n, -t) @ diff) / math.exp(t)
     return ratios

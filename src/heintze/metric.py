@@ -44,7 +44,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import HypothesisViolationError, RangeError, SolverError
-from .linalg import _canonical_chains, check_matrix, check_vector
+from .linalg import _canonical_chains, _taylor_terms, check_matrix, check_vector
 from .spectral import DEFAULT_CLUSTER_TOL
 
 _T_TOL = 1e-12
@@ -94,7 +94,6 @@ class BoundarySpace:
             for lam, s, _ in self.chains
         )
         self._ladder = None
-        self._sub_spaces = {}
 
     # -- structure helpers -------------------------------------------------
 
@@ -122,17 +121,12 @@ class BoundarySpace:
             )
 
     def _canonical_sub_space(self, chains):
-        """The canonical space of the (lam, size, offset) ``chains``,
-        cached, and the coordinates of this space in its block order: its
-        matrix is A's principal submatrix there (each a chain's head)."""
+        """The canonical space of the (lam, size, offset) ``chains`` and the
+        coordinates of this space in its block order: its matrix is A's
+        principal submatrix there (each a chain's head)."""
         chains = sorted(chains, key=lambda c: (c[0], -c[1]))
-        blocks = tuple((lam, size) for lam, size, _ in chains)
-        idx = np.concatenate(
-            [np.arange(off, off + size) for _, size, off in chains]
-        )
-        if blocks not in self._sub_spaces:
-            self._sub_spaces[blocks] = BoundarySpace(self.a[np.ix_(idx, idx)])
-        return self._sub_spaces[blocks], idx
+        idx = np.concatenate([np.arange(o, o + s) for _, s, o in chains])
+        return BoundarySpace(self.a[np.ix_(idx, idx)]), idx
 
     # -- march machinery -----------------------------------------------------
 
@@ -217,8 +211,9 @@ def _build_ladder(a: np.ndarray) -> _Ladder:
     k_lo = math.frexp(_T_TOL)[1] - 1
     ks = np.arange(k_lo, 64)
     s = np.ldexp(1.0, ks)
-    with np.errstate(over="ignore"):
-        log_s = np.log(sum((s * nil) ** k / math.factorial(k) for k in range(n)))
+    # log S(s), a log-sum-exp over k of k log(s||N||) - log k!
+    log_s = 0.0 if nil == 0 else np.logaddexp.reduce(np.arange(n) * np.log(
+        s * nil)[:, None] - [math.lgamma(k + 1) for k in range(n)], axis=1)
     # the largest rung keeps ||e^{sA}|| <= e^{s max Re(eig)} S(s) finite
     k_hi = int(ks[s * re.max() + log_s <= _SAFE_LOG].max())
     down = np.ldexp(1.0, np.arange(k_lo, k_hi + 1))
@@ -347,19 +342,16 @@ def _interpolation_point(lo, hi, g_lo, g_hi, new_lo, x3, f3, stop):
 
 def _poly_coeffs(chains, v: np.ndarray) -> np.ndarray:
     """Coefficients (ascending) of |e^{-tN} v|^2 on ``chains``, per row."""
-    m = v.shape[0]
     max_size = max(size for _, size, _ in chains)
-    p = np.zeros((m, 2 * max_size - 1))
+    signed = _taylor_terms(-1.0, max_size)[:, None]  # (-1)^q / q!
+    vt = np.ascontiguousarray(v.T)  # one contiguous row per coordinate
+    p = np.zeros((2 * max_size - 1, v.shape[0]))  # and per power of t
     for _, size, off in chains:
         for i in range(size):
-            span = size - i
-            c = np.empty((m, span))
-            for q in range(span):
-                c[:, q] = v[:, off + i + q] * ((-1.0) ** q / math.factorial(q))
-            for q1 in range(span):
-                for q2 in range(span):
-                    p[:, q1 + q2] += c[:, q1] * c[:, q2]
-    return p
+            c = vt[off + i:off + size] * signed[:size - i]
+            for q in range(size - i):  # p[m] sums c_q c_{m-q}, q rising
+                p[q:q + size - i] += c[q] * c
+    return np.ascontiguousarray(p.T)
 
 
 def _poly_eval(coeffs: np.ndarray, t: np.ndarray) -> np.ndarray:

@@ -175,6 +175,16 @@ def test_huge_vectors_on_a_humped_matrix():
         assert abs(t - lo) <= 1e-10
 
 
+def test_general_space_of_dimension_172():
+    # the ladder's certificate sums (s||N||)^k / k! over k < n, past 170!
+    # from n = 172: an eigenvector of length 3 is at distance 3
+    rng = np.random.default_rng(0)
+    q, _ = np.linalg.qr(rng.normal(size=(172, 172)))
+    a = q @ np.diag(np.linspace(1.0, 2.0, 172)) @ q.T
+    got = dist(BoundarySpace(a), np.zeros(172), 3.0 * q[:, 0])
+    assert abs(got - 3.0) <= 4e-15, got
+
+
 def test_stiff_vector_past_the_last_up_rung_raises():
     # e^{-tA}(0.01, 0) = (0.01 e^{-t}, 0) needs t < -5.4 to certify, but the
     # up rungs stop at t = -1/2, where e^{lam/2} reaches the ladder's limit

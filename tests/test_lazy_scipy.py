@@ -83,6 +83,27 @@ def test_canonical_workflows_never_load_scipy(tmp_path):
         "bounds", "general"]
 
 
+def test_exact_taylor_terms_load_neither_fractions_nor_decimal(tmp_path):
+    # past 170! the terms t^k / k! are integer quotients: no import pays
+    # for them at set-up
+    out = run_python("""
+        import sys
+
+        def check(step):
+            assert "fractions" not in sys.modules, step
+            assert "decimal" not in sys.modules, step
+            print(step)
+
+        import heintze as h
+        check("import")
+        assert h.nilpotent_exp(200, 7.5)[0, 199] > 0.0
+        check("nilpotent_exp")
+        assert h.shear_bilip_bound(172, 1.0) > 1.0
+        check("bound")
+    """, tmp_path)
+    assert out.splitlines() == ["import", "nilpotent_exp", "bound"]
+
+
 def test_cli_rpjf_on_a_canonical_matrix_never_loads_scipy(tmp_path):
     heintze.save_matrix(tmp_path / "j3.json", heintze.jordan_block(1.0, 3))
     out = run_python("""

@@ -77,12 +77,20 @@ def test_nilpotent_exp_small_cases():
 
 
 def test_nilpotent_exp_overflow_is_a_range_error():
-    # |t|^k past the float range raises the typed error, like mat_exp's guard
-    for n, t in [(3, 1e300), (3, -1e300), (6, 4.5e61), (6, -4.5e61)]:
+    # t^k / k! past the float range raises the typed error, like mat_exp's
+    # guard: (1.2e62)^5 / 5! is about 2.1e308
+    for n, t in [(3, 1e300), (3, -1e300), (6, 1.2e62), (6, -1.2e62)]:
         with pytest.raises(RangeError, match="leaves the float range"):
             nilpotent_exp(n, t)
     # just inside the range the closed form is finite
     assert np.isfinite(nilpotent_exp(6, 4.4e61)).all()
+    # (4.5e61)^5 overflows, (4.5e61)^5 / 5! does not: the exact quotient
+    for t in (4.5e61, -4.5e61):
+        m = nilpotent_exp(6, t)
+        assert np.isfinite(m).all()
+        for k in range(6):
+            exact = Fraction(t) ** k / math.factorial(k)
+            assert abs(m[0, k] - exact) <= 4 * np.finfo(float).eps * abs(exact)
 
 
 @pytest.mark.parametrize("n", [172, 200])
@@ -207,6 +215,23 @@ def test_exponential_is_the_closed_form_to_the_last_bits(name):
                     want[i, j] = float(entry)
                     entry = entry * Decimal(float(t)) / (j - i + 1)
             np.testing.assert_allclose(m, want, rtol=1e-15, atol=0)
+
+
+@pytest.mark.parametrize("name", sorted(_CANONICAL))
+def test_exponential_is_python_float_arithmetic_bit_for_bit(name):
+    # each chain's entry is math.exp(t lam) * (t**k / k!) in Python floats:
+    # no numpy SIMD loop (power, exp) decides a last bit
+    a = _CANONICAL[name]
+    n = a.shape[0]
+    for t, m in zip(_TS.tolist(), exponential(a, _TS)):
+        want = np.zeros_like(a)
+        for i in range(n):
+            for j in range(i, n):
+                if j > i and a[j - 1, j] != 1.0:
+                    break
+                k = j - i
+                want[i, j] = math.exp(t * a[i, i]) * (t**k / math.factorial(k))
+        assert m.tobytes() == want.tobytes(), (name, t)
 
 
 @pytest.mark.parametrize("a", [jordan_block(1.0, 3),

@@ -216,6 +216,37 @@ def test_bounds_match_50_digit_roots():
         check(jordan_family_bound(family), exact_family)
 
 
+def test_bounds_past_171_factorial_and_out_of_range_q():
+    # Q(e^{uN}) sums (u^k / k!)^2 past 170! from n = 172; Q(B) = 2e-400
+    # underflows and Q(B^{-1}) = 2e400 overflows, and the bound is finite
+    mp = pytest.importorskip("mpmath")
+
+    def check(bound, exact):
+        err = abs(float(mp.log(mp.mpf(bound)) - exact))
+        assert err <= 2e-15 * abs(float(exact)), (bound, err)
+
+    with mp.workdps(50):
+        exact = _exact_exponent(mp, 172, mp.log(2))
+        assert mp.nstr(mp.exp(exact), 17) == "1.4026241195499337e+70"
+        check(shear_bilip_bound(172, 1.0), exact)
+        small, big = (poly_bilip_bound(2, (c, 0.0)) for c in (1e-200, 1e200))
+        assert small == big  # B and B^{-1} swap
+        for c in (1 / mp.mpf(1e-200), mp.mpf(1e200)):  # Q(B) = 2 c^2
+            exact = _exact_exponent(mp, 2, mp.log(2 * c * c) / 2)
+            assert mp.nstr(exact, 17) == "467.00994733209578"
+            check(small, exact)
+
+
+def test_slopes_of_overflowing_differences():
+    # 1e308 - (-1e308) overflows; the slope is taken from the halved knots
+    pwl = PiecewiseLinear(((-1e308, -1e308), (1e308, 1e308)))
+    assert pwl.slopes().tolist() == [1.0]
+    assert Shear(2, pwl).bound() == shear_bilip_bound(2, 1.0)
+    # a finite difference keeps its bits, subnormal spacing included
+    tiny = PiecewiseLinear(((0.0, 0.0), (5e-324, 1e-323), (1.0, 3.0)))
+    assert tiny.slopes().tolist() == [2.0, 3.0]
+
+
 def test_bounds_reject_nan_and_overflow():
     # NaN is no Lipschitz constant; an infinite L or Q(B) leaves no bound
     with pytest.raises(ValueError, match="nonnegative number"):

@@ -267,6 +267,17 @@ def test_march_starts_at_the_closer_certified_point():
     assert math.log(got) == pytest.approx(lo, rel=1e-15, abs=0)
 
 
+def test_canonical_chain_of_size_172():
+    # |e^{-tN}v|^2 takes (-1)^q / q! past 170!; the roots of g (one each,
+    # as g decreases on J172) were found by mpmath at 50 digits
+    n = 172
+    space = BoundarySpace(jordan_block(1.0, n))
+    rows = np.stack([np.r_[np.zeros(n - 1), 3.0], np.linspace(-1.0, 1.0, n)])
+    got = np.log(dist_pairs(space, np.zeros((2, n)), rows))
+    want = np.array([6.5746779067315101312, 1.0436968135002135199])
+    assert np.all(np.abs(got - want) <= 1e-13), got - want
+
+
 def test_bracket_expansion_failures_name_the_path():
     # g <= 0 everywhere never clears on the left, g > 0 never on the right
     with pytest.raises(SolverError, match=r"the left \(canonical path\)"):
