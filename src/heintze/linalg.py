@@ -15,6 +15,8 @@ from .errors import MatrixFormatError, RangeError
 
 DEFAULT_EXP_GUARD = 50.0
 DEFAULT_RANK_TOL = 1e-9
+# degree of the Taylor sums of e^{sT} with |s| ||T|| <= 1/2
+TAYLOR_DEGREE = 16
 
 
 def check_matrix(a) -> np.ndarray:
@@ -132,32 +134,124 @@ def exponential(a, t, chains=None) -> np.ndarray:
 
     On a canonical A (``chains`` as from ``_canonical_chains``, found when
     not given) each chain's block is the closed form e^{t lam} * sum_k t^k
-    N^k / k!, from math.exp and ``_taylor_terms``; otherwise Pade
-    scaling-and-squaring (``scipy.linalg.expm``, imported only then).
+    N^k / k!, from math.exp and ``_taylor_terms``; otherwise Q e^{tT} Q^T
+    from the real Schur form A = Q T Q^T (``real_schur``, ``schur_exp``).
     """
     ts = np.asarray(t, dtype=float)
     if chains is None:
         chains = _canonical_chains(a)
     if chains is None:
-        import scipy.linalg
-
-        return scipy.linalg.expm(ts[..., None, None] * a)
+        tri, q = real_schur(a)
+        window = 0.5 / (float(np.linalg.norm(a, 2)) or 1.0)  # any, if A = 0
+        out = q @ schur_exp(tri, ts.reshape(-1), window,
+                            taylor_table(tri, window)) @ q.T
+        return out.reshape(ts.shape + a.shape)
     flat, xs = ts.reshape(-1), ts.reshape(-1).tolist()
     terms = _taylor_terms(flat, max(size for _, size, _ in chains))
     out = np.zeros((flat.size,) + a.shape)
+    groups = {}
     for lam, size, off in chains:
+        groups.setdefault(size, []).append((lam, off))
+    for size, group in groups.items():
         try:  # math.exp, like t**k, keeps the bits off numpy's SIMD loops
-            scale = np.array([math.exp(x * lam) for x in xs])
+            scale = np.array([[math.exp(x * lam) for x in xs]
+                              for lam, _ in group])
         except OverflowError:
             raise RangeError("e^(t lam) leaves the float range") from None
-        out[:, off:off + size, off:off + size] = _upper_toeplitz(
-            scale[:, None] * terms[:, :size])
+        # every chain of this size in one call: (t, chain, row, column)
+        blocks = _upper_toeplitz(scale.T[:, :, None] * terms[:, None, :size])
+        for i, (_, off) in enumerate(group):
+            out[:, off:off + size, off:off + size] = blocks[:, i]
     return out.reshape(ts.shape + a.shape)
 
 
+def real_schur(a):
+    """(T, Q) with A = Q T Q^T, Q orthogonal and T quasi-upper-triangular:
+    a 1 x 1 diagonal block per real eigenvalue, a 2 x 2 one per complex
+    pair (as eig reports them), and exact zeros below them.
+
+    Deflation: an eigenvector x of the trailing block (for a complex pair,
+    the real plane [Re x, Im x]) is completed to an orthonormal basis H,
+    the trailing rows and columns of T and Q are transformed by H, and the
+    part of T below x's block is set to 0.  The eigenvectors of the other
+    eigenvalues are carried through each H; only where the next one's
+    trailing part has norm below 1/2 (a defective cluster, whose
+    eigenvectors are nearly parallel) is eig recomputed.
+    """
+    tri = np.array(a, dtype=float)
+    n = tri.shape[0]
+    q = np.eye(n)
+    i, vecs = 0, None
+    while i < n - 1:
+        if vecs is None or np.linalg.norm(vecs[:, 0]) < 0.5:
+            vals, vecs = np.linalg.eig(tri[i:, i:])
+        x = vecs[:, 0]
+        k = 1 if vals[0].imag == 0 else 2  # a pair: vals[1] = conj vals[0]
+        h = np.linalg.qr(np.stack([x.real, x.imag][:k], axis=1),
+                         mode="complete")[0]
+        tri[i:] = h.T @ tri[i:]
+        tri[:, i:] = tri[:, i:] @ h
+        q[:, i:] = q[:, i:] @ h
+        tri[i + k:, i:i + k] = 0.0
+        vals, vecs = vals[k:], (h.T @ vecs[:, k:])[k:]
+        i += k
+    return tri, q
+
+
+def taylor_table(tri, window: float) -> np.ndarray:
+    """(-window T)^k / k! for k <= TAYLOR_DEGREE: sum_k x^k table[k] is
+    e^{-x window T}.  With window ||T|| <= 1/2 and |x| <= 1 the remainder
+    is below 2^-17/17! < 3e-20 of the sum."""
+    table = [np.eye(tri.shape[0])]
+    for k in range(1, TAYLOR_DEGREE + 1):
+        table.append(table[-1] @ (-window / k * tri))
+    return np.stack(table)
+
+
+def schur_exp(tri, ts, window: float, table) -> np.ndarray:
+    """e^{tT} for each t of the 1-D ``ts``, T quasi-upper-triangular (as
+    from ``real_schur``) with window ||T|| <= 1/2 and ``table`` its
+    ``taylor_table``.
+
+    The Taylor sum at s = t 2^-j, the least j >= 0 with |s| < window, is
+    squared j times; powers of two of one sign above the window share one
+    chain of squares.  After each square the diagonal entries of the 1 x 1
+    blocks, and the superdiagonal entries between two of them, are reset
+    to their closed forms e^{s lam} and s t12 e^{s(lam1 + lam2)/2}
+    sinch(s(lam2 - lam1)/2) (Al-Mohy & Higham 2009, Code Fragment 2.1): the
+    squarings leave no error there, where close eigenvalues would put it.
+    """
+    n = tri.shape[0]
+    j = np.maximum(0, np.frexp(ts / window)[1])
+    base, inv = np.unique(np.ldexp(ts, -j), return_inverse=True)
+    top = np.zeros(base.size, int)
+    np.maximum.at(top, inv, j)
+    x = (-base / window)[:, None] ** np.arange(TAYLOR_DEGREE + 1)
+    mats = (x @ table.reshape(TAYLOR_DEGREE + 1, n * n)).reshape(-1, n, n)
+    sub = np.diag(tri, -1) != 0
+    one = ~(np.append(sub, False) | np.insert(sub, 0, False))
+    d, e = np.flatnonzero(one), np.flatnonzero(one[:-1] & one[1:])
+    lam = np.diag(tri)
+    mid, half = 0.5 * (lam[e] + lam[e + 1]), 0.5 * (lam[e + 1] - lam[e])
+    out = np.empty((ts.size, n, n))
+    for level in range(int(j.max(initial=0)) + 1):
+        live = np.flatnonzero(top >= level)
+        m, s = mats[live], np.ldexp(base[live], level)[:, None]
+        if level:
+            m = m @ m
+        m[:, d, d] = np.exp(s * lam[d])
+        y = s * half
+        sinch = np.divide(np.sinh(y), y, out=np.ones_like(y), where=y != 0)
+        m[:, e, e + 1] = s * tri[e, e + 1] * np.exp(s * mid) * sinch
+        mats[live] = m
+        now = j == level
+        out[now] = mats[inv[now]]
+    return out
+
+
 def mat_exp(a, t: float, guard: float = DEFAULT_EXP_GUARD) -> np.ndarray:
-    """e^{tA}: exact closed form on a canonical A, Pade scaling-and-squaring
-    otherwise (see ``exponential``).
+    """e^{tA}: exact closed form on a canonical A, the real Schur form with
+    Taylor scaling-and-squaring otherwise (see ``exponential``).
 
     Relative accuracy is ~1e-12 in the operator norm while
     |t| * ||A|| <= guard (default 50); beyond the guard a RangeError is

@@ -20,12 +20,15 @@ g(t) = log |e^{-tA}(y - x)|:
 * general A: a left endpoint t_lo with g > 0 on (-inf, t_lo], certified
   by g(t_lo) and Van Loan's Schur-form bound on ||e^{-uA}||, then a march
   whose steps never pass a zero because g'' >= -K, with K from the norms
-  of A's symmetric and skew parts.  In Schur coordinates A = Q T Q^T, a
-  step of h <= 1/(2||A||) goes exactly to the zero of the quadratic lower
-  bound (a Taylor sum of e^{-hT}); a longer one applies the largest rung
-  <= h of a cached dyadic ladder of e^{-2^k T}.  A certified step that
-  ends at g <= 0 ends at the zero up to rounding; an uncertified step of
-  the bottom rung (<= t_tol) that crosses gives its midpoint.
+  of A's symmetric and skew parts.  In real Schur coordinates A = Q T
+  Q^T (``linalg.real_schur``), a step of h <= 1/(2||A||) goes exactly to
+  the zero of the quadratic lower bound (a Taylor sum of e^{-hT}); a
+  longer one applies the largest rung <= h of a cached dyadic ladder of
+  e^{-2^k T}, Taylor sums squared with their diagonal and first
+  superdiagonal reset to closed forms (``linalg.schur_exp``).  A
+  certified step that ends at g <= 0 ends at the zero up to rounding; an
+  uncertified step of the bottom rung (<= t_tol) that crosses gives its
+  midpoint.
 
 t_tol is 1e-12.  All evaluators are pure and vectorized over batches of
 difference vectors.  On a canonical A every operation acts row by row,
@@ -44,7 +47,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import HypothesisViolationError, RangeError, SolverError
-from .linalg import _canonical_chains, _taylor_terms, check_matrix, check_vector
+from .linalg import (TAYLOR_DEGREE, _canonical_chains, _taylor_terms,
+                     check_matrix, check_vector, real_schur, schur_exp,
+                     taylor_table)
 from .spectral import DEFAULT_CLUSTER_TOL
 
 _T_TOL = 1e-12
@@ -52,9 +57,6 @@ _CERT_MARGIN = 0.05
 # log of the largest norm ||e^{sA}|| a ladder rung may reach
 _SAFE_LOG = 600.0
 _MAX_STEPS = 100_000
-# degree of the Taylor sum of an exact march step (h ||T|| <= 1/2): the
-# remainder is below 2^-17/17! < 3e-20 of |w|
-_TAYLOR_DEGREE = 16
 # steps of the bracket refiner: the cap, and the steps before a bracket
 # must shrink at least half as fast as under bisection
 _REFINE_STEPS = 200
@@ -149,7 +151,8 @@ class _Ladder:
     left endpoints t = -2^(j_lo+j).  ``g(t) > cert`` certifies g > 0 on
     (-inf, t].  ``curvature`` is K with g'' >= -K.  A step of length h <=
     ``window`` = 1 / (2||T||) is applied exactly, as sum_k (h/window)^k
-    ``taylor[k]`` with ``taylor[k]`` = (-window T)^k / k!, k <= 16.
+    ``taylor[k]`` with ``taylor[k]`` = (-window T)^k / k!, k <= 16; the
+    rungs are the same sums, squared (``linalg.schur_exp``).
     """
 
     q: np.ndarray
@@ -186,9 +189,20 @@ def _curvature(a: np.ndarray) -> float:
     return curvature
 
 
-def _build_ladder(a: np.ndarray) -> _Ladder:
-    import scipy.linalg  # the one path with no closed-form exponential
+def _complex_schur(tri: np.ndarray) -> np.ndarray:
+    """The complex Schur form of the real one ``tri``: each 2 x 2 diagonal
+    block triangularised by the unitary [u, u_perp], u its eigenvector."""
+    schur = tri.astype(complex)
+    for i in np.flatnonzero(np.diag(tri, -1)):
+        u = np.linalg.eig(schur[i:i + 2, i:i + 2])[1][:, 0]
+        rot = np.array([[u[0], -u[1].conjugate()], [u[1], u[0].conjugate()]])
+        schur[i:i + 2] = rot.conj().T @ schur[i:i + 2]
+        schur[:, i:i + 2] = schur[:, i:i + 2] @ rot
+        schur[i + 1, i] = 0.0
+    return schur
 
+
+def _build_ladder(a: np.ndarray) -> _Ladder:
     # Van Loan: with the Schur form A = Q(D + N)Q*, lam = min Re(eig) and
     # u >= 0, ||e^{-uA}|| <= e^{-u lam} S(u), S(u) = sum_{k<n} (u||N||)^k/k!.
     # As e^{-(t-u)A}v = e^{uA} e^{-tA}v, g(t - u) >= g(t) + lam u - log S(u).
@@ -198,8 +212,8 @@ def _build_ladder(a: np.ndarray) -> _Ladder:
     # g > 0 on (-inf, t].
     n = a.shape[0]
     curvature = _curvature(a)
-    schur, _ = scipy.linalg.schur(a, output="complex")
-    tri, q = scipy.linalg.schur(a, output="real")
+    tri, q = real_schur(a)
+    schur = _complex_schur(tri)
     re = np.diag(schur).real
     lam = re.min()
     nil = np.linalg.norm(np.triu(schur, 1), 2)
@@ -224,11 +238,8 @@ def _build_ladder(a: np.ndarray) -> _Ladder:
     j_lo = min(0, math.floor(1.0 - math.log2(re.max())))
     up = np.ldexp(1.0, np.arange(j_lo, k_hi + 1))
     window = 0.5 / np.linalg.norm(a, 2)
-    taylor = [np.eye(n)]
-    for k in range(1, _TAYLOR_DEGREE + 1):
-        taylor.append(taylor[-1] @ (-window / k * tri))
-    rungs = np.concatenate([-down, up])
-    mats = scipy.linalg.expm(rungs[:, None, None] * tri)
+    taylor = taylor_table(tri, window)
+    mats = schur_exp(tri, np.concatenate([-down, up]), window, taylor)
     return _Ladder(
         q=q,
         tri=tri,
@@ -239,7 +250,7 @@ def _build_ladder(a: np.ndarray) -> _Ladder:
         cert=_CERT_MARGIN - c,
         curvature=curvature,
         window=window,
-        taylor=np.stack(taylor),
+        taylor=taylor,
     )
 
 
@@ -482,9 +493,9 @@ def _march(space: BoundarySpace, g, lo):
 
 def _exact_step(lad, h, w):
     """Row i of the result is e^{-h[i] T} w[i], for h[i] <= lad.window."""
-    x = (h / lad.window)[:, None] ** np.arange(_TAYLOR_DEGREE + 1)
+    x = (h / lad.window)[:, None] ** np.arange(TAYLOR_DEGREE + 1)
     n = w.shape[1]
-    mats = (x @ lad.taylor.reshape(_TAYLOR_DEGREE + 1, n * n)).reshape(-1, n, n)
+    mats = (x @ lad.taylor.reshape(TAYLOR_DEGREE + 1, n * n)).reshape(-1, n, n)
     return np.einsum("rij,rj->ri", mats, w)
 
 

@@ -117,9 +117,13 @@ class VariationReport:
 
 
 def volume_estimate(spec: PackingSpec) -> float:
-    """Expected cell count e^{-t tr(A)} * Vol(box) (volume scaling of e^{tA})."""
+    """Expected cell count e^{-t tr(A)} * Vol(box) (volume scaling of e^{tA});
+    inf where it leaves the float range, so that the cap still reports."""
     vol = float(np.prod(spec.box[1] - spec.box[0]))
-    return math.exp(-spec.t * float(np.trace(spec.a))) * vol
+    try:
+        return math.exp(-spec.t * float(np.trace(spec.a))) * vol
+    except OverflowError:
+        return math.inf
 
 
 def _ensure_cap(spec: PackingSpec) -> None:

@@ -222,13 +222,13 @@ def test_uncertified_steps_take_the_bottom_rung(monkeypatch):
 def test_general_space_builds_its_ladder_once(monkeypatch):
     rng = np.random.default_rng(5)
     calls = []
-    expm = scipy.linalg.expm
+    schur_exp = metric.schur_exp
 
-    def counted(m):
-        calls.append(m.shape)
-        return expm(m)
+    def counted(tri, *args):
+        calls.append(tri.shape)
+        return schur_exp(tri, *args)
 
-    monkeypatch.setattr(scipy.linalg, "expm", counted)
+    monkeypatch.setattr(metric, "schur_exp", counted)
     space = BoundarySpace(np.array([[1.0, -3.0], [3.0, 1.0]]))
     for _ in range(2):
         x, y = rng.uniform(-5.0, 5.0, (2, 500, 2))
@@ -435,3 +435,35 @@ def test_general_roots_match_50_digit_roots():
                 exact = g.smallest_root()
                 err = float(abs(mp.mpf(t) - exact))
                 assert err <= t_tol + 4e-15 / abs(float(g.slope(exact)))
+
+
+def test_rotated_j2_matches_the_canonical_path():
+    # D_{RAR^T}(x, y) = D_A(R^T x, R^T y): the general path on R.J2(0.3).R^T
+    # against the canonical closed-form g at R^T(y - x).  Its Schur form
+    # has eigenvalues 0.3 +- 7.45e-9: a rung whose superdiagonal is the
+    # divided difference (e^{s lam2} - e^{s lam1}) / (lam2 - lam1) cancels
+    # over that split, is off by 2e-10 and moves roots by as much
+    x, y = np.random.default_rng(0).uniform(-5.0, 5.0, (2, 2000, 2))
+    got = np.log(dist_pairs(BoundarySpace(_rotated_j2(0.3)), x, y))
+    want = np.log(dist_pairs(BoundarySpace(jordan_block(0.3, 2)),
+                             np.zeros_like(x), (y - x) @ ROTATION))
+    assert np.abs(got - want).max() <= 1e-12
+
+
+@pytest.mark.parametrize("a", [_rotated_j2(0.3), _rotated_j2(0.35),
+                               np.array([[1.0, -3.0], [3.0, 1.0]])],
+                         ids=["R.J2(0.3).RT", "R.J2(0.35).RT", "spiral"])
+def test_ladder_rungs_match_50_digit_exponentials(a):
+    mp = pytest.importorskip("mpmath")
+    lad = BoundarySpace(a)._march_ladder()
+    rungs = np.concatenate([
+        -np.ldexp(1.0, np.arange(lad.k_lo, lad.k_lo + len(lad.down))),
+        np.ldexp(1.0, np.arange(lad.j_lo, lad.j_lo + len(lad.up)))])
+    with mp.workdps(50):
+        tri = mp.matrix(lad.tri.tolist())
+        for s, got in zip(rungs, np.concatenate([lad.down, lad.up])):
+            want = mp.expm(mp.mpf(float(s)) * tri)
+            scale = max(abs(x) for x in want)
+            err = max(abs(mp.mpf(float(g)) - w)
+                      for g, w in zip(got.ravel().tolist(), want))
+            assert float(err / scale) <= 1e-12, s

@@ -1,9 +1,9 @@
-"""scipy is loaded only where no closed-form exponential exists: the
-general D_A path (and mat_exp of a non-canonical matrix).  Canonical
-spaces with several eigenvalues, or whose g may rise (and so march on
-the closed-form g), load none, and neither do the map bounds, which
-share the metric's bracket-and-refine.  Each check
-runs in a fresh interpreter, since the test session itself imports scipy.
+"""The package never loads scipy.  Canonical spaces with several
+eigenvalues, or whose g may rise (and so march on the closed-form g),
+the map bounds, which share the metric's bracket-and-refine, and the
+general D_A path and mat_exp of a non-canonical matrix, which take the
+numpy real Schur form, all run on numpy alone.  Each check runs in a
+fresh interpreter, since the test session itself imports scipy.
 """
 
 import os
@@ -74,13 +74,14 @@ def test_canonical_workflows_never_load_scipy(tmp_path):
         rot = np.array([[c, -s], [s, c]])
         rotated = rot @ j2 @ rot.T
         assert h.dist(h.BoundarySpace(rotated), [0.0, 0.0], [1.0, 2.0]) > 0
-        assert "scipy.linalg" in sys.modules
-        print("general")
+        check("general")
+        assert math.isfinite(h.mat_exp(rotated, -1.5).sum())
+        check("mat_exp")
     """, tmp_path)
     assert out.splitlines() == [
         "import", "count_cells", "dist",
         "dist on several eigenvalues and a rising g", "distortion_profile",
-        "bounds", "general"]
+        "bounds", "general", "mat_exp"]
 
 
 def test_exact_taylor_terms_load_neither_fractions_nor_decimal(tmp_path):

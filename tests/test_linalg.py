@@ -20,6 +20,7 @@ from heintze.linalg import (
     nilpotent_shift,
     numerical_rank,
     operator_norm,
+    real_schur,
     save_matrix,
 )
 
@@ -232,6 +233,38 @@ def test_exponential_is_python_float_arithmetic_bit_for_bit(name):
                 k = j - i
                 want[i, j] = math.exp(t * a[i, i]) * (t**k / math.factorial(k))
         assert m.tobytes() == want.tobytes(), (name, t)
+
+
+_GENERAL = {
+    "J3": jordan_block(1.0, 3),
+    "J4(0.5)": jordan_block(0.5, 4),
+    "J5(0.25)+J5(0.5)+J2(2)": scipy.linalg.block_diag(
+        jordan_block(0.25, 5), jordan_block(0.5, 5), jordan_block(2.0, 2)),
+    "spiral+J2(0.3)": scipy.linalg.block_diag([[1.0, -3.0], [3.0, 1.0]],
+                                              jordan_block(0.3, 2)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_GENERAL) + ["random"])
+def test_real_schur_is_a_backward_stable_quasi_triangular_form(name):
+    if name == "random":
+        a = np.random.default_rng(1).normal(size=(6, 6))
+    else:  # rotated: no block structure survives, and clusters split
+        r = np.linalg.qr(np.random.default_rng(3).normal(
+            size=(len(_GENERAL[name]),) * 2))[0]
+        a = r @ _GENERAL[name] @ r.T
+    tri, q = real_schur(a)
+    n = a.shape[0]
+    assert np.linalg.norm(q.T @ q - np.eye(n), 2) <= 1e-14
+    assert np.linalg.norm(q @ tri @ q.T - a, 2) <= 1e-14 * np.linalg.norm(a, 2)
+    # exact zeros below 1 x 1 and 2 x 2 diagonal blocks: never two
+    # subdiagonal entries in a row
+    sub = np.diag(tri, -1) != 0
+    assert not np.tril(tri, -2).any() and not (sub[:-1] & sub[1:]).any()
+    # e^{tA} = Q e^{tT} Q^T against Pade
+    ref = scipy.linalg.expm(0.7 * a)
+    got = exponential(a, 0.7)
+    assert np.abs(got - ref).max() <= 1e-14 * np.abs(ref).max()
 
 
 @pytest.mark.parametrize("a", [jordan_block(1.0, 3),

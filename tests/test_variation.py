@@ -92,6 +92,14 @@ def test_cap_error_names_estimate():
         variation_sum(spec, TestFunction.coordinate(2, 1), 1.0)
 
 
+def test_cap_reports_an_estimate_past_the_float_range():
+    # e^{-t tr A} = e^{1600} overflows: the cap, not math.exp, reports it
+    spec = PackingSpec(jordan_block(1.0, 2), -800.0, UNIT_BOX)
+    assert volume_estimate(spec) == math.inf
+    with pytest.raises(CapExceededError, match="estimated cell count inf"):
+        count_cells(spec)
+
+
 def test_oscillation_examples():
     u1 = TestFunction.coordinate(3, 0)
     assert oscillation(np.eye(3), 0.0, u1) == pytest.approx(1.0)
