@@ -11,12 +11,12 @@ import math
 
 import numpy as np
 
-from .errors import MatrixFormatError, RangeError
+from .errors import ConditioningError, MatrixFormatError, RangeError
 
 DEFAULT_EXP_GUARD = 50.0
 DEFAULT_RANK_TOL = 1e-9
 # degree of the Taylor sums of e^{sT} with |s| ||T|| <= 1/2
-TAYLOR_DEGREE = 16
+_TAYLOR_DEGREE = 16
 
 
 def check_matrix(a) -> np.ndarray:
@@ -149,63 +149,99 @@ def exponential(a, t, chains=None) -> np.ndarray:
     flat, xs = ts.reshape(-1), ts.reshape(-1).tolist()
     terms = _taylor_terms(flat, max(size for _, size, _ in chains))
     out = np.zeros((flat.size,) + a.shape)
-    groups = {}
     for lam, size, off in chains:
-        groups.setdefault(size, []).append((lam, off))
-    for size, group in groups.items():
         try:  # math.exp, like t**k, keeps the bits off numpy's SIMD loops
-            scale = np.array([[math.exp(x * lam) for x in xs]
-                              for lam, _ in group])
+            scale = np.array([math.exp(x * lam) for x in xs])
         except OverflowError:
             raise RangeError("e^(t lam) leaves the float range") from None
-        # every chain of this size in one call: (t, chain, row, column)
-        blocks = _upper_toeplitz(scale.T[:, :, None] * terms[:, None, :size])
-        for i, (_, off) in enumerate(group):
-            out[:, off:off + size, off:off + size] = blocks[:, i]
+        out[:, off:off + size, off:off + size] = _upper_toeplitz(
+            scale[:, None] * terms[:, :size])
     return out.reshape(ts.shape + a.shape)
 
 
 def real_schur(a):
     """(T, Q) with A = Q T Q^T, Q orthogonal and T quasi-upper-triangular:
     a 1 x 1 diagonal block per real eigenvalue, a 2 x 2 one per complex
-    pair (as eig reports them), and exact zeros below them.
+    pair, and exact zeros below them.
 
     Deflation: an eigenvector x of the trailing block (for a complex pair,
     the real plane [Re x, Im x]) is completed to an orthonormal basis H,
     the trailing rows and columns of T and Q are transformed by H, and the
-    part of T below x's block is set to 0.  The eigenvectors of the other
-    eigenvalues are carried through each H; only where the next one's
-    trailing part has norm below 1/2 (a defective cluster, whose
-    eigenvectors are nearly parallel) is eig recomputed.
+    part E of T below x's block is set to 0.  A pair whose residual as a
+    real vector, |Im lam| |Im x|, is at the rounding level (a double
+    eigenvalue split by rounding) deflates as Re x alone, a 1 x 1 block.
+    The eigenvectors of the other eigenvalues are carried through each H.
+    eig is recomputed where the next one's trailing part has norm below
+    1/2 (a defective cluster, whose eigenvectors are nearly parallel), and
+    where a carried x would leave ||E|| past 16 eps ||A||_F; past that
+    bound with a fresh x, a ConditioningError is raised.
     """
     tri = np.array(a, dtype=float)
     n = tri.shape[0]
     q = np.eye(n)
+    tol = 16.0 * np.finfo(float).eps * np.linalg.norm(tri)
     i, vecs = 0, None
     while i < n - 1:
-        if vecs is None or np.linalg.norm(vecs[:, 0]) < 0.5:
+        fresh = vecs is None or np.linalg.norm(vecs[:, 0]) < 0.5
+        if fresh:
             vals, vecs = np.linalg.eig(tri[i:, i:])
-        x = vecs[:, 0]
-        k = 1 if vals[0].imag == 0 else 2  # a pair: vals[1] = conj vals[0]
+        x = vecs[:, 0]  # for a pair, vals[1] = conj vals[0]
+        pair = vals[0].imag != 0
+        k = 1 + (pair and abs(vals[0].imag) * np.linalg.norm(x.imag) > tol / 4)
         h = np.linalg.qr(np.stack([x.real, x.imag][:k], axis=1),
                          mode="complete")[0]
-        tri[i:] = h.T @ tri[i:]
-        tri[:, i:] = tri[:, i:] @ h
+        block = h.T @ tri[i:, i:] @ h  # tri[i:, :i] is 0 already
+        below = np.linalg.norm(block[k:, :k])
+        if below > tol and not fresh:  # a carried x drifted: ask eig again
+            vecs = None
+            continue
+        if below > tol:
+            raise ConditioningError(
+                f"real Schur form: {below:.3g} left below a deflated block,"
+                f" past {tol:.3g}")
+        block[k:, :k] = 0.0
+        tri[i:, i:] = block
+        tri[:i, i:] = tri[:i, i:] @ h
         q[:, i:] = q[:, i:] @ h
-        tri[i + k:, i:i + k] = 0.0
         vals, vecs = vals[k:], (h.T @ vecs[:, k:])[k:]
+        if pair and k == 1:  # the conjugate of x is no eigenvector now
+            vecs = None
         i += k
     return tri, q
 
 
+def complex_schur(tri) -> np.ndarray:
+    """The complex Schur form of the real one ``tri``: each 2 x 2 diagonal
+    block [[a, b], [c, d]] triangularised by the unitary [u, u_perp], u its
+    eigenvector (b, lam - a) / |.| for lam = (a + d)/2 + sqrt(((a - d)/2)^2
+    + bc)."""
+    schur = tri.astype(complex)
+    for i in np.flatnonzero(np.diag(tri, -1)):
+        (a, b), (c, d) = tri[i:i + 2, i:i + 2].tolist()
+        lam = 0.5 * (a + d) + np.sqrt(complex(0.25 * (a - d) ** 2 + b * c))
+        u = np.array([b, lam - a]) / math.hypot(b, abs(lam - a))
+        rot = np.array([[u[0], -u[1].conjugate()], [u[1], u[0].conjugate()]])
+        schur[i:i + 2] = rot.conj().T @ schur[i:i + 2]
+        schur[:, i:i + 2] = schur[:, i:i + 2] @ rot
+        schur[i + 1, i] = 0.0
+    return schur
+
+
 def taylor_table(tri, window: float) -> np.ndarray:
-    """(-window T)^k / k! for k <= TAYLOR_DEGREE: sum_k x^k table[k] is
+    """(-window T)^k / k! for k <= 16: ``taylor_sum(table, x)`` is
     e^{-x window T}.  With window ||T|| <= 1/2 and |x| <= 1 the remainder
     is below 2^-17/17! < 3e-20 of the sum."""
     table = [np.eye(tri.shape[0])]
-    for k in range(1, TAYLOR_DEGREE + 1):
+    for k in range(1, _TAYLOR_DEGREE + 1):
         table.append(table[-1] @ (-window / k * tri))
     return np.stack(table)
+
+
+def taylor_sum(table, x) -> np.ndarray:
+    """sum_k x[i]^k table[k] for each x[i] of the 1-D ``x``."""
+    size, n = table.shape[:2]
+    powers = x[:, None] ** np.arange(size)
+    return (powers @ table.reshape(size, n * n)).reshape(-1, n, n)
 
 
 def schur_exp(tri, ts, window: float, table) -> np.ndarray:
@@ -217,22 +253,23 @@ def schur_exp(tri, ts, window: float, table) -> np.ndarray:
     squared j times; powers of two of one sign above the window share one
     chain of squares.  After each square the diagonal entries of the 1 x 1
     blocks, and the superdiagonal entries between two of them, are reset
-    to their closed forms e^{s lam} and s t12 e^{s(lam1 + lam2)/2}
+    to their closed forms e^{s lam} and s t12 e^{s lam1/2} e^{s lam2/2}
     sinch(s(lam2 - lam1)/2) (Al-Mohy & Higham 2009, Code Fragment 2.1): the
     squarings leave no error there, where close eigenvalues would put it.
+    For s a power of two each exponent is exact; e^{s(lam1 + lam2)/2}
+    would carry the rounding of lam1 + lam2, |s lam| eps relative.
     """
     n = tri.shape[0]
     j = np.maximum(0, np.frexp(ts / window)[1])
     base, inv = np.unique(np.ldexp(ts, -j), return_inverse=True)
     top = np.zeros(base.size, int)
     np.maximum.at(top, inv, j)
-    x = (-base / window)[:, None] ** np.arange(TAYLOR_DEGREE + 1)
-    mats = (x @ table.reshape(TAYLOR_DEGREE + 1, n * n)).reshape(-1, n, n)
+    mats = taylor_sum(table, -base / window)
     sub = np.diag(tri, -1) != 0
     one = ~(np.append(sub, False) | np.insert(sub, 0, False))
     d, e = np.flatnonzero(one), np.flatnonzero(one[:-1] & one[1:])
     lam = np.diag(tri)
-    mid, half = 0.5 * (lam[e] + lam[e + 1]), 0.5 * (lam[e + 1] - lam[e])
+    half = 0.5 * (lam[e + 1] - lam[e])
     out = np.empty((ts.size, n, n))
     for level in range(int(j.max(initial=0)) + 1):
         live = np.flatnonzero(top >= level)
@@ -242,7 +279,8 @@ def schur_exp(tri, ts, window: float, table) -> np.ndarray:
         m[:, d, d] = np.exp(s * lam[d])
         y = s * half
         sinch = np.divide(np.sinh(y), y, out=np.ones_like(y), where=y != 0)
-        m[:, e, e + 1] = s * tri[e, e + 1] * np.exp(s * mid) * sinch
+        m[:, e, e + 1] = (s * tri[e, e + 1] * np.exp(0.5 * s * lam[e])
+                          * np.exp(0.5 * s * lam[e + 1]) * sinch)
         mats[live] = m
         now = j == level
         out[now] = mats[inv[now]]

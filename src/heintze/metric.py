@@ -47,9 +47,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import HypothesisViolationError, RangeError, SolverError
-from .linalg import (TAYLOR_DEGREE, _canonical_chains, _taylor_terms,
-                     check_matrix, check_vector, real_schur, schur_exp,
-                     taylor_table)
+from .linalg import (_canonical_chains, _taylor_terms, check_matrix,
+                     check_vector, complex_schur, real_schur, schur_exp,
+                     taylor_sum, taylor_table)
 from .spectral import DEFAULT_CLUSTER_TOL
 
 _T_TOL = 1e-12
@@ -189,19 +189,6 @@ def _curvature(a: np.ndarray) -> float:
     return curvature
 
 
-def _complex_schur(tri: np.ndarray) -> np.ndarray:
-    """The complex Schur form of the real one ``tri``: each 2 x 2 diagonal
-    block triangularised by the unitary [u, u_perp], u its eigenvector."""
-    schur = tri.astype(complex)
-    for i in np.flatnonzero(np.diag(tri, -1)):
-        u = np.linalg.eig(schur[i:i + 2, i:i + 2])[1][:, 0]
-        rot = np.array([[u[0], -u[1].conjugate()], [u[1], u[0].conjugate()]])
-        schur[i:i + 2] = rot.conj().T @ schur[i:i + 2]
-        schur[:, i:i + 2] = schur[:, i:i + 2] @ rot
-        schur[i + 1, i] = 0.0
-    return schur
-
-
 def _build_ladder(a: np.ndarray) -> _Ladder:
     # Van Loan: with the Schur form A = Q(D + N)Q*, lam = min Re(eig) and
     # u >= 0, ||e^{-uA}|| <= e^{-u lam} S(u), S(u) = sum_{k<n} (u||N||)^k/k!.
@@ -213,7 +200,7 @@ def _build_ladder(a: np.ndarray) -> _Ladder:
     n = a.shape[0]
     curvature = _curvature(a)
     tri, q = real_schur(a)
-    schur = _complex_schur(tri)
+    schur = complex_schur(tri)
     re = np.diag(schur).real
     lam = re.min()
     nil = np.linalg.norm(np.triu(schur, 1), 2)
@@ -493,9 +480,7 @@ def _march(space: BoundarySpace, g, lo):
 
 def _exact_step(lad, h, w):
     """Row i of the result is e^{-h[i] T} w[i], for h[i] <= lad.window."""
-    x = (h / lad.window)[:, None] ** np.arange(TAYLOR_DEGREE + 1)
-    n = w.shape[1]
-    mats = (x @ lad.taylor.reshape(TAYLOR_DEGREE + 1, n * n)).reshape(-1, n, n)
+    mats = taylor_sum(lad.taylor, h / lad.window)
     return np.einsum("rij,rj->ri", mats, w)
 
 

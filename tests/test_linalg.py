@@ -8,7 +8,7 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from heintze.errors import MatrixFormatError, RangeError
+from heintze.errors import ConditioningError, MatrixFormatError, RangeError
 from heintze.linalg import (
     check_matrix,
     exponential,
@@ -243,6 +243,32 @@ _GENERAL = {
     "spiral+J2(0.3)": scipy.linalg.block_diag([[1.0, -3.0], [3.0, 1.0]],
                                               jordan_block(0.3, 2)),
 }
+# double eigenvalues beside simple ones at n = 3: eig may report the
+# split pair as complex, and its plane may be deflated first
+_SWEPT = {
+    "2+J2(0.3)": scipy.linalg.block_diag([[2.0]], jordan_block(0.3, 2)),
+    "2+J2(1)": scipy.linalg.block_diag([[2.0]], jordan_block(1.0, 2)),
+    "2+J2(2.5)": scipy.linalg.block_diag([[2.0]], jordan_block(2.5, 2)),
+    "J2(0.3)+J1(1)": scipy.linalg.block_diag(jordan_block(0.3, 2), [[1.0]]),
+    # n = 26, two eigenvalues of eleven chains: eig splits each into
+    # real values and pairs, some of whose carried eigenvectors drift
+    "derogatory": scipy.linalg.block_diag(*[jordan_block(lam, size) for
+        lam, size in [(2.0, 4), (0.3, 3), (0.3, 3), (0.3, 1), (2.0, 3),
+                      (2.0, 1), (0.3, 3), (0.3, 3), (0.3, 1), (0.3, 2),
+                      (2.0, 2)]]),
+}
+
+
+def _assert_real_schur(a):
+    tri, q = real_schur(a)
+    n = a.shape[0]
+    assert np.linalg.norm(q.T @ q - np.eye(n), 2) <= 1e-14
+    assert np.linalg.norm(q @ tri @ q.T - a, 2) <= 1e-14 * np.linalg.norm(a, 2)
+    # exact zeros below 1 x 1 and 2 x 2 diagonal blocks: never two
+    # subdiagonal entries in a row
+    sub = np.diag(tri, -1) != 0
+    assert not np.tril(tri, -2).any() and not (sub[:-1] & sub[1:]).any()
+    return tri
 
 
 @pytest.mark.parametrize("name", sorted(_GENERAL) + ["random"])
@@ -253,18 +279,45 @@ def test_real_schur_is_a_backward_stable_quasi_triangular_form(name):
         r = np.linalg.qr(np.random.default_rng(3).normal(
             size=(len(_GENERAL[name]),) * 2))[0]
         a = r @ _GENERAL[name] @ r.T
-    tri, q = real_schur(a)
-    n = a.shape[0]
-    assert np.linalg.norm(q.T @ q - np.eye(n), 2) <= 1e-14
-    assert np.linalg.norm(q @ tri @ q.T - a, 2) <= 1e-14 * np.linalg.norm(a, 2)
-    # exact zeros below 1 x 1 and 2 x 2 diagonal blocks: never two
-    # subdiagonal entries in a row
-    sub = np.diag(tri, -1) != 0
-    assert not np.tril(tri, -2).any() and not (sub[:-1] & sub[1:]).any()
+    _assert_real_schur(a)
     # e^{tA} = Q e^{tT} Q^T against Pade
     ref = scipy.linalg.expm(0.7 * a)
     got = exponential(a, 0.7)
     assert np.abs(got - ref).max() <= 1e-14 * np.abs(ref).max()
+
+
+@pytest.mark.parametrize("name", sorted(_SWEPT))
+def test_real_schur_is_backward_stable_on_rotated_multiple_eigenvalues(name):
+    n = len(_SWEPT[name])
+    for seed in range(30):
+        r = np.linalg.qr(np.random.default_rng(seed).normal(size=(n, n)))[0]
+        _assert_real_schur(r @ _SWEPT[name] @ r.T)
+
+
+def test_real_schur_splits_a_rotated_double_eigenvalue_into_1x1_blocks():
+    # eig reports some of these as a pair lam +- 1e-8 i; its plane would
+    # be a 2 x 2 block with no closed-form reset in schur_exp, so the pair
+    # deflates as the real vector Re x instead
+    for lam in (0.3, 0.35, 0.45, 1.0, 2.5):
+        for angle in np.linspace(0.1, 3.0, 7):
+            c, s = math.cos(angle), math.sin(angle)
+            r = np.array([[c, -s], [s, c]])
+            tri = _assert_real_schur(r @ jordan_block(lam, 2) @ r.T)
+            assert tri[1, 0] == 0.0, (lam, angle)
+
+
+def test_real_schur_refuses_a_deflation_past_rounding(monkeypatch):
+    # eigenvectors tilted by 1e-9 leave ~1e-9 ||A|| below a deflated block
+    eig = np.linalg.eig
+
+    def tilted(m):
+        vals, vecs = eig(m)
+        return vals, vecs + 1e-9 * np.random.default_rng(7).normal(
+            size=vecs.shape)
+
+    monkeypatch.setattr(np.linalg, "eig", tilted)
+    with pytest.raises(ConditioningError, match="real Schur form"):
+        real_schur(np.random.default_rng(0).normal(size=(6, 6)))
 
 
 @pytest.mark.parametrize("a", [jordan_block(1.0, 3),
