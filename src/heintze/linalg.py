@@ -210,23 +210,6 @@ def real_schur(a):
     return tri, q
 
 
-def complex_schur(tri) -> np.ndarray:
-    """The complex Schur form of the real one ``tri``: each 2 x 2 diagonal
-    block [[a, b], [c, d]] triangularised by the unitary [u, u_perp], u its
-    eigenvector (b, lam - a) / |.| for lam = (a + d)/2 + sqrt(((a - d)/2)^2
-    + bc)."""
-    schur = tri.astype(complex)
-    for i in np.flatnonzero(np.diag(tri, -1)):
-        (a, b), (c, d) = tri[i:i + 2, i:i + 2].tolist()
-        lam = 0.5 * (a + d) + np.sqrt(complex(0.25 * (a - d) ** 2 + b * c))
-        u = np.array([b, lam - a]) / math.hypot(b, abs(lam - a))
-        rot = np.array([[u[0], -u[1].conjugate()], [u[1], u[0].conjugate()]])
-        schur[i:i + 2] = rot.conj().T @ schur[i:i + 2]
-        schur[:, i:i + 2] = schur[:, i:i + 2] @ rot
-        schur[i + 1, i] = 0.0
-    return schur
-
-
 def taylor_table(tri, window: float) -> np.ndarray:
     """(-window T)^k / k! for k <= 16: ``taylor_sum(table, x)`` is
     e^{-x window T}.  With window ||T|| <= 1/2 and |x| <= 1 the remainder
@@ -254,10 +237,13 @@ def schur_exp(tri, ts, window: float, table) -> np.ndarray:
     chain of squares.  After each square the diagonal entries of the 1 x 1
     blocks, and the superdiagonal entries between two of them, are reset
     to their closed forms e^{s lam} and s t12 e^{s lam1/2} e^{s lam2/2}
-    sinch(s(lam2 - lam1)/2) (Al-Mohy & Higham 2009, Code Fragment 2.1): the
-    squarings leave no error there, where close eigenvalues would put it.
-    For s a power of two each exponent is exact; e^{s(lam1 + lam2)/2}
-    would carry the rounding of lam1 + lam2, |s lam| eps relative.
+    sinch(s(lam2 - lam1)/2) (Al-Mohy & Higham 2009, Code Fragment 2.1),
+    and each 2 x 2 block B of a complex pair mu +- i nu to e^{s mu}(cos(s
+    nu) I + sin(s nu)/nu (B - mu I)), as (B - mu I)^2 = -nu^2 I: the
+    squarings leave no error there, where close eigenvalues or a rotation
+    would put it.  For s a power of two each exponent is exact; e^{s(lam1
+    + lam2)/2} would carry the rounding of lam1 + lam2, |s lam| eps
+    relative.
     """
     n = tri.shape[0]
     j = np.maximum(0, np.frexp(ts / window)[1])
@@ -270,6 +256,16 @@ def schur_exp(tri, ts, window: float, table) -> np.ndarray:
     d, e = np.flatnonzero(one), np.flatnonzero(one[:-1] & one[1:])
     lam = np.diag(tri)
     half = 0.5 * (lam[e + 1] - lam[e])
+    # the 2 x 2 blocks [[a, b], [c, d]] at rows i, i + 1 whose computed
+    # nu^2 = -(p^2 + bc) is positive: B - mu I is [[p, b], [c, -p]] with
+    # p = (a - d)/2
+    i = np.flatnonzero(sub)
+    p = 0.5 * (lam[i] - lam[i + 1])
+    nu2 = -(p * p + tri[i, i + 1] * tri[i + 1, i])
+    i, p, nu = i[nu2 > 0], p[nu2 > 0], np.sqrt(nu2[nu2 > 0])
+    rows, cols = i[:, None, None] + [[0], [1]], i[:, None, None] + [0, 1]
+    shift = tri[rows, cols]
+    shift[:, 0, 0], shift[:, 1, 1] = p, -p
     out = np.empty((ts.size, n, n))
     for level in range(int(j.max(initial=0)) + 1):
         live = np.flatnonzero(top >= level)
@@ -281,6 +277,12 @@ def schur_exp(tri, ts, window: float, table) -> np.ndarray:
         sinch = np.divide(np.sinh(y), y, out=np.ones_like(y), where=y != 0)
         m[:, e, e + 1] = (s * tri[e, e + 1] * np.exp(0.5 * s * lam[e])
                           * np.exp(0.5 * s * lam[e + 1]) * sinch)
+        if i.size:
+            y = (s * nu)[..., None, None]
+            m[:, rows, cols] = (np.exp(0.5 * s * lam[i]) * np.exp(
+                0.5 * s * lam[i + 1]))[..., None, None] * (
+                    np.cos(y) * np.eye(2) + np.sin(y) / nu[:, None, None]
+                    * shift)
         mats[live] = m
         now = j == level
         out[now] = mats[inv[now]]

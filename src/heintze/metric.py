@@ -11,24 +11,24 @@ g(t) = log |e^{-tA}(y - x)|:
   hull of its chains' discs, lam about radius cos(pi/(s+1)), so g' <=
   -min over chains of (lam - cos(pi/(s+1))).  Where that is negative, g
   has exactly one zero, and log|v|/lam_max, log|v|/lam_min start its
-  bracket; elsewhere a march on the same g, from a closed-form left
-  endpoint and with the step rule of the general march below, finds the
-  bracket [t, t + s] of the first crossing.  Chandrupatla's method
-  (inverse quadratic interpolation, bisection where it is unsafe) then
-  shrinks each bracket g(lo) > 0 >= g(hi) to hi - lo <= min(t_tol,
-  4e-16 max(1, |lo|)) and returns its midpoint;
+  bracket; elsewhere the march below, on the same g and from a
+  closed-form left endpoint, finds the bracket [t, t + s] of the first
+  crossing.  Chandrupatla's method (inverse quadratic interpolation,
+  bisection where it is unsafe) then shrinks each bracket g(lo) > 0 >=
+  g(hi) to hi - lo <= min(t_tol, 4e-16 max(1, |lo|)) and returns its
+  midpoint;
 * general A: a left endpoint t_lo with g > 0 on (-inf, t_lo], certified
-  by g(t_lo) and Van Loan's Schur-form bound on ||e^{-uA}||, then a march
-  whose steps never pass a zero because g'' >= -K, with K from the norms
-  of A's symmetric and skew parts.  In real Schur coordinates A = Q T
-  Q^T (``linalg.real_schur``), a step of h <= 1/(2||A||) goes exactly to
-  the zero of the quadratic lower bound (a Taylor sum of e^{-hT}); a
-  longer one applies the largest rung <= h of a cached dyadic ladder of
-  e^{-2^k T}, Taylor sums squared with their diagonal and first
-  superdiagonal reset to closed forms (``linalg.schur_exp``).  A
-  certified step that ends at g <= 0 ends at the zero up to rounding; an
-  uncertified step of the bottom rung (<= t_tol) that crosses gives its
-  midpoint.
+  by g(t_lo) and Van Loan's bound on ||e^{-uA}|| (its nilpotent part
+  bounded by Henrici's departure from normality), then the march below
+  in real Schur coordinates A = Q T Q^T (``linalg.real_schur``): a step
+  of at most 1/(2||A||) is a Taylor sum of e^{-hT}, a longer one the
+  largest rung <= it of a cached ladder of e^{-2^k T}
+  (``linalg.schur_exp``).  A certified crossing step ends at the zero up
+  to rounding; a floored one gives its midpoint.
+
+Both march by one loop (``_march``): each step goes to the zero of the
+lower bound g + g'h - Kh^2/2 (g'' >= -K, K from the norms of A's
+symmetric and skew parts), so it passes no zero, floored at t_tol.
 
 t_tol is 1e-12.  All evaluators are pure and vectorized over batches of
 difference vectors.  On a canonical A every operation acts row by row,
@@ -48,8 +48,8 @@ import numpy as np
 
 from .errors import HypothesisViolationError, RangeError, SolverError
 from .linalg import (_canonical_chains, _taylor_terms, check_matrix,
-                     check_vector, complex_schur, real_schur, schur_exp,
-                     taylor_sum, taylor_table)
+                     check_vector, real_schur, schur_exp, taylor_sum,
+                     taylor_table)
 from .spectral import DEFAULT_CLUSTER_TOL
 
 _T_TOL = 1e-12
@@ -145,14 +145,15 @@ class _Ladder:
     The march works in real Schur coordinates A = Q T Q^T (``q``, ``tri``),
     where |e^{-tA}v| = |e^{-tT} Q^T v|: there a rung scales each invariant
     subspace by its own eigenvalues, so the rounding error of a stiff
-    component does not land in a slow one.  ``down[k]`` is
-    e^{-2^(k_lo+k) T}, the marching steps; the bottom rung is the largest
-    power of two <= t_tol.  ``up[j]`` is e^{2^(j_lo+j) T}, the candidate
-    left endpoints t = -2^(j_lo+j).  ``g(t) > cert`` certifies g > 0 on
-    (-inf, t].  ``curvature`` is K with g'' >= -K.  A step of length h <=
+    component does not land in a slow one.  A step of length h <=
     ``window`` = 1 / (2||T||) is applied exactly, as sum_k (h/window)^k
-    ``taylor[k]`` with ``taylor[k]`` = (-window T)^k / k!, k <= 16; the
-    rungs are the same sums, squared (``linalg.schur_exp``).
+    ``taylor[k]`` with ``taylor[k]`` = (-window T)^k / k!, k <= 16; a
+    longer one applies the largest rung <= h, so ``down[k]`` is
+    e^{-2^(k_lo+k) T} from 2^k_lo, the largest power of two <= window.
+    ``up[j]`` is e^{2^(j_lo+j) T}, the candidate left endpoints t =
+    -2^(j_lo+j).  The rungs are the same Taylor sums, squared
+    (``linalg.schur_exp``).  ``g(t) > cert`` certifies g > 0 on (-inf,
+    t].  ``curvature`` is K with g'' >= -K.
     """
 
     q: np.ndarray
@@ -190,55 +191,49 @@ def _curvature(a: np.ndarray) -> float:
 
 
 def _build_ladder(a: np.ndarray) -> _Ladder:
-    # Van Loan: with the Schur form A = Q(D + N)Q*, lam = min Re(eig) and
-    # u >= 0, ||e^{-uA}|| <= e^{-u lam} S(u), S(u) = sum_{k<n} (u||N||)^k/k!.
-    # As e^{-(t-u)A}v = e^{uA} e^{-tA}v, g(t - u) >= g(t) + lam u - log S(u).
+    # Van Loan: with the Schur form T = U(D + N)U*, lam = min Re(eig) and
+    # u >= 0, ||e^{-uT}|| <= e^{-u lam} S(u), S(u) = sum_{k<n} (u||N||)^k/k!.
+    # As e^{-(t-u)T}w = e^{uT} e^{-tT}w, g(t - u) >= g(t) + lam u - log S(u).
     # Bounding S(u) by n times its largest term and minimising each
     # lam u - k log(u||N||) + log k! over u (at u = k/lam) gives
     # lam u - log S(u) >= c for every u, so g(t) > margin - c certifies
-    # g > 0 on (-inf, t].
+    # g > 0 on (-inf, t].  ||N|| <= ||N||_F, Henrici's departure from
+    # normality ||T||_F^2 - sum |eig|^2; the sums err by at most about
+    # n^2 eps ||T||_F^2, and twice that keeps ``nil`` a bound
     n = a.shape[0]
     curvature = _curvature(a)
     tri, q = real_schur(a)
-    schur = complex_schur(tri)
-    re = np.diag(schur).real
-    lam = re.min()
-    nil = np.linalg.norm(np.triu(schur, 1), 2)
+    eigs, frob = np.linalg.eigvals(tri), float(np.sum(tri * tri))
+    nil = math.sqrt(max(0.0, frob - float(np.sum(np.abs(eigs) ** 2)))
+                    + 2.0 * n * n * _EPS * frob)
     c = -math.log(n) + min([0.0] + [
-        k - k * math.log(k * nil / lam) + math.lgamma(k + 1)
+        k - k * math.log(k * nil / eigs.real.min()) + math.lgamma(k + 1)
         for k in range(1, n) if nil > 0
     ])
 
-    k_lo = math.frexp(_T_TOL)[1] - 1
+    window = 0.5 / np.linalg.norm(a, 2)
+    # the march takes a step of at most the window exactly and a longer
+    # one by the largest rung <= it: no rung below 2^k_lo <= window
+    k_lo = math.frexp(window)[1] - 1
     ks = np.arange(k_lo, 64)
     s = np.ldexp(1.0, ks)
     # log S(s), a log-sum-exp over k of k log(s||N||) - log k!
     log_s = 0.0 if nil == 0 else np.logaddexp.reduce(np.arange(n) * np.log(
         s * nil)[:, None] - [math.lgamma(k + 1) for k in range(n)], axis=1)
     # the largest rung keeps ||e^{sA}|| <= e^{s max Re(eig)} S(s) finite
-    k_hi = int(ks[s * re.max() + log_s <= _SAFE_LOG].max())
+    k_hi = int(ks[s * eigs.real.max() + log_s <= _SAFE_LOG].max())
     down = np.ldexp(1.0, np.arange(k_lo, k_hi + 1))
     # the first left endpoint keeps 2^j_lo max Re(eig) <= 2: further
     # left, a stiff component grows so large that its rounding error
     # swamps the slow ones (on R.diag(1, 350).R^T, T's off-diagonal of
     # 3e-14 put 1e136 into the slow coordinate at t = -1)
-    j_lo = min(0, math.floor(1.0 - math.log2(re.max())))
+    j_lo = min(0, math.floor(1.0 - math.log2(eigs.real.max())))
     up = np.ldexp(1.0, np.arange(j_lo, k_hi + 1))
-    window = 0.5 / np.linalg.norm(a, 2)
     taylor = taylor_table(tri, window)
     mats = schur_exp(tri, np.concatenate([-down, up]), window, taylor)
-    return _Ladder(
-        q=q,
-        tri=tri,
-        k_lo=k_lo,
-        j_lo=j_lo,
-        down=mats[: down.size],
-        up=mats[down.size :],
-        cert=_CERT_MARGIN - c,
-        curvature=curvature,
-        window=window,
-        taylor=taylor,
-    )
+    return _Ladder(q=q, tri=tri, k_lo=k_lo, j_lo=j_lo, down=mats[:down.size],
+                   up=mats[down.size:], cert=_CERT_MARGIN - c,
+                   curvature=curvature, window=window, taylor=taylor)
 
 
 # ---------------------------------------------------------------------------
@@ -426,7 +421,12 @@ def _roots_canonical(space: BoundarySpace, v: np.ndarray) -> np.ndarray:
             near = np.where(last >= 1, -(1.0 + prev) / entry, -math.inf)
             start = np.maximum(start, np.maximum(np.log(entry) / lam, near))
     lo = _expand(g, start, -1.0, "canonical")[0]
-    lo, hi, g_lo, g_hi = _march(space, g, lo)
+    with np.errstate(over="ignore", invalid="ignore"):
+        g_lo, slope = g(lo, np.arange(lo.size), slope=True)
+    lo, hi, g_lo, g_hi, _ = _march(
+        space, "canonical",
+        lambda t, step, rows, _: (step, *g(t + step, rows, slope=True), None),
+        lo, g_lo, slope, _curvature(space.a))
     lo, hi = _refine(g, lo, hi, g_lo, g_hi, _T_TOL, "canonical")
     return 0.5 * (lo + hi)
 
@@ -442,46 +442,55 @@ def _solve_decreasing(g, left, right, path):
 
 def _step_length(g, slope, big_k):
     """Per row, the root h > 0 of g + g'h - Kh^2/2 <= g(t + h) (g'' >= -K):
-    g(t) > 0 leaves g > 0 on [t, t + h).  inf where K = 0 and g' >= 0."""
+    g(t) > 0 leaves g > 0 on [t, t + h).  NaN where K = 0 and g' >= 0."""
     root = np.sqrt(slope * slope + 2.0 * big_k * g)
     h = 2.0 * g / (root - slope)
-    rise = slope > 0
+    rise = slope >= 0
     if rise.any():  # the same root without cancellation; none if K = 0
         h[rise] = ((slope[rise] + root[rise]) / big_k if big_k > 0
-                   else math.inf)
+                   else math.nan)
     return h
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def _march(space: BoundarySpace, g, lo):
-    """lo, hi, g(lo) > 0, g(hi) <= 0 bracketing each row's first zero of
-    ``g``, marching right from ``lo`` (g > 0 on (-inf, lo]) by
-    ``_step_length`` floored at t_tol (or an ulp of t, where coarser)."""
-    out, idx, t = np.empty((4, lo.size)), np.arange(lo.size), lo
-    gt, slope = g(t, idx, slope=True)
-    big_k = _curvature(space.a)
+def _march(space: BoundarySpace, path, advance, t, gt, slope, big_k,
+           state=None):
+    """lo, hi with g(lo) > 0 >= g(hi), g(lo), g(hi) bracketing each row's
+    first zero of g, marching right from ``t`` (g > 0 on (-inf, t]; g, g'
+    there are ``gt``, ``slope``; g'' >= -``big_k``), and whether each
+    crossing step was certified.
+
+    ``advance(t, step, rows, state)`` moves the rows indexed by ``rows`` by
+    at most ``step`` and returns the step s taken, g and g' at t + s and
+    the new per-row ``state`` (or None).  The step asked for is fmax(h,
+    floor), with h the ``_step_length`` and the floor t_tol (or an ulp of
+    t, where coarser), so a NaN h takes the floor.  h is NaN where it
+    certifies nothing: where K = 0 and g' >= 0, which only rounding gives,
+    as K = 0 makes g' < 0 (an h = inf there would step to t = inf).  Where
+    h >= s, g > 0 on [t, t + s) in exact arithmetic: a crossing there is
+    certified, and the zero lies at t + s up to rounding.
+    """
+    out, idx = np.empty((5, t.size)), np.arange(t.size)
     for _ in range(_MAX_STEPS):
         if not math.isfinite(gt.sum() + slope.sum()):
-            raise _march_failure("canonical", space, "non-finite g or slope",
+            raise _march_failure(path, space, "non-finite g or slope",
                                  ~np.isfinite(gt + slope), t, gt)
         h = _step_length(gt, slope, big_k)
-        t_next = t + np.fmax(h, np.maximum(_T_TOL, _EPS * np.abs(t)))
-        g_next, slope = g(t_next, idx, slope=True)
+        step, g_next, slope, state = advance(
+            t, np.fmax(h, np.maximum(_T_TOL, _EPS * np.abs(t))), idx, state)
+        t_next = t + step
         cross = g_next <= 0
-        out[:, idx[cross]] = np.stack([t, t_next, gt, g_next])[:, cross]
+        # h - step >= 0 exactly where h >= step; a NaN h fails both
+        out[:, idx[cross]] = np.stack([t, t_next, gt, g_next,
+                                       h - step])[:, cross]
         keep = ~cross
         idx, t, gt, slope = idx[keep], t_next[keep], g_next[keep], slope[keep]
+        if state is not None:
+            state = state[keep]
         if idx.size == 0:
-            return tuple(out)
-    raise _march_failure("canonical", space,
-                         "no sign change within the step cap",
+            return (*out[:4], out[4] >= 0)
+    raise _march_failure(path, space, "no sign change within the step cap",
                          np.ones(idx.size, bool), t, gt)
-
-
-def _exact_step(lad, h, w):
-    """Row i of the result is e^{-h[i] T} w[i], for h[i] <= lad.window."""
-    mats = taylor_sum(lad.taylor, h / lad.window)
-    return np.einsum("rij,rj->ri", mats, w)
 
 
 def _log_norm(w):
@@ -505,6 +514,16 @@ def _march_failure(path, space, what, bad, t, g):
         f"{path} path: {what} for {int(bad.sum())} vector(s); last t = "
         f"{t[i]:.17g}, g = {g[i]:.6g}; matrix = {space.a.tolist()}"
     )
+
+
+def _schur_g(lad, w):
+    """g = log|w| and g' = -<Tw, w>/|w|^2 per row of Schur coordinates w;
+    where |w|^2 may overflow, g' comes from unit rows."""
+    g = _log_norm(w)
+    if g.max() > _SAFE_LOG / 2:
+        w = w * np.exp(-g)[:, None]
+    return g, (-np.einsum("ij,ij->i", w, w @ lad.tri.T)
+               / np.einsum("ij,ij->i", w, w))
 
 
 @np.errstate(over="ignore", divide="ignore")
@@ -532,49 +551,24 @@ def _roots_general(space: BoundarySpace, v: np.ndarray) -> np.ndarray:
         raise _march_failure("general", space, "no certified left endpoint",
                              bad, t, g)
 
-    # march: g(t + h) >= g + g' h - K h^2 / 2 > 0 for h below its root, so
-    # a step s no longer than that root skips no zero: in exact arithmetic
-    # g > 0 on [t, t + s).  Within the exact window s is that root itself;
-    # longer steps take the largest rung <= h.  A computed g(t + s) <= 0
-    # after such a step is rounding, and the zero lies at t + s.  Where h
-    # is below the bottom rung (t_tol or finer), the step is that rung and
-    # may cross anywhere in [t, t + s]: the root is its midpoint.
-    roots = np.empty(m)
-    idx = np.arange(m)
-    top = lad.down.shape[0] - 1
-    bottom = math.ldexp(1.0, lad.k_lo)
-    for _ in range(_MAX_STEPS):
-        u = w
-        if g.max() > _SAFE_LOG / 2:  # w.w may overflow: use unit rows
-            u = w * np.exp(-g)[:, None]
-        slope = (-np.einsum("ij,ij->i", u, u @ lad.tri.T)
-                 / np.einsum("ij,ij->i", u, u))
-        if not math.isfinite(slope.sum()):
-            raise _march_failure("general", space, "non-finite slope",
-                                 ~np.isfinite(slope), t, g)
-        h = _step_length(g, slope, lad.curvature)
-        k = np.clip(np.frexp(h)[1] - 1 - lad.k_lo, 0, top)
-        if not 0.0 < h.min() <= h.max() < math.inf:  # NaN fails too
-            k[~((h > 0) & (h < math.inf))] = 0  # no certified step: bottom rung
-        exact = (h >= bottom) & (h <= lad.window)
-        step = np.where(exact, h, np.ldexp(1.0, lad.k_lo + k))
+    def advance(t, step, rows, w):
+        # a step within the window by its Taylor sum, a longer one by the
+        # largest rung <= it (2^k_lo <= window, so there is one)
+        exact = step <= lad.window
+        k = np.minimum(np.frexp(step)[1] - 1 - lad.k_lo, len(lad.down) - 1)
+        step = np.where(exact, step, np.ldexp(1.0, lad.k_lo + k))
         w_next = np.empty_like(w)
-        w_next[exact] = _exact_step(lad, h[exact], w[exact])
+        w_next[exact] = np.einsum("rij,rj->ri", taylor_sum(
+            lad.taylor, step[exact] / lad.window), w[exact])
         w_next[~exact] = np.einsum("rij,rj->ri", lad.down[k[~exact]],
                                    w[~exact])
-        g_next = _log_norm(w_next)
-        t_next = t + step
-        cross = g_next <= 0
-        # NaN h fails the certificate too
-        roots[idx[cross]] = np.where(h >= step, t_next,
-                                     t_next - 0.5 * bottom)[cross]
-        keep = ~cross
-        idx, t, w, g = idx[keep], t_next[keep], w_next[keep], g_next[keep]
-        if idx.size == 0:
-            return roots
-    raise _march_failure("general", space,
-                         "no sign change within the step cap",
-                         np.ones(idx.size, bool), t, g)
+        return (step, *_schur_g(lad, w_next), w_next)
+
+    lo, hi, _, _, certified = _march(space, "general", advance, t,
+                                     *_schur_g(lad, w), lad.curvature, w)
+    # a certified crossing ends at the zero up to rounding; a floored step
+    # may cross anywhere in it
+    return np.where(certified, hi, 0.5 * (lo + hi))
 
 
 def _dist_from_diffs(space: BoundarySpace, diffs: np.ndarray) -> np.ndarray:

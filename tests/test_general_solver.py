@@ -210,7 +210,8 @@ def test_overflowing_curvature_never_gives_the_later_crossing(b):
 @pytest.mark.filterwarnings("ignore:invalid value")
 def test_uncertified_steps_take_the_bottom_rung(monkeypatch):
     # with K = inf every step length h is 0 or NaN: the march may only
-    # creep by the bottom rung, so it cannot reach the root within the cap
+    # creep by the floor step t_tol, so it cannot reach the root within
+    # the cap
     monkeypatch.setattr(metric, "_MAX_STEPS", 1000)
     space = BoundarySpace(np.array([[1.0, -3.0], [3.0, 1.0]]))
     space._ladder = dataclasses.replace(space._march_ladder(),
@@ -451,6 +452,20 @@ def test_rotated_j2_matches_the_canonical_path():
 
 
 @pytest.mark.parametrize("a", [_rotated_j2(0.3), _rotated_j2(0.35),
+                               _rotated_j2(0.45),
+                               np.array([[1.0, -3.0], [3.0, 1.0]]),
+                               ROTATION3 @ DIAG2_J2 @ ROTATION3.T],
+                         ids=["R.J2(0.3).RT", "R.J2(0.35).RT",
+                              "R.J2(0.45).RT", "spiral",
+                              "R.(diag(2)+J2(1)).RT"])
+def test_ladder_holds_only_rungs_the_march_can_apply(a):
+    # a step of at most the window is a Taylor sum, and a longer one takes
+    # the largest rung <= it: no rung below 2^k_lo <= window is applied
+    lad = BoundarySpace(a)._march_ladder()
+    assert 2.0 ** lad.k_lo <= lad.window < 2.0 ** (lad.k_lo + 1)
+
+
+@pytest.mark.parametrize("a", [_rotated_j2(0.3), _rotated_j2(0.35),
                                np.array([[1.0, -3.0], [3.0, 1.0]])],
                          ids=["R.J2(0.3).RT", "R.J2(0.35).RT", "spiral"])
 def test_ladder_rungs_match_50_digit_exponentials(a):
@@ -466,4 +481,6 @@ def test_ladder_rungs_match_50_digit_exponentials(a):
             scale = max(abs(x) for x in want)
             err = max(abs(mp.mpf(float(g)) - w)
                       for g, w in zip(got.ravel().tolist(), want))
-            assert float(err / scale) <= 1e-12, s
+            # the spiral's 2 x 2 block is reset to its closed form after
+            # each squaring, the others' 1 x 1 entries
+            assert float(err / scale) <= 1e-15, s

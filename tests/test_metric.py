@@ -37,6 +37,8 @@ def spaces():
         "J3": BoundarySpace(jordan_block(1.0, 3)),
         "diag12": BoundarySpace(np.diag([1.0, 2.0])),
         "rot": BoundarySpace(ROTATION_PLUS),
+        # g may rise (0.35 < cos(pi/4)): every row marches
+        "J3(0.35)": BoundarySpace(jordan_block(0.35, 3)),
     }
 
 
@@ -98,7 +100,7 @@ def test_symmetry_exact(spaces, rng):
 
 
 def test_translation_invariance(spaces, rng):
-    for key in ("J2", "J3", "diag12", "rot"):
+    for key in ("J2", "J3", "diag12", "rot", "J3(0.35)", "2I3"):
         sp = spaces[key]
         for _ in range(20):
             x, y, z = rng.uniform(-5, 5, (3, sp.n))
@@ -108,7 +110,7 @@ def test_translation_invariance(spaces, rng):
 
 
 def test_dilation_similarity(spaces, rng):
-    for key in ("J2", "J3", "diag12", "rot"):
+    for key in ("J2", "J3", "diag12", "rot", "J3(0.35)", "2I3"):
         sp = spaces[key]
         for _ in range(15):
             x, y = rng.uniform(-5, 5, (2, sp.n))
