@@ -279,15 +279,18 @@ def _build_parser() -> _Parser:
     parser = _Parser(prog="heintze", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
+    tol_help = ("eigenvalues closer than tol*max(1, ||A||) share a cluster;"
+                " real parts must exceed tol (default %(default)s)")
     p = sub.add_parser("rpjf", help="print the real-part Jordan form")
     p.add_argument("matrix", help="matrix JSON file")
-    p.add_argument("--tol", type=float, default=1e-6)
+    p.add_argument("--tol", type=float, default=1e-6, help=tol_help)
     p.set_defaults(func=_cmd_rpjf)
 
     p = sub.add_parser("classify", help="decide boundary equivalence")
     p.add_argument("matrix_a")
     p.add_argument("matrix_b")
-    p.add_argument("--tol", type=float, default=1e-6)
+    p.add_argument("--tol", type=float, default=1e-6, help=tol_help
+                   + "; matched eigenvalues must agree to tol, relatively")
     p.set_defaults(func=_cmd_classify)
 
     p = sub.add_parser("dist", help="evaluate the boundary quasimetric")

@@ -46,11 +46,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import HypothesisViolationError, RangeError, SolverError
-from .linalg import (_canonical_chains, _taylor_terms, check_matrix,
-                     check_vector, real_schur, schur_exp, taylor_sum,
-                     taylor_table)
-from .spectral import DEFAULT_CLUSTER_TOL
+from .errors import RangeError, SolverError
+from .linalg import (_canonical_chains, _taylor_terms, check_hypothesis,
+                     check_matrix, check_vector, real_schur, schur_exp,
+                     taylor_sum, taylor_table)
 
 _T_TOL = 1e-12
 _CERT_MARGIN = 0.05
@@ -79,13 +78,9 @@ class BoundarySpace:
         self.a = check_matrix(a)
         self.n = self.a.shape[0]
         self.chains = _canonical_chains(self.a)
-        eigs = (np.array([lam for lam, _, _ in self.chains])
-                if self.chains is not None else np.linalg.eigvals(self.a))
-        low = eigs[eigs.real <= DEFAULT_CLUSTER_TOL]
-        if low.size:
-            raise HypothesisViolationError(
-                f"eigenvalue {low[0]:.6g} has real part <= 1e-06; the "
-                "positive-real-part hypothesis fails")
+        check_hypothesis(
+            np.array([lam for lam, _, _ in self.chains])
+            if self.chains is not None else np.linalg.eigvals(self.a))
         # g' = -<Aw, w>/|w|^2 with w = e^{-tA}v.  The numerical range of a
         # direct sum is the hull of its blocks' ranges, and that of lam*I +
         # N_s is the disc of radius cos(pi/(s+1)) about lam (Haagerup & de

@@ -2,9 +2,9 @@
 
 Jordan structure is discontinuous in the matrix entries, so everything
 here is computed at a declared resolution: eigenvalues are merged into
-clusters at a relative tolerance and block sizes are read off a
-numerical rank sequence.  The reported form is the structure visible at
-that resolution, not a symbolic decomposition.
+clusters no finer than a relative tolerance, and block sizes are read
+off a numerical rank sequence on each cluster's own Schur block.  The
+reported form is the structure visible at that resolution.
 """
 
 from __future__ import annotations
@@ -14,8 +14,9 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import ConditioningError, HypothesisViolationError
-from .linalg import DEFAULT_RANK_TOL, check_matrix, jordan_block
+from .errors import ConditioningError
+from .linalg import (DEFAULT_RANK_TOL, check_hypothesis, check_matrix,
+                     real_schur)
 
 DEFAULT_CLUSTER_TOL = 1e-6
 
@@ -75,108 +76,108 @@ class ClassificationResult:
         }
 
 
-def _merge_transitive(values, tol):
-    """Union-find merge of eigenvalues closer than tol*(1 + mean scale)."""
-    m = len(values)
-    parent = list(range(m))
-
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    for i in range(m):
-        for j in range(i + 1, m):
-            radius = tol * (1.0 + 0.5 * (abs(values[i]) + abs(values[j])))
-            if abs(values[i] - values[j]) <= radius:
-                parent[find(i)] = find(j)
-    groups = {}
-    for i in range(m):
-        groups.setdefault(find(i), []).append(values[i])
-    return list(groups.values())
+def _components(vals, r):
+    """Index arrays of the connected components of ``vals`` at distance r."""
+    reach = np.abs(vals[:, None] - vals) <= r
+    for _ in range(len(vals).bit_length()):  # paths of up to 2^j links
+        reach = reach @ reach
+    first = reach.argmax(axis=1)
+    return [np.flatnonzero(first == f) for f in np.unique(first)]
 
 
-def eigen_clusters(a, cluster_tol: float = DEFAULT_CLUSTER_TOL):
-    """Backward-stable eigenvalues of A merged into clusters.
-
-    Non-real clusters come in conjugate pairs of equal multiplicity
-    (guaranteed by the real eigensolver plus a symmetry check).
+def _block_sizes(a, mu, r, m, rank_tol):
+    """Block sizes of the m eigenvalues within r of mu from the ranks of
+    (T11 - mu I)^k, T11 the leading block of ``real_schur(a, lead=(mu, r))``
+    (with the conjugates of a non-real mu; A itself if that is all of A),
+    or None where they do not account for all m.  The threshold is
+    anchored to ||A - mu I||^k, not to T11 - mu I, only rounding on a
+    semisimple cluster, and is at least 16 eps ||A||_F at k = 1.
     """
-    a = check_matrix(a)
-    if cluster_tol <= 0:
-        raise ValueError("cluster_tol must be positive")
-    try:
-        raw = np.linalg.eigvals(a)
-    except np.linalg.LinAlgError as exc:
-        raise ConditioningError(
-            f"eigensolver failed to converge on {a.tolist()}"
-        ) from exc
-    groups = _merge_transitive(list(raw), cluster_tol)
-    clusters = []
-    for members in groups:
-        mean = complex(np.mean(members))
-        if abs(mean.imag) <= cluster_tol * (1.0 + abs(mean)):
-            mean = complex(mean.real, 0.0)
-        clusters.append(EigenCluster(mean, len(members), tuple(members)))
-    clusters.sort(key=lambda c: (c.value.real, c.value.imag))
-    for c in clusters:
-        if c.value.imag != 0.0:
-            conj = [
-                d
-                for d in clusters
-                if abs(d.value - c.value.conjugate())
-                <= cluster_tol * (1.0 + abs(c.value))
-            ]
-            if not conj or conj[0].multiplicity != c.multiplicity:
-                raise ConditioningError(
-                    "complex clusters are not conjugate-symmetric; "
-                    "increase cluster_tol"
-                )
-    return clusters
-
-
-def _block_sizes(a, cluster: EigenCluster, rank_tol: float):
-    """Block sizes of one cluster from the rank sequence of (A - lam I)^k.
-
-    The rank threshold for the k-th power is anchored to
-    ||A - lam I||^k: a fully nilpotent power is rounding noise whose own
-    largest singular value would make a same-matrix-relative threshold
-    meaningless.
-    """
-    n = a.shape[0]
-    lam = cluster.value
-    base = a.astype(complex) - lam * np.eye(n)
-    scale = float(np.linalg.norm(base, 2))
-    counts = []  # counts[k-1] = number of blocks of size >= k
-    power = np.eye(n, dtype=complex)
-    prev_nullity = 0
-    for k in range(1, cluster.multiplicity + 1):
+    size = m if mu.imag == 0 else 2 * m
+    tri = a if size == len(a) else real_schur(a, lead=(mu, r))[0]
+    if tri[size:, :size].any():
+        return None
+    mu = mu if mu.imag else mu.real
+    base = tri[:size, :size] - mu * np.eye(size)
+    scale = max(float(np.linalg.norm(a - mu * np.eye(len(a)), 2)),
+                16.0 * np.finfo(float).eps * np.linalg.norm(a) / rank_tol)
+    power, null, counts = np.eye(size), 0, [m]  # counts[k]: sizes >= k
+    for k in range(1, m + 1):
         power = power @ base
         sigma = np.linalg.svd(power, compute_uv=False)
         rank = int(np.count_nonzero(sigma > rank_tol * scale**k))
-        nullity = n - rank
-        c = nullity - prev_nullity
-        if c < 0 or (counts and c > counts[-1]):
-            raise ConditioningError(
-                "non-monotone rank sequence while resolving Jordan structure; "
-                "try a larger tolerance"
-            )
-        if c == 0:
-            break
-        counts.append(c)
-        prev_nullity = nullity
-    if sum(counts) != cluster.multiplicity:
+        counts.append(size - rank - null)
+        null = size - rank
+        if not 0 < counts[k] <= counts[k - 1] or null > m:
+            return None
+        if null == m:  # the sizes are the conjugate partition of counts
+            return [sum(c > i for c in counts[1:]) for i in range(counts[1])]
+
+
+def _resolve(a, tol, rank_tol, hypothesis=False):
+    """[(mu, members, sizes)] for each real eigenvalue cluster of A and
+    each one above the real axis (its conjugate mirrors it).
+
+    Rounding splits a size-m block's eigenvalue by about (eps ||A||)^(1/m)
+    (Lidskii; Moro, Burke & Overton 1997), so a group of m is merged as a
+    connected component at r_m = max(tol, 10 (eps ||A||)^(1/m)) max(1,
+    ||A||), and kept where the ranks on its own Schur block account for
+    all m (Kagstrom & Ruhe 1980); otherwise it is split again at r_(m-1).
+    With ``hypothesis``, every real part must exceed ``tol`` first.
+    """
+    if tol <= 0:
+        raise ValueError("tol must be positive")
+    try:
+        vals = np.linalg.eigvals(a)
+    except np.linalg.LinAlgError as exc:
         raise ConditioningError(
-            f"rank sequence accounts for {sum(counts)} of "
-            f"{cluster.multiplicity} eigenvalues near {lam}; "
-            "try a larger tolerance"
-        )
-    counts.append(0)
-    sizes = []
-    for k in range(1, len(counts)):
-        sizes.extend([k] * (counts[k - 1] - counts[k]))
-    return sizes
+            f"eigensolver failed to converge on {a.tolist()}") from exc
+    if hypothesis:
+        check_hypothesis(vals, tol)
+    norm = float(np.linalg.norm(a, 2))
+
+    def radius(m):
+        eps = np.finfo(float).eps
+        return max(tol, 10.0 * (eps * norm) ** (1.0 / m)) * max(1.0, norm)
+
+    out, todo = [], [(np.arange(len(vals)), len(vals))]
+    while todo:
+        idx, m = todo.pop()
+        for comp in _components(vals[idx], radius(m)):
+            members = vals[idx[comp]]
+            mu = complex(np.mean(members))
+            if np.any(members == np.conj(members[0])):
+                mu = complex(mu.real, 0.0)  # a self-conjugate component
+            elif mu.imag < 0:
+                continue
+            if len(comp) == 1:
+                out.append((mu, tuple(members), [1]))
+            elif len(comp) < m:
+                todo.append((idx[comp], len(comp)))
+            elif sizes := _block_sizes(a, mu, radius(m), len(comp),
+                                       rank_tol):
+                out.append((mu, tuple(members), sizes))
+            elif m > 1:
+                todo.append((idx[comp], m - 1))
+            else:
+                raise ConditioningError(
+                    f"the ranks of (A - ({mu:.6g}) I)^k do not resolve the "
+                    f"{len(comp)} eigenvalues near it; try a larger rank_tol")
+    return out
+
+
+def eigen_clusters(a, cluster_tol: float = DEFAULT_CLUSTER_TOL):
+    """Eigenvalues of A merged into clusters, sorted by (real, imag): the
+    groups whose Jordan structure resolves (see ``real_part_jordan_form``).
+    Non-real clusters come in conjugate pairs of equal multiplicity."""
+    clusters = []
+    for mu, members, _ in _resolve(check_matrix(a), cluster_tol,
+                                   DEFAULT_RANK_TOL):
+        clusters.append(EigenCluster(mu, len(members), members))
+        if mu.imag:
+            clusters.append(EigenCluster(mu.conjugate(), len(members),
+                                         tuple(np.conj(members))))
+    return sorted(clusters, key=lambda c: (c.value.real, c.value.imag))
 
 
 def real_part_jordan_form(
@@ -186,51 +187,32 @@ def real_part_jordan_form(
 ) -> RealPartJordanForm:
     """The classification invariant of A.
 
-    Eigenvalues are clustered at relative tolerance ``tol``; each
-    cluster's block sizes come from the numerical ranks of
-    (A - lam I)^k; conjugate pairs are folded into two copies of each
+    Eigenvalues are merged into clusters no finer than the relative
+    ``tol``; each cluster's block sizes come from the numerical ranks, at
+    ``rank_tol``, of (T11 - mu I)^k on its own real Schur block T11 (see
+    ``_resolve``); conjugate pairs are folded into two copies of each
     block at the shared real part.  All real parts must exceed ``tol``.
     """
     a = check_matrix(a)
-    clusters = eigen_clusters(a, tol)
-    for c in clusters:
-        if c.value.real <= tol:
-            raise HypothesisViolationError(
-                f"eigenvalue {c.value:.6g} has real part <= {tol:.3g}; "
-                "the positive-real-part hypothesis fails"
-            )
-    blocks = []
-    for c in clusters:
-        if c.value.imag < 0.0:
-            continue  # handled together with the conjugate cluster
-        sizes = _block_sizes(a, c, rank_tol)
-        copies = 2 if c.value.imag > 0.0 else 1
-        for size in sizes:
-            for _ in range(copies):
-                blocks.append((float(c.value.real), size))
+    blocks = [(mu.real, size)
+              for mu, _, sizes in _resolve(a, tol, rank_tol, hypothesis=True)
+              for size in sizes for _ in range(2 if mu.imag else 1)]
     blocks.sort(key=lambda b: (b[0], -b[1]))
     return RealPartJordanForm(tuple(blocks), a.shape[0])
 
 
 def canonical_matrix(form: RealPartJordanForm) -> np.ndarray:
     """Block-diagonal matrix realizing the form (lam I + N per block)."""
-    mats = [jordan_block(lam, size) for lam, size in form.blocks]
-    out = np.zeros((form.n, form.n))
-    pos = 0
-    for m in mats:
-        k = m.shape[0]
-        out[pos : pos + k, pos : pos + k] = m
-        pos += k
-    return out
+    lams = [lam for lam, size in form.blocks for _ in range(size)]
+    links = [float(k < size - 1) for _, size in form.blocks
+             for k in range(size)]
+    return np.diag(lams) + np.diag(links[:-1], 1)
 
 
 def _min_relative_gap(forms):
-    gaps = []
-    for form in forms:
-        lams = sorted(set(lam for lam, _ in form.blocks))
-        for x, y in zip(lams, lams[1:]):
-            gaps.append(abs(y - x) / (abs(x) + abs(y)))
-    return min(gaps) if gaps else None
+    lams = [sorted({lam for lam, _ in form.blocks}) for form in forms]
+    return min((abs(y - x) / (abs(x) + abs(y)) for ls in lams
+                for x, y in zip(ls, ls[1:])), default=None)
 
 
 def classify(
@@ -254,12 +236,9 @@ def classify(
     form_a = real_part_jordan_form(a, tol, rank_tol)
     form_b = real_part_jordan_form(b, tol, rank_tol)
     s = form_a.lambda_min / form_b.lambda_min
-    equivalent = len(form_a.blocks) == len(form_b.blocks)
-    if equivalent:
-        for (la, sa), (lb, sb) in zip(form_a.blocks, form_b.blocks):
-            if sa != sb or abs(la - s * lb) > tol * (la + s * lb):
-                equivalent = False
-                break
+    equivalent = len(form_a.blocks) == len(form_b.blocks) and all(
+        sa == sb and abs(la - s * lb) <= tol * (la + s * lb)
+        for (la, sa), (lb, sb) in zip(form_a.blocks, form_b.blocks))
     return ClassificationResult(
         equivalent=equivalent,
         scale=s if equivalent else None,

@@ -6,6 +6,7 @@ from heintze.errors import HypothesisViolationError
 from heintze.linalg import jordan_block
 from heintze.spectral import (
     RealPartJordanForm,
+    _block_sizes,
     canonical_matrix,
     classify,
     eigen_clusters,
@@ -176,3 +177,71 @@ def test_complex_pair_conjugation(rng):
     assert [s for _, s in out.blocks] == [1, 1, 1]
     assert out.blocks[0][0] == pytest.approx(1.0, rel=1e-8)
     assert out.blocks[2][0] == pytest.approx(3.0, rel=1e-8)
+
+
+def _sum(*blocks):
+    return scipy.linalg.block_diag(*[jordan_block(lam, s)
+                                     for lam, s in blocks])
+
+
+# block sizes 1-4, sums of blocks at one and at two eigenvalues, and
+# complex pairs: a 2 x 2 Jordan block of the pair 1 +- i
+GATE = {
+    "J1": _sum((1.0, 1)),
+    "J2": _sum((1.0, 2)),
+    "J3": _sum((1.0, 3)),
+    "J4": _sum((1.0, 4)),
+    "J3+J1(.4)": _sum((0.4, 3), (0.4, 1)),
+    "J2+J2": _sum((1.0, 2), (1.0, 2)),
+    "J3(1)+J1(2)": _sum((1.0, 3), (2.0, 1)),
+    "complex J2": np.kron(np.eye(2), ROTATION_PLUS) + np.eye(4, k=2),
+    "J2+J2+J1(.5)": _sum((0.5, 2), (0.5, 2), (0.5, 1)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GATE))
+def test_classify_survives_conjugation(name):
+    a = GATE[name]
+    rng = np.random.default_rng(2024)
+    for _ in range(100):
+        p = random_conjugator(rng, len(a), cond_max=1e3)
+        res = classify(a, p @ a @ np.linalg.inv(p))
+        assert res.equivalent, (name, res.form_b)
+        assert res.scale == pytest.approx(1.0, rel=1e-6)
+
+
+@pytest.mark.parametrize("blocks", [
+    ((0.25, 5), (0.5, 5), (2.0, 2)),
+    ((0.1, 3), (0.1, 1), (0.2, 5)),
+])
+def test_rpjf_on_canonical_sums(blocks):
+    # ranked over all of A, the J5(0.5) block's sigma_min((0.25 I +
+    # N)^5) = 5.4e-8 counted as null at mu = 0.25
+    assert real_part_jordan_form(_sum(*blocks)).blocks == blocks
+
+
+def test_a_1e5_gap_is_not_equivalent():
+    # the gap is inside J3's splitting radius, where it first merges
+    rng = np.random.default_rng(11)
+    near = _sum((1.0, 3), (1.0 + 1e-5, 1))
+    assert real_part_jordan_form(near).blocks == ((1.0, 3), (1.0 + 1e-5, 1))
+    assert not classify(near, _sum((1.0, 3), (1.0, 1))).equivalent
+    for _ in range(20):
+        p = random_conjugator(rng, 2)
+        b = p @ np.diag([1.0, 1.0 + 1e-5]) @ np.linalg.inv(p)
+        assert len(real_part_jordan_form(b).blocks) == 2
+        assert not classify(b, np.eye(2)).equivalent
+
+
+def test_a_1x1_cluster_resolves():
+    # T11 - mu I is only the rounding residual on a 1 x 1 cluster, and on
+    # every cluster of a rotated scalar matrix: the rank threshold is
+    # anchored to ||A - mu I||, not to the block's own norm
+    r = np.linalg.qr(np.random.default_rng(5).normal(size=(3, 3)))[0]
+    a = r @ np.diag([0.5, 2.0, 3.0]) @ r.T
+    for mu in np.linalg.eigvals(a):
+        assert _block_sizes(a, complex(mu), 1e-6, 1, 1e-9) == [1]
+    assert real_part_jordan_form([[0.7]]).blocks == ((0.7, 1),)
+    out = real_part_jordan_form(r @ (0.7 * np.eye(3)) @ r.T).blocks
+    assert [s for _, s in out] == [1, 1, 1]
+    assert all(lam == pytest.approx(0.7, rel=1e-12) for lam, _ in out)
