@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import ConditioningError
 from .linalg import (DEFAULT_RANK_TOL, check_hypothesis, check_matrix,
-                     real_schur)
+                     jordan_block, real_schur)
 
 DEFAULT_CLUSTER_TOL = 1e-6
 
@@ -76,22 +76,34 @@ class ClassificationResult:
         }
 
 
-def _components(vals, r):
-    """Index arrays of the connected components of ``vals`` at distance r."""
-    reach = np.abs(vals[:, None] - vals) <= r
-    for _ in range(len(vals).bit_length()):  # paths of up to 2^j links
-        reach = reach @ reach
-    first = reach.argmax(axis=1)
-    return [np.flatnonzero(first == f) for f in np.unique(first)]
+def _components(near):
+    """Index arrays of the connected components of the graph ``near``."""
+    free, comps = np.ones(len(near), bool), []
+    for i in range(len(near)):
+        if free[i]:
+            free[i], comp, k = False, [i], 0
+            while k < len(comp):  # breadth-first, O(n) per vertex
+                new = np.flatnonzero(near[comp[k]] & free)
+                free[new] = False
+                comp.extend(new)
+                k += 1
+            comps.append(np.sort(comp))
+    return comps
 
 
 def _block_sizes(a, mu, r, m, rank_tol):
-    """Block sizes of the m eigenvalues within r of mu from the ranks of
-    (T11 - mu I)^k, T11 the leading block of ``real_schur(a, lead=(mu, r))``
-    (with the conjugates of a non-real mu; A itself if that is all of A),
-    or None where they do not account for all m.  The threshold is
-    anchored to ||A - mu I||^k, not to T11 - mu I, only rounding on a
-    semisimple cluster, and is at least 16 eps ||A||_F at k = 1.
+    """Block sizes of the m eigenvalues within r of mu, read off the
+    staircase of M = T11 - mu I, T11 the leading block of
+    ``real_schur(a, lead=(mu, r))`` (with the conjugates of a non-real mu;
+    A itself if that is all of A), or None where it does not account for
+    all m (Kagstrom & Ruhe 1980).
+
+    Each step counts the singular values of M at most tau = rank_tol
+    ||A - mu I|| (at least the Schur form's 16 eps ||A||_F) and compresses
+    M onto the complement of their right singular vectors; the counts are
+    the numbers of blocks of size >= 1, 2, ...  One linear threshold per
+    step is a backward error on T11: thresholds on the powers M^k would
+    pass an eigenvalue as far as tau^(1/k) from mu.
     """
     size = m if mu.imag == 0 else 2 * m
     tri = a if size == len(a) else real_schur(a, lead=(mu, r))[0]
@@ -99,19 +111,18 @@ def _block_sizes(a, mu, r, m, rank_tol):
         return None
     mu = mu if mu.imag else mu.real
     base = tri[:size, :size] - mu * np.eye(size)
-    scale = max(float(np.linalg.norm(a - mu * np.eye(len(a)), 2)),
-                16.0 * np.finfo(float).eps * np.linalg.norm(a) / rank_tol)
-    power, null, counts = np.eye(size), 0, [m]  # counts[k]: sizes >= k
-    for k in range(1, m + 1):
-        power = power @ base
-        sigma = np.linalg.svd(power, compute_uv=False)
-        rank = int(np.count_nonzero(sigma > rank_tol * scale**k))
-        counts.append(size - rank - null)
-        null = size - rank
-        if not 0 < counts[k] <= counts[k - 1] or null > m:
+    tau = max(rank_tol * float(np.linalg.norm(a - mu * np.eye(len(a)), 2)),
+              16.0 * np.finfo(float).eps * np.linalg.norm(a))
+    null, counts = 0, [m]  # counts[k]: blocks of size >= k
+    while null < m:
+        _, sigma, vt = np.linalg.svd(base)
+        keep = int(np.count_nonzero(sigma > tau))
+        counts.append(len(sigma) - keep)
+        null += counts[-1]
+        if not 0 < counts[-1] <= counts[-2] or null > m:
             return None
-        if null == m:  # the sizes are the conjugate partition of counts
-            return [sum(c > i for c in counts[1:]) for i in range(counts[1])]
+        base = vt[:keep] @ base @ vt[:keep].conj().T
+    return [sum(c > i for c in counts[1:]) for i in range(counts[1])]
 
 
 def _resolve(a, tol, rank_tol, hypothesis=False):
@@ -120,13 +131,14 @@ def _resolve(a, tol, rank_tol, hypothesis=False):
 
     Rounding splits a size-m block's eigenvalue by about (eps ||A||)^(1/m)
     (Lidskii; Moro, Burke & Overton 1997), so a group of m is merged as a
-    connected component at r_m = max(tol, 10 (eps ||A||)^(1/m)) max(1,
-    ||A||), and kept where the ranks on its own Schur block account for
-    all m (Kagstrom & Ruhe 1980); otherwise it is split again at r_(m-1).
-    With ``hypothesis``, every real part must exceed ``tol`` first.
+    connected component of the eigenvalues closer than r_m = 10 (eps
+    ||A||)^(1/m) max(1, ||A||) or than tol (1 + |lambda|), and kept where
+    the ranks on its own Schur block account for all m (Kagstrom & Ruhe
+    1980); otherwise it is split again at r_(m-1).  With ``hypothesis``,
+    every real part must exceed ``tol`` first.
     """
     if tol <= 0:
-        raise ValueError("tol must be positive")
+        raise ValueError("cluster_tol must be positive")
     try:
         vals = np.linalg.eigvals(a)
     except np.linalg.LinAlgError as exc:
@@ -135,15 +147,20 @@ def _resolve(a, tol, rank_tol, hypothesis=False):
     if hypothesis:
         check_hypothesis(vals, tol)
     norm = float(np.linalg.norm(a, 2))
+    gaps = np.abs(vals[:, None] - vals)
+    relative = tol * (1.0 + 0.5 * (np.abs(vals[:, None]) + np.abs(vals)))
 
-    def radius(m):
+    def radius(m):  # r_m, Lidskii's splitting radius
         eps = np.finfo(float).eps
-        return max(tol, 10.0 * (eps * norm) ** (1.0 / m)) * max(1.0, norm)
+        return 10.0 * (eps * norm) ** (1.0 / m) * max(1.0, norm)
 
     out, todo = [], [(np.arange(len(vals)), len(vals))]
     while todo:
         idx, m = todo.pop()
-        for comp in _components(vals[idx], radius(m)):
+        tested = len(idx) > m  # idx failed the ranks at a larger radius
+        sub = np.ix_(idx, idx)
+        for comp in _components(gaps[sub] <= np.maximum(relative[sub],
+                                                        radius(m))):
             members = vals[idx[comp]]
             mu = complex(np.mean(members))
             if np.any(members == np.conj(members[0])):
@@ -154,22 +171,30 @@ def _resolve(a, tol, rank_tol, hypothesis=False):
                 out.append((mu, tuple(members), [1]))
             elif len(comp) < m:
                 todo.append((idx[comp], len(comp)))
-            elif sizes := _block_sizes(a, mu, radius(m), len(comp),
-                                       rank_tol):
+            elif (len(comp) < len(idx) or not tested) and (
+                    sizes := _block_sizes(
+                        a, mu, max(radius(m), tol * (1.0 + abs(mu))),
+                        len(comp), rank_tol)):
                 out.append((mu, tuple(members), sizes))
             elif m > 1:
                 todo.append((idx[comp], m - 1))
             else:
                 raise ConditioningError(
-                    f"the ranks of (A - ({mu:.6g}) I)^k do not resolve the "
-                    f"{len(comp)} eigenvalues near it; try a larger rank_tol")
+                    f"the ranks of A - ({mu:.6g}) I on its Schur block do "
+                    f"not resolve the {len(comp)} eigenvalues near it; try "
+                    "a larger rank_tol")
     return out
 
 
 def eigen_clusters(a, cluster_tol: float = DEFAULT_CLUSTER_TOL):
     """Eigenvalues of A merged into clusters, sorted by (real, imag): the
     groups whose Jordan structure resolves (see ``real_part_jordan_form``).
-    Non-real clusters come in conjugate pairs of equal multiplicity."""
+    Non-real clusters come in conjugate pairs of equal multiplicity.
+
+    Each group of two or more eigenvalues costs one partial real Schur
+    form and its ranks; a ConditioningError is raised where they do not
+    resolve the group.
+    """
     clusters = []
     for mu, members, _ in _resolve(check_matrix(a), cluster_tol,
                                    DEFAULT_RANK_TOL):
@@ -188,8 +213,8 @@ def real_part_jordan_form(
     """The classification invariant of A.
 
     Eigenvalues are merged into clusters no finer than the relative
-    ``tol``; each cluster's block sizes come from the numerical ranks, at
-    ``rank_tol``, of (T11 - mu I)^k on its own real Schur block T11 (see
+    ``tol``; each cluster's block sizes come from the staircase ranks, at
+    ``rank_tol``, of T11 - mu I on its own real Schur block T11 (see
     ``_resolve``); conjugate pairs are folded into two copies of each
     block at the shared real part.  All real parts must exceed ``tol``.
     """
@@ -203,16 +228,23 @@ def real_part_jordan_form(
 
 def canonical_matrix(form: RealPartJordanForm) -> np.ndarray:
     """Block-diagonal matrix realizing the form (lam I + N per block)."""
-    lams = [lam for lam, size in form.blocks for _ in range(size)]
-    links = [float(k < size - 1) for _, size in form.blocks
-             for k in range(size)]
-    return np.diag(lams) + np.diag(links[:-1], 1)
+    mats = [jordan_block(lam, size) for lam, size in form.blocks]
+    out = np.zeros((form.n, form.n))
+    pos = 0
+    for m in mats:
+        k = m.shape[0]
+        out[pos : pos + k, pos : pos + k] = m
+        pos += k
+    return out
 
 
 def _min_relative_gap(forms):
-    lams = [sorted({lam for lam, _ in form.blocks}) for form in forms]
-    return min((abs(y - x) / (abs(x) + abs(y)) for ls in lams
-                for x, y in zip(ls, ls[1:])), default=None)
+    gaps = []
+    for form in forms:
+        lams = sorted(set(lam for lam, _ in form.blocks))
+        for x, y in zip(lams, lams[1:]):
+            gaps.append(abs(y - x) / (abs(x) + abs(y)))
+    return min(gaps) if gaps else None
 
 
 def classify(
@@ -236,9 +268,12 @@ def classify(
     form_a = real_part_jordan_form(a, tol, rank_tol)
     form_b = real_part_jordan_form(b, tol, rank_tol)
     s = form_a.lambda_min / form_b.lambda_min
-    equivalent = len(form_a.blocks) == len(form_b.blocks) and all(
-        sa == sb and abs(la - s * lb) <= tol * (la + s * lb)
-        for (la, sa), (lb, sb) in zip(form_a.blocks, form_b.blocks))
+    equivalent = len(form_a.blocks) == len(form_b.blocks)
+    if equivalent:
+        for (la, sa), (lb, sb) in zip(form_a.blocks, form_b.blocks):
+            if sa != sb or abs(la - s * lb) > tol * (la + s * lb):
+                equivalent = False
+                break
     return ClassificationResult(
         equivalent=equivalent,
         scale=s if equivalent else None,

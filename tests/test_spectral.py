@@ -213,11 +213,20 @@ def test_classify_survives_conjugation(name):
 @pytest.mark.parametrize("blocks", [
     ((0.25, 5), (0.5, 5), (2.0, 2)),
     ((0.1, 3), (0.1, 1), (0.2, 5)),
+    # 1.0005 merges with the J2 inside J3's splitting radius at ||A|| =
+    # 100, and a threshold on powers of T11 - mu I passed it as a J3
+    ((1.0, 2), (1.0005, 1), (100.0, 1)),
 ])
 def test_rpjf_on_canonical_sums(blocks):
     # ranked over all of A, the J5(0.5) block's sigma_min((0.25 I +
     # N)^5) = 5.4e-8 counted as null at mu = 0.25
-    assert real_part_jordan_form(_sum(*blocks)).blocks == blocks
+    a = _sum(*blocks)
+    assert real_part_jordan_form(a).blocks == blocks
+    p = random_conjugator(np.random.default_rng(3), len(a))
+    out = real_part_jordan_form(p @ a @ np.linalg.inv(p)).blocks
+    assert [s for _, s in out] == [s for _, s in blocks]
+    assert [lam for lam, _ in out] == pytest.approx(
+        [lam for lam, _ in blocks], rel=1e-6)
 
 
 def test_a_1e5_gap_is_not_equivalent():
@@ -226,6 +235,15 @@ def test_a_1e5_gap_is_not_equivalent():
     near = _sum((1.0, 3), (1.0 + 1e-5, 1))
     assert real_part_jordan_form(near).blocks == ((1.0, 3), (1.0 + 1e-5, 1))
     assert not classify(near, _sum((1.0, 3), (1.0, 1))).equivalent
+    # the same gap next to a large eigenvalue, which widens the splitting
+    # radii but not the eigenvalue-relative tol
+    stiff = np.diag([1.0, 1.0 + 1e-5, 100.0])
+    assert len(real_part_jordan_form(stiff).blocks) == 3
+    assert not classify(stiff, np.diag([1.0, 1.0, 100.0])).equivalent
+    blocks = ((1.0, 2), (1.0 + 1e-5, 1), (100.0, 1))
+    assert real_part_jordan_form(_sum(*blocks)).blocks == blocks
+    assert not classify(_sum((1.0, 2), (1.0 + 1e-5, 1)),
+                        jordan_block(1.0, 3)).equivalent
     for _ in range(20):
         p = random_conjugator(rng, 2)
         b = p @ np.diag([1.0, 1.0 + 1e-5]) @ np.linalg.inv(p)
