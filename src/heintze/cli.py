@@ -279,8 +279,9 @@ def _build_parser() -> _Parser:
     parser = _Parser(prog="heintze", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    tol_help = ("eigenvalues closer than tol*max(1, ||A||) share a cluster;"
-                " real parts must exceed tol (default %(default)s)")
+    tol_help = ("eigenvalues closer than tol*(1 + |lambda|), or than their"
+                " group's splitting radius, share a cluster; real parts must"
+                " exceed tol (default %(default)s)")
     p = sub.add_parser("rpjf", help="print the real-part Jordan form")
     p.add_argument("matrix", help="matrix JSON file")
     p.add_argument("--tol", type=float, default=1e-6, help=tol_help)

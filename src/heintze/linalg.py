@@ -170,7 +170,7 @@ def exponential(a, t, chains=None) -> np.ndarray:
     return out.reshape(ts.shape + a.shape)
 
 
-def real_schur(a, lead=None):
+def real_schur(a):
     """(T, Q) with A = Q T Q^T, Q orthogonal and T quasi-upper-triangular:
     a 1 x 1 diagonal block per real eigenvalue, a 2 x 2 one per complex
     pair, and exact zeros below them.
@@ -186,27 +186,16 @@ def real_schur(a, lead=None):
     1/2 (a defective cluster, whose eigenvectors are nearly parallel), and
     where a carried x would leave ||E|| past 16 eps ||A||_F; past that
     bound with a fresh x, a ConditioningError is raised.
-
-    With ``lead = (mu, r)``, Im mu >= 0, the eigenvalues within r of mu or
-    of its conjugate deflate first, each time the first of them in eig's
-    order, and the deflation stops once they fill the leading block: the
-    rest of T is not reduced.
     """
     tri = np.array(a, dtype=float)
     n = tri.shape[0]
     q = np.eye(n)
     tol = 16.0 * np.finfo(float).eps * np.linalg.norm(tri)
-    i, vecs, far = 0, None, np.zeros(n, bool)  # far: outside the lead
+    i, vecs = 0, None
     while i < n - 1:
         fresh = vecs is None or np.linalg.norm(vecs[:, 0]) < 0.5
         if fresh:
             vals, vecs = np.linalg.eig(tri[i:, i:])
-            if lead is not None:  # the lead first, in eig's order
-                far = abs(vals.real + 1j * abs(vals.imag) - lead[0]) > lead[1]
-                order = np.argsort(far, kind="stable")
-                vals, vecs, far = vals[order], vecs[:, order], far[order]
-        if far[0]:
-            break
         x = vecs[:, 0]  # for a pair, vals[1] = conj vals[0]
         pair = vals[0].imag != 0
         k = 1 + (pair and abs(vals[0].imag) * np.linalg.norm(x.imag) > tol / 4)
@@ -225,7 +214,7 @@ def real_schur(a, lead=None):
         tri[i:, i:] = block
         tri[:i, i:] = tri[:i, i:] @ h
         q[:, i:] = q[:, i:] @ h
-        vals, vecs, far = vals[k:], (h.T @ vecs[:, k:])[k:], far[k:]
+        vals, vecs = vals[k:], (h.T @ vecs[:, k:])[k:]
         if pair and k == 1:  # the conjugate of x is no eigenvector now
             vecs = None
         i += k

@@ -556,8 +556,7 @@ class DistortionReport:
 
 def distortion_profile(spec, space: BoundarySpace, x, radii,
                        samples_per_radius: int = 200,
-                       seed: int = 0,
-                       special_family: bool = False) -> DistortionReport:
+                       seed: int = 0) -> DistortionReport:
     """Annulus estimates of the pointwise distortion of F at x.
 
     Per radius r: sup of dist(Fx, Fx') over x' with dist(x, x') in
@@ -566,11 +565,6 @@ def distortion_profile(spec, space: BoundarySpace, x, radii,
     by e^s), so annulus misses only arise from degenerate directions.
     One shared direction is placed at distance exactly r in both annuli,
     which keeps sup >= inf structurally.
-
-    With ``special_family=True`` the annulus sampling is replaced by the
-    conformality probe along the explicit point family at heights
-    t = log r (the family realizes dist(x, x_t) = e^t exactly); this is
-    the variant whose small-r limit the conformality test pins down.
     """
     x = check_vector(x, space.n)
     radii = [float(r) for r in radii]
@@ -578,15 +572,6 @@ def distortion_profile(spec, space: BoundarySpace, x, radii,
         b >= a for a, b in zip(radii, radii[1:])
     ):
         raise ValueError("radii must be positive and strictly decreasing")
-    if special_family:
-        rows = []
-        for r in radii:
-            ratio = float(conformal_probe(spec, space.n, [math.log(r)],
-                                          base=x)[0])
-            rows.append(
-                DistortionRadius(r, ratio * r, ratio * r, ratio, ratio, 1, 0)
-            )
-        return DistortionReport(tuple(rows))
     # no draw depends on a distance: every radius draws first, and the
     # solver sees two batches, the base distances and the annulus rows
     rng = np.random.default_rng(seed)

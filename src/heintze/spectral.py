@@ -3,8 +3,8 @@
 Jordan structure is discontinuous in the matrix entries, so everything
 here is computed at a declared resolution: eigenvalues are merged into
 clusters no finer than a relative tolerance, and block sizes are read
-off a numerical rank sequence on each cluster's own Schur block.  The
-reported form is the structure visible at that resolution.
+off the staircase of numerical ranks of A - mu I at each cluster's mu.
+The reported form is the structure visible at that resolution.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import ConditioningError
 from .linalg import (DEFAULT_RANK_TOL, check_hypothesis, check_matrix,
-                     jordan_block, real_schur)
+                     jordan_block)
 
 DEFAULT_CLUSTER_TOL = 1e-6
 
@@ -91,31 +91,27 @@ def _components(near):
     return comps
 
 
-def _block_sizes(a, mu, r, m, rank_tol):
-    """Block sizes of the m eigenvalues within r of mu, read off the
-    staircase of M = T11 - mu I, T11 the leading block of
-    ``real_schur(a, lead=(mu, r))`` (with the conjugates of a non-real mu;
-    A itself if that is all of A), or None where it does not account for
-    all m (Kagstrom & Ruhe 1980).
+def _block_sizes(a, mu, m, rank_tol):
+    """Block sizes of the m eigenvalues of A at mu (a non-real mu: complex
+    arithmetic), read off the staircase of M = A - mu I, or None where it
+    does not account for all m (Kagstrom & Ruhe 1980).
 
     Each step counts the singular values of M at most tau = rank_tol
-    ||A - mu I|| (at least the Schur form's 16 eps ||A||_F) and compresses
-    M onto the complement of their right singular vectors; the counts are
-    the numbers of blocks of size >= 1, 2, ...  One linear threshold per
-    step is a backward error on T11: thresholds on the powers M^k would
-    pass an eigenvalue as far as tau^(1/k) from mu.
+    ||A - mu I|| (at least the rounding floor 16 eps ||A||_F) and
+    compresses M onto the complement of their right singular vectors; the
+    counts are the numbers of blocks of size >= 1, 2, ... (Golub &
+    Wilkinson 1976).  One linear threshold per step is a backward error
+    on A: thresholds on the powers M^k would pass an eigenvalue as far as
+    tau^(1/k) from mu.
     """
-    size = m if mu.imag == 0 else 2 * m
-    tri = a if size == len(a) else real_schur(a, lead=(mu, r))[0]
-    if tri[size:, :size].any():
-        return None
     mu = mu if mu.imag else mu.real
-    base = tri[:size, :size] - mu * np.eye(size)
-    tau = max(rank_tol * float(np.linalg.norm(a - mu * np.eye(len(a)), 2)),
-              16.0 * np.finfo(float).eps * np.linalg.norm(a))
+    base = a - mu * np.eye(len(a))
+    tau = 16.0 * np.finfo(float).eps * np.linalg.norm(a)
     null, counts = 0, [m]  # counts[k]: blocks of size >= k
     while null < m:
         _, sigma, vt = np.linalg.svd(base)
+        if len(counts) == 1:  # sigma[0] = ||A - mu I||
+            tau = max(rank_tol * sigma[0], tau)
         keep = int(np.count_nonzero(sigma > tau))
         counts.append(len(sigma) - keep)
         null += counts[-1]
@@ -133,9 +129,9 @@ def _resolve(a, tol, rank_tol, hypothesis=False):
     (Lidskii; Moro, Burke & Overton 1997), so a group of m is merged as a
     connected component of the eigenvalues closer than r_m = 10 (eps
     ||A||)^(1/m) max(1, ||A||) or than tol (1 + |lambda|), and kept where
-    the ranks on its own Schur block account for all m (Kagstrom & Ruhe
-    1980); otherwise it is split again at r_(m-1).  With ``hypothesis``,
-    every real part must exceed ``tol`` first.
+    the staircase of A - mu I at its mean mu accounts for all m
+    (``_block_sizes``); otherwise it is split again at r_(m-1).  With
+    ``hypothesis``, every real part must exceed ``tol`` first.
     """
     if tol <= 0:
         raise ValueError("cluster_tol must be positive")
@@ -172,17 +168,14 @@ def _resolve(a, tol, rank_tol, hypothesis=False):
             elif len(comp) < m:
                 todo.append((idx[comp], len(comp)))
             elif (len(comp) < len(idx) or not tested) and (
-                    sizes := _block_sizes(
-                        a, mu, max(radius(m), tol * (1.0 + abs(mu))),
-                        len(comp), rank_tol)):
+                    sizes := _block_sizes(a, mu, len(comp), rank_tol)):
                 out.append((mu, tuple(members), sizes))
             elif m > 1:
                 todo.append((idx[comp], m - 1))
             else:
                 raise ConditioningError(
-                    f"the ranks of A - ({mu:.6g}) I on its Schur block do "
-                    f"not resolve the {len(comp)} eigenvalues near it; try "
-                    "a larger rank_tol")
+                    f"the ranks of A - ({mu:.6g}) I do not resolve the "
+                    f"{len(comp)} eigenvalues near it; try a larger rank_tol")
     return out
 
 
@@ -191,9 +184,9 @@ def eigen_clusters(a, cluster_tol: float = DEFAULT_CLUSTER_TOL):
     groups whose Jordan structure resolves (see ``real_part_jordan_form``).
     Non-real clusters come in conjugate pairs of equal multiplicity.
 
-    Each group of two or more eigenvalues costs one partial real Schur
-    form and its ranks; a ConditioningError is raised where they do not
-    resolve the group.
+    Each group of two or more eigenvalues costs one SVD of A - mu I per
+    step of its staircase; a ConditioningError is raised where the ranks
+    do not resolve the group.
     """
     clusters = []
     for mu, members, _ in _resolve(check_matrix(a), cluster_tol,
@@ -214,9 +207,9 @@ def real_part_jordan_form(
 
     Eigenvalues are merged into clusters no finer than the relative
     ``tol``; each cluster's block sizes come from the staircase ranks, at
-    ``rank_tol``, of T11 - mu I on its own real Schur block T11 (see
-    ``_resolve``); conjugate pairs are folded into two copies of each
-    block at the shared real part.  All real parts must exceed ``tol``.
+    ``rank_tol``, of A - mu I (see ``_resolve``); conjugate pairs are
+    folded into two copies of each block at the shared real part.  All
+    real parts must exceed ``tol``.
     """
     a = check_matrix(a)
     blocks = [(mu.real, size)

@@ -259,20 +259,15 @@ _SWEPT = {
 }
 
 
-def _assert_real_schur(a, lead=None, m=None):
-    """With ``lead``, the form is quasi-triangular in its leading m
-    columns only, below which it is exactly 0."""
-    tri, q = real_schur(a, lead=lead)
+def _assert_real_schur(a):
+    tri, q = real_schur(a)
     n = a.shape[0]
     assert np.linalg.norm(q.T @ q - np.eye(n), 2) <= 1e-14
     assert np.linalg.norm(q @ tri @ q.T - a, 2) <= 1e-14 * np.linalg.norm(a, 2)
-    m = n if m is None else m
-    assert not tri[m:, :m].any()
     # exact zeros below 1 x 1 and 2 x 2 diagonal blocks: never two
     # subdiagonal entries in a row
-    lead_block = tri[:m, :m]
-    sub = np.diag(lead_block, -1) != 0
-    assert not np.tril(lead_block, -2).any() and not (sub[:-1] & sub[1:]).any()
+    sub = np.diag(tri, -1) != 0
+    assert not np.tril(tri, -2).any() and not (sub[:-1] & sub[1:]).any()
     return tri
 
 
@@ -309,52 +304,6 @@ def test_real_schur_splits_a_rotated_double_eigenvalue_into_1x1_blocks():
             r = np.array([[c, -s], [s, c]])
             tri = _assert_real_schur(r @ jordan_block(lam, 2) @ r.T)
             assert tri[1, 0] == 0.0, (lam, angle)
-
-
-def _lead_radius(a, m):
-    """The radius at which a cluster of m eigenvalues of A merges."""
-    norm = np.linalg.norm(a, 2)
-    return 10.0 * (np.finfo(float).eps * norm) ** (1.0 / m) * max(1.0, norm)
-
-
-# (matrix, [(mu, size of the leading block: mu's cluster and its conjugate)])
-_LEAD = {
-    "J4(.25)+J4(.5)+J2(2)": (scipy.linalg.block_diag(
-        jordan_block(0.25, 4), jordan_block(0.5, 4), jordan_block(2.0, 2)),
-        [(0.25, 4), (0.5, 4), (2.0, 2)]),
-    "spiral+J2(0.3)": (_GENERAL["spiral+J2(0.3)"], [(1 + 3j, 2), (0.3, 2)]),
-    "2+J2(1)": (_SWEPT["2+J2(1)"], [(1.0, 2), (2.0, 1)]),
-}
-
-
-@pytest.mark.parametrize("name", sorted(_LEAD))
-def test_real_schur_lead_block_holds_exactly_the_lead_cluster(name):
-    base, clusters = _LEAD[name]
-    n = len(base)
-    for seed in range(5):
-        r = np.linalg.qr(np.random.default_rng(seed).normal(size=(n, n)))[0]
-        a = r @ base @ r.T
-        for mu, m in clusters:
-            rad = _lead_radius(a, m)
-            tri = _assert_real_schur(a, lead=(complex(mu), rad), m=m)
-
-            def near(vals):
-                return abs(vals.real + 1j * abs(vals.imag) - mu) <= rad
-
-            assert near(np.linalg.eigvals(tri[:m, :m])).all(), (name, mu)
-            assert not near(np.linalg.eigvals(tri[m:, m:])).any(), (name, mu)
-
-
-def test_real_schur_lead_deflates_rotated_jordan_sums():
-    # the lead cluster's first eigenvector in eig's order, not the one
-    # nearest mu, keeps every deflation at the rounding level
-    a0, clusters = _LEAD["J4(.25)+J4(.5)+J2(2)"]
-    for seed in range(10):
-        r = np.linalg.qr(np.random.default_rng(100 + seed).normal(
-            size=a0.shape))[0]
-        a = r @ a0 @ r.T
-        for mu, m in clusters:
-            _assert_real_schur(a, lead=(complex(mu), _lead_radius(a, m)), m=m)
 
 
 def test_real_schur_refuses_a_deflation_past_rounding(monkeypatch):

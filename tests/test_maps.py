@@ -350,17 +350,6 @@ def test_distortion_profile_identity_and_similarity():
         assert row.inf_ratio == pytest.approx(math.exp(s), rel=0.02)
 
 
-def test_distortion_profile_special_family():
-    space = BoundarySpace(jordan_block(1.0, 2))
-    sh = Shear(2, PiecewiseLinear.linear(1.0))
-    radii = [math.exp(-2.0), math.exp(-8.0)]
-    rep = distortion_profile(sh, space, np.zeros(2), radii,
-                             special_family=True)
-    assert rep.limit_sup_ratio == pytest.approx(math.sqrt(2.0), rel=1e-9)
-    assert rep.limit_inf_ratio == rep.limit_sup_ratio
-    assert rep.rows[0].samples == 1
-
-
 def test_qs_profile_identity_and_similarity(rng):
     space = BoundarySpace(jordan_block(1.0, 2))
     ident = Translation((0.0, 0.0))

@@ -229,6 +229,29 @@ def test_rpjf_on_canonical_sums(blocks):
         [lam for lam, _ in blocks], rel=1e-6)
 
 
+# (matrix, form, seeds of its orthogonal rotations): defective clusters
+# beside other eigenvalues, a complex pair among them
+ROTATED = {
+    "J4(.25)+J4(.5)+J2(2)": (_sum((0.25, 4), (0.5, 4), (2.0, 2)),
+                             ((0.25, 4), (0.5, 4), (2.0, 2)), range(100, 110)),
+    "spiral+J2(0.3)": (scipy.linalg.block_diag([[1.0, -3.0], [3.0, 1.0]],
+                                               jordan_block(0.3, 2)),
+                       ((0.3, 2), (1.0, 1), (1.0, 1)), range(5)),
+    "2+J2(1)": (_sum((1.0, 2), (2.0, 1)), ((1.0, 2), (2.0, 1)), range(5)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ROTATED))
+def test_rpjf_on_rotated_sums(name):
+    a, blocks, seeds = ROTATED[name]
+    for seed in seeds:
+        r = np.linalg.qr(np.random.default_rng(seed).normal(size=a.shape))[0]
+        out = real_part_jordan_form(r @ a @ r.T).blocks
+        assert [s for _, s in out] == [s for _, s in blocks], (name, seed)
+        assert [lam for lam, _ in out] == pytest.approx(
+            [lam for lam, _ in blocks], rel=1e-6), (name, seed)
+
+
 def test_a_1e5_gap_is_not_equivalent():
     # the gap is inside J3's splitting radius, where it first merges
     rng = np.random.default_rng(11)
@@ -252,13 +275,13 @@ def test_a_1e5_gap_is_not_equivalent():
 
 
 def test_a_1x1_cluster_resolves():
-    # T11 - mu I is only the rounding residual on a 1 x 1 cluster, and on
-    # every cluster of a rotated scalar matrix: the rank threshold is
-    # anchored to ||A - mu I||, not to the block's own norm
+    # A - mu I is singular only to rounding on a 1 x 1 cluster, and is
+    # only the rounding residual on a rotated scalar matrix: the rank
+    # threshold rank_tol ||A - mu I|| is floored at 16 eps ||A||_F
     r = np.linalg.qr(np.random.default_rng(5).normal(size=(3, 3)))[0]
     a = r @ np.diag([0.5, 2.0, 3.0]) @ r.T
     for mu in np.linalg.eigvals(a):
-        assert _block_sizes(a, complex(mu), 1e-6, 1, 1e-9) == [1]
+        assert _block_sizes(a, complex(mu), 1, 1e-9) == [1]
     assert real_part_jordan_form([[0.7]]).blocks == ((0.7, 1),)
     out = real_part_jordan_form(r @ (0.7 * np.eye(3)) @ r.T).blocks
     assert [s for _, s in out] == [1, 1, 1]
