@@ -306,6 +306,57 @@ def test_real_schur_splits_a_rotated_double_eigenvalue_into_1x1_blocks():
             assert tri[1, 0] == 0.0, (lam, angle)
 
 
+def _diagonal_eigenvalues(tri):
+    """Eigenvalues of the 1 x 1 and 2 x 2 diagonal blocks of T."""
+    vals, i = [], 0
+    while i < len(tri):
+        k = 1 + (i + 1 < len(tri) and tri[i + 1, i] != 0)
+        vals.extend(np.linalg.eigvals(tri[i:i + k, i:i + k]))
+        i += k
+    return np.array(vals, dtype=complex)
+
+
+def _lead_radius(a, m):
+    """The radius at which a cluster of m eigenvalues of A merges."""
+    norm = np.linalg.norm(a, 2)
+    return 10.0 * (np.finfo(float).eps * norm) ** (1.0 / m) * max(1.0, norm)
+
+
+# (matrix, [(mu, size of mu's cluster with its conjugate)])
+_LEAD = {
+    "J4(.25)+J4(.5)+J2(2)": (scipy.linalg.block_diag(
+        jordan_block(0.25, 4), jordan_block(0.5, 4), jordan_block(2.0, 2)),
+        [(0.25, 4), (0.5, 4), (2.0, 2)]),
+    "spiral+J2(0.3)": (_GENERAL["spiral+J2(0.3)"], [(1 + 3j, 2), (0.3, 2)]),
+    "2+J2(1)": (_SWEPT["2+J2(1)"], [(1.0, 2), (2.0, 1)]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_LEAD))
+def test_real_schur_lead_block_holds_exactly_the_lead_cluster(name):
+    # the diagonal blocks of T hold each cluster's m eigenvalues, and no
+    # other, within the radius at which the cluster merges
+    base, clusters = _LEAD[name]
+    n = len(base)
+    for seed in range(5):
+        r = np.linalg.qr(np.random.default_rng(seed).normal(size=(n, n)))[0]
+        a = r @ base @ r.T
+        vals = _diagonal_eigenvalues(_assert_real_schur(a))
+        for mu, m in clusters:
+            near = (abs(vals.real + 1j * abs(vals.imag) - mu)
+                    <= _lead_radius(a, m))
+            assert near.sum() == m, (name, seed, mu)
+
+
+def test_real_schur_lead_deflates_rotated_jordan_sums():
+    # every deflation of a defective cluster stays at the rounding level
+    a0, _ = _LEAD["J4(.25)+J4(.5)+J2(2)"]
+    for seed in range(10):
+        r = np.linalg.qr(np.random.default_rng(100 + seed).normal(
+            size=a0.shape))[0]
+        _assert_real_schur(r @ a0 @ r.T)
+
+
 def test_real_schur_refuses_a_deflation_past_rounding(monkeypatch):
     # eigenvectors tilted by 1e-9 leave ~1e-9 ||A|| below a deflated block
     eig = np.linalg.eig
