@@ -31,12 +31,15 @@ lower bound g + g'h - Kh^2/2 (g'' >= -K, K from the norms of A's
 symmetric and skew parts), so it passes no zero, floored at t_tol.
 
 t_tol is 1e-12.  All evaluators are pure and vectorized over batches of
-difference vectors.  On a canonical A every operation acts row by row,
-so a row's distance does not depend on the rest of its batch, bit for
-bit, and independent batches may share one call.  The general march
-multiplies rows through BLAS, whose rounding depends on the batch: there
-a row's root may move by that rounding, within t_tol.  Results for a
-given batch are deterministic.
+difference vectors.  The canonical pipeline is column-major: a batch is
+the (n, m) array of its vectors, its polynomials and log-sum-exp terms
+(powers or eigenvalues, m) arrays, reduced over axis 0 along contiguous
+rows, each sum in row order (``_sum_rows``).  Every operation there acts
+on each column alone, so a vector's distance does not depend on the rest
+of its batch, bit for bit, and independent batches may share one call.
+The general march multiplies rows through BLAS, whose rounding depends
+on the batch: there a row's root may move by that rounding, within
+t_tol.  Results for a given batch are deterministic.
 """
 
 from __future__ import annotations
@@ -328,30 +331,44 @@ def _interpolation_point(lo, hi, g_lo, g_hi, new_lo, x3, f3, stop):
     return x1 + t * (x2 - x1)
 
 
+def _sum_rows(a: np.ndarray) -> np.ndarray:
+    """The sum over axis 0, row by row from the first.  numpy's sum does
+    so too, but sums one column pairwise from 8 rows on: a lone vector
+    would round unlike the same vector in a batch."""
+    total = a[0].copy()
+    for row in a[1:]:
+        total += row
+    return total
+
+
 def _poly_coeffs(chains, v: np.ndarray) -> np.ndarray:
-    """Coefficients (ascending) of |e^{-tN} v|^2 on ``chains``, per row."""
+    """Coefficients of |e^{-tN} v|^2 on ``chains``, column-major: ``v`` is
+    (n, m), one contiguous row per coordinate, and the result (powers, m),
+    one contiguous row per power of t, ascending."""
     max_size = max(size for _, size, _ in chains)
     signed = _taylor_terms(-1.0, max_size)[:, None]  # (-1)^q / q!
-    vt = np.ascontiguousarray(v.T)  # one contiguous row per coordinate
-    p = np.zeros((2 * max_size - 1, v.shape[0]))  # and per power of t
+    p = np.zeros((2 * max_size - 1, v.shape[1]))
     for _, size, off in chains:
         for i in range(size):
-            c = vt[off + i:off + size] * signed[:size - i]
+            c = v[off + i:off + size] * signed[:size - i]
             for q in range(size - i):  # p[m] sums c_q c_{m-q}, q rising
                 p[q:q + size - i] += c[q] * c
-    return np.ascontiguousarray(p.T)
+    return p
 
 
 def _poly_eval(coeffs: np.ndarray, t: np.ndarray) -> np.ndarray:
-    """Horner evaluation of per-row ascending coefficients at per-row t."""
+    """Horner evaluation at per-column t of the column-major (powers, m)
+    ascending ``coeffs``: each step reads one contiguous row."""
     acc = np.zeros(t.shape)
-    for k in range(coeffs.shape[1] - 1, -1, -1):
-        acc = acc * t + coeffs[:, k]
+    for k in range(coeffs.shape[0] - 1, -1, -1):
+        acc = acc * t + coeffs[k]
     return acc
 
 
-def _roots_canonical(space: BoundarySpace, v: np.ndarray) -> np.ndarray:
-    # g = logsumexp over lam of (log P_lam(t) - 2 lam t) / 2, with P_lam =
+def _roots_canonical(space: BoundarySpace, v: np.ndarray,
+                     log_norm: np.ndarray) -> np.ndarray:
+    # v is (n, m), column-major, and log_norm its log|v| per column.  g =
+    # logsumexp over lam of (log P_lam(t) - 2 lam t) / 2, with P_lam =
     # |e^{-tN} v_lam|^2 on lam's chains: -lam t + log P / 2 for one lam.  A
     # constant P_lam (chains of size 1) has its log taken once; a zero one
     # (v has no part at lam) is -inf
@@ -359,35 +376,34 @@ def _roots_canonical(space: BoundarySpace, v: np.ndarray) -> np.ndarray:
     polys = [_poly_coeffs([c for c in space.chains if c[0] == lam], v)
              for lam in lams]
     lam_min, lam_max = min(lams), max(lams)
-    log_norm = np.log(np.linalg.norm(v, axis=1))
-    if len(lams) == 1 and polys[0].shape[1] == 1:  # lam I: g = log|v| - lam t
+    if len(lams) == 1 and polys[0].shape[0] == 1:  # lam I: g = log|v| - lam t
         return log_norm / lam_min
     with np.errstate(divide="ignore"):
-        logs = np.log(np.stack([p[:, 0] for p in polys], axis=1))
-    curved = [(j, p, p[:, 1:] * np.arange(1, p.shape[1]))
-              for j, p in enumerate(polys) if p.shape[1] > 1]
-    two_lam = 2.0 * np.array(lams)
+        logs = np.log(np.stack([p[0] for p in polys]))
+    curved = [(j, p, p[1:] * np.arange(1, p.shape[0])[:, None])
+              for j, p in enumerate(polys) if p.shape[0] > 1]
+    two_lam = 2.0 * np.array(lams)[:, None]
 
     def g(t, rows, slope=False):
         # with slope, also g' = sum softmax_lam(e) (P_lam'/P_lam - 2 lam) / 2
-        e = logs.take(rows, axis=0)
+        e = logs.take(rows, axis=1)
         rate = np.zeros(e.shape) if slope else None  # P_lam'/P_lam
         with np.errstate(divide="ignore"):
             for j, p, dp in curved:
-                val = _poly_eval(p.take(rows, axis=0), t)
-                e[:, j] = np.log(val)
+                val = _poly_eval(p.take(rows, axis=1), t)
+                e[j] = np.log(val)
                 if slope:
-                    np.divide(_poly_eval(dp.take(rows, axis=0), t), val,
-                              out=rate[:, j], where=val != 0)
-        e -= t[:, None] * two_lam
-        if e.shape[1] == 1:  # the log-sum-exp of one column, bit for bit
-            gt, weights, total = 0.5 * e[:, 0], 1.0, 1.0
+                    np.divide(_poly_eval(dp.take(rows, axis=1), t), val,
+                              out=rate[j], where=val != 0)
+        e -= t * two_lam
+        if e.shape[0] == 1:  # the log-sum-exp of one row, bit for bit
+            gt, weights, total = 0.5 * e[0], 1.0, 1.0
         else:
-            mx = e.max(axis=1)
-            weights = np.exp(e - mx[:, None])
-            total = weights.sum(axis=1)
+            mx = e.max(axis=0)
+            weights = np.exp(e - mx)
+            total = _sum_rows(weights)
             gt = 0.5 * (mx + np.log(total))
-        return ((gt, 0.5 * (weights * (rate - two_lam)).sum(axis=1) / total)
+        return ((gt, 0.5 * _sum_rows(weights * (rate - two_lam)) / total)
                 if slope else gt)
 
     if space._decreasing:
@@ -406,13 +422,13 @@ def _roots_canonical(space: BoundarySpace, v: np.ndarray) -> np.ndarray:
     # log|c|/lam.  Where l >= 1, entry l - 1 is v_{l-1} - tc, so g >= -lam
     # t > 0 left of -(1 + |v_{l-1}|)/|c|.  The march starts at the largest
     # of these points (further left if rounding says g <= 0 there)
-    start = np.full(v.shape[0], -math.inf)
+    start = np.full(v.shape[1], -math.inf)
     with np.errstate(divide="ignore"):
         for lam, size, off in space.chains:
-            block = v[:, off:off + size]
-            last = size - 1 - np.argmax(block[:, ::-1] != 0, axis=1)
+            block = v[off:off + size]
+            last = size - 1 - np.argmax(block[::-1] != 0, axis=0)
             entry, prev = np.abs(np.take_along_axis(
-                block, np.stack([last, np.maximum(last - 1, 0)], 1), 1)).T
+                block, np.stack([last, np.maximum(last - 1, 0)]), 0))
             near = np.where(last >= 1, -(1.0 + prev) / entry, -math.inf)
             start = np.maximum(start, np.maximum(np.log(entry) / lam, near))
     lo = _expand(g, start, -1.0, "canonical")[0]
@@ -571,9 +587,11 @@ def _dist_from_diffs(space: BoundarySpace, diffs: np.ndarray) -> np.ndarray:
     if diffs.shape[1] != space.n:
         raise ValueError(f"expected vectors of dimension {space.n}")
     out = np.zeros(diffs.shape[0])
-    nz = np.any(diffs != 0.0, axis=1)
+    cols = np.ascontiguousarray(diffs.T)  # (n, m): one row per coordinate
+    nz = np.any(cols != 0.0, axis=0)
     # every path squares |v|; outside this range that rounds to 0 or inf
-    sq = np.einsum("ij,ij->i", diffs, diffs)
+    with np.errstate(over="ignore"):
+        sq = _sum_rows(np.square(cols))
     bad = nz & ~((sq >= _TINY) & (sq < np.inf))
     if bad.any():
         raise RangeError(
@@ -583,9 +601,9 @@ def _dist_from_diffs(space: BoundarySpace, diffs: np.ndarray) -> np.ndarray:
         )
     if not nz.any():
         return out
-    v = diffs[nz]
-    roots = (_roots_general(space, v) if space.chains is None
-             else _roots_canonical(space, v))
+    roots = (_roots_general(space, diffs[nz]) if space.chains is None
+             else _roots_canonical(space, cols[:, nz],
+                                   np.log(np.sqrt(sq[nz]))))
     with np.errstate(over="ignore"):
         d = np.exp(roots)
     bad = ~((d > 0.0) & (d < np.inf))

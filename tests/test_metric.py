@@ -449,13 +449,20 @@ _TURN = np.array([[math.cos(0.7), -math.sin(0.7)],
                   [math.sin(0.7), math.cos(0.7)]])
 # name -> (matrix, whether it takes the general march).  On a canonical
 # space, marching (J3(0.35)) or not, the arithmetic is elementwise per
-# row; the general march multiplies rows through BLAS, whose rounding
-# depends on the size of the batch and on a row's place in it
+# vector, and its sums run in a fixed order (coordinates, eigenvalues);
+# the general march multiplies rows through BLAS, whose rounding depends
+# on the size of the batch and on a row's place in it
 STACKED = {
     "J3": (jordan_block(1.0, 3), False),
     "diag(2)+J2(1)": (scipy.linalg.block_diag([[2.0]], jordan_block(1.0, 2)),
                       False),
     "J3(0.35)": (jordan_block(0.35, 3), False),
+    "diag(1..6)": (np.diag(np.arange(1.0, 7.0)), False),
+    # past the 8 columns from which numpy sums a short axis pairwise
+    "diag(1..9)": (np.diag(np.arange(1.0, 10.0)), False),
+    # g may rise: the march's slope sums over two eigenvalues
+    "J2(0.3)+J1(0.6)": (scipy.linalg.block_diag(jordan_block(0.3, 2),
+                                                [[0.6]]), False),
     "R.J2(0.3).RT": (_TURN @ jordan_block(0.3, 2) @ _TURN.T, True),
     "spiral": (np.array([[1.0, -3.0], [3.0, 1.0]]), True),
 }
@@ -465,6 +472,9 @@ STACKED = {
 def test_stacked_batch_equals_its_parts(name):
     a, marches = STACKED[name]
     sp = BoundarySpace(a)
+    assert (sp.chains is None) == marches
+    if name == "J2(0.3)+J1(0.6)":
+        assert not sp._decreasing
     x, y = np.random.default_rng(29).uniform(-5, 5, (2, 1000, sp.n))
     whole = dist_pairs(sp, x, y)
     parts = np.concatenate([dist_pairs(sp, x[:37], y[:37]),

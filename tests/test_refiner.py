@@ -271,8 +271,26 @@ def test_one_eigenvalue_g_is_its_column(monkeypatch):
     v = rng.uniform(-5, 5, (4000, 3))
     t = rng.uniform(-4, 4, 4000)
     g = _program_gs(monkeypatch, sp, v)
-    p = metric._poly_eval(metric._poly_coeffs(sp.chains, v), t)
+    p = metric._poly_eval(metric._poly_coeffs(sp.chains, v.T), t)
     assert np.array_equal(g(t, np.arange(4000)), -1.0 * t + 0.5 * np.log(p))
+
+
+@pytest.mark.parametrize("k", [2, 3, 7, 9])
+def test_multi_eigenvalue_g_sums_in_eigenvalue_order(monkeypatch, k):
+    # the log-sum-exp adds its eigenvalues' terms left to right at every k,
+    # also past the 8 terms from which numpy sums a short axis pairwise
+    sp = _space([(float(lam), 1) for lam in range(1, k + 1)])
+    rng = np.random.default_rng(47)
+    v = rng.uniform(-5, 5, (4000, k))
+    t = rng.uniform(-4, 4, 4000)
+    g = _program_gs(monkeypatch, sp, v)
+    e = np.log(v * v) - t[:, None] * (2.0 * np.arange(1.0, k + 1))
+    mx = e.max(axis=1)
+    w = np.exp(e - mx[:, None])
+    total = w[:, 0]
+    for j in range(1, k):
+        total = total + w[:, j]
+    assert np.array_equal(g(t, np.arange(4000)), 0.5 * (mx + np.log(total)))
 
 
 @pytest.mark.parametrize("name", CASES)
