@@ -9,11 +9,9 @@ flags and seeds reproduce byte-identical report bodies.
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import os
 import sys
-from datetime import datetime, timezone
 
 import numpy as np
 
@@ -27,10 +25,6 @@ from .errors import (
     SolverError,
 )
 from .linalg import load_matrix
-from .maps import conformal_probe, empirical_bilip, load_map
-from .metric import BoundarySpace, dist
-from .spectral import classify, real_part_jordan_form
-from .variation import DEFAULT_MAX_CELLS, TestFunction, fit_exponents
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -63,6 +57,8 @@ def _format_distance(v: float) -> str:
 
 
 def _sha256(path) -> str:
+    import hashlib
+
     h = hashlib.sha256()
     with open(path, "rb") as fh:
         for chunk in iter(lambda: fh.read(65536), b""):
@@ -71,6 +67,8 @@ def _sha256(path) -> str:
 
 
 def _write_manifest(report_path, command, flags, seed, inputs) -> None:
+    from datetime import datetime, timezone
+
     manifest = {
         "command": command,
         "flags": flags,
@@ -133,6 +131,8 @@ def _parse_floats(text: str):
 
 
 def _max_cells_default() -> int:
+    from .variation import DEFAULT_MAX_CELLS
+
     env = os.environ.get(MAX_CELLS_ENV)
     if env is None:
         return DEFAULT_MAX_CELLS
@@ -143,10 +143,12 @@ def _max_cells_default() -> int:
 
 
 # ---------------------------------------------------------------------------
-# subcommands
+# subcommands: each imports only its own layer
 
 
 def _cmd_rpjf(args) -> int:
+    from .spectral import real_part_jordan_form
+
     a = load_matrix(args.matrix)
     form = real_part_jordan_form(a, args.tol)
     for lam, size in form.blocks:
@@ -155,6 +157,8 @@ def _cmd_rpjf(args) -> int:
 
 
 def _cmd_classify(args) -> int:
+    from .spectral import classify
+
     a = load_matrix(args.matrix_a)
     b = load_matrix(args.matrix_b)
     result = classify(a, b, args.tol)
@@ -163,6 +167,8 @@ def _cmd_classify(args) -> int:
 
 
 def _cmd_dist(args) -> int:
+    from .metric import BoundarySpace, dist
+
     a = load_matrix(args.matrix)
     space = BoundarySpace(a)
     x = _parse_vector(args.x)
@@ -176,6 +182,8 @@ def _cmd_dist(args) -> int:
 
 
 def _cmd_qvar(args) -> int:
+    from .variation import TestFunction, fit_exponents
+
     a = load_matrix(args.matrix)
     n = a.shape[0]
     if (args.u is None) == (args.ell is None):
@@ -220,6 +228,9 @@ def _cmd_qvar(args) -> int:
 
 
 def _cmd_qsmap_verify(args) -> int:
+    from .maps import empirical_bilip, load_map
+    from .metric import BoundarySpace
+
     a = load_matrix(args.matrix)
     spec = load_map(args.map)
     space = BoundarySpace(a)
@@ -258,6 +269,8 @@ def _cmd_qsmap_verify(args) -> int:
 
 
 def _cmd_conformal_probe(args) -> int:
+    from .maps import conformal_probe, load_map
+
     spec = load_map(args.map)
     t_values = _parse_floats(args.t)
     ratios = conformal_probe(spec, spec.n, t_values)

@@ -326,9 +326,10 @@ def frob_sq(a) -> float:
 
 
 def numerical_rank(a, tol: float = DEFAULT_RANK_TOL) -> int:
-    """Number of singular values above tol * (largest singular value)."""
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    """Number of singular values above tol * (largest singular value);
+    a ValueError is raised unless 0 < tol < 1 (NaN is not)."""
+    if not 0 < tol < 1:
+        raise ValueError(f"tol must lie in (0, 1), not {tol!r}")
     m = np.asarray(a)
     s = np.linalg.svd(m, compute_uv=False)
     if s.size == 0 or s[0] == 0.0:

@@ -493,6 +493,8 @@ def jordan_family_bound(spec: JordanFamilyMap) -> float:
 def empirical_bilip(spec, space: BoundarySpace, samples: int = 10_000,
                     seed: int = 0, box_radius: float = 5.0):
     """(min, max) of dist(Fx, Fy) / dist(x, y) over sampled pairs."""
+    if samples < 1:
+        raise ValueError("samples must be at least 1")
     rng = np.random.default_rng(seed)
     x = rng.uniform(-box_radius, box_radius, (samples, space.n))
     y = rng.uniform(-box_radius, box_radius, (samples, space.n))
@@ -512,6 +514,8 @@ def transfer_check(a, b, m, s: float, samples: int = 10_000, seed: int = 0,
     Report only: finite stable ratios exhibit the snowflake-biLipschitz
     relation between the two boundaries.
     """
+    if samples < 1:
+        raise ValueError("samples must be at least 1")
     m = check_matrix(m)
     if 1.0 / np.linalg.cond(m) < 1e-12:
         raise ValueError("transfer matrix M is singular")
@@ -572,6 +576,8 @@ def distortion_profile(spec, space: BoundarySpace, x, radii,
         b >= a for a, b in zip(radii, radii[1:])
     ):
         raise ValueError("radii must be positive and strictly decreasing")
+    if samples_per_radius < 1:
+        raise ValueError("samples_per_radius must be at least 1")
     # no draw depends on a distance: every radius draws first, and the
     # solver sees two batches, the base distances and the annulus rows
     rng = np.random.default_rng(seed)
@@ -665,13 +671,26 @@ def conformal_probe(spec, n: int, t_values, base=None) -> np.ndarray:
     differentiable at the base height this converges (t -> -inf) to
     sqrt(1 + C'(0)^2): equal to 1 iff the map is conformal at the point,
     and reached exactly at every t when C is globally affine.
+
+    A RangeError names the first t where e^t is not a normal float or the
+    ratio is not finite and positive (the norm overflowed or underflowed).
     """
     base = check_vector(np.zeros(n) if base is None else base, n)
     t_values = np.asarray(t_values, dtype=float)
     ratios = np.empty(t_values.shape)
     f_base = eval_map(spec, base)
     for i, t in enumerate(t_values):
-        xt = base + math.exp(t) * nilpotent_exp(n, t)[:, -1]
-        diff = eval_map(spec, xt) - f_base
-        ratios[i] = np.linalg.norm(nilpotent_exp(n, -t) @ diff) / math.exp(t)
+        try:
+            et = math.exp(t)
+        except OverflowError:
+            et = math.inf
+        if not np.finfo(float).tiny <= et < math.inf:
+            raise RangeError(f"t = {float(t)!r}: e^t is not a normal float")
+        with np.errstate(all="ignore"):  # an overflow is reported below
+            xt = base + et * nilpotent_exp(n, t)[:, -1]
+            diff = eval_map(spec, xt) - f_base
+            ratios[i] = np.linalg.norm(nilpotent_exp(n, -t) @ diff) / et
+        if not 0.0 < ratios[i] < math.inf:
+            raise RangeError(f"t = {float(t)!r}: the ratio {ratios[i]} is not "
+                             "finite and positive")
     return ratios

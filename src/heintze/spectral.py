@@ -131,10 +131,13 @@ def _resolve(a, tol, rank_tol, hypothesis=False):
     ||A||)^(1/m) max(1, ||A||) or than tol (1 + |lambda|), and kept where
     the staircase of A - mu I at its mean mu accounts for all m
     (``_block_sizes``); otherwise it is split again at r_(m-1).  With
-    ``hypothesis``, every real part must exceed ``tol`` first.
+    ``hypothesis``, every real part must exceed ``tol`` first.  A ValueError
+    is raised unless tol > 0 and 0 < rank_tol < 1 (NaN is neither).
     """
-    if tol <= 0:
-        raise ValueError("cluster_tol must be positive")
+    if not tol > 0:
+        raise ValueError(f"tol must be positive, not {tol!r}")
+    if not 0 < rank_tol < 1:
+        raise ValueError(f"rank_tol must lie in (0, 1), not {rank_tol!r}")
     try:
         vals = np.linalg.eigvals(a)
     except np.linalg.LinAlgError as exc:

@@ -70,6 +70,17 @@ def test_classify_exit_codes_and_json(files):
     assert rc == 3
 
 
+@pytest.mark.parametrize("argv", [
+    ("rpjf", "j3", "--tol", "nan"),
+    ("classify", "j2", "d12", "--tol", "nan"),
+])
+def test_bad_tolerance_exits_one(files, argv):
+    # --tol nan used to read J2 as two J1s and call it equivalent to diag(1, 2)
+    rc, out, err = run_cli(*(files.get(a, a) for a in argv))
+    assert rc == 1 and out == ""
+    assert "tol must be positive" in err
+
+
 def test_dist_euclidean_example(files):
     rc, out, _ = run_cli("dist", "--matrix", files["i2"],
                          "--x", "0,0", "--y", "3,4")
@@ -199,6 +210,25 @@ def test_map_commands_golden(files, kind):
     assert rc == 0
     assert out == "".join(f"t = {t}: ratio = {ratio}\n"
                           for t in (-1, -4, -8)) + f"final ratio = {ratio}\n"
+
+
+def test_conformal_probe_outside_the_float_range_exits_four(files):
+    # t = 710 used to end in an OverflowError traceback
+    for t in ("710", "-744"):
+        rc, out, err = run_cli("conformal-probe", "--map", files["shear1"],
+                               f"--t=-4,{t}")
+        assert rc == 4 and out == ""
+        assert f"t = {float(t)!r}" in err and "Traceback" not in err
+
+
+def test_qsmap_verify_zero_samples_exits_one(files):
+    # --samples 0 used to print numpy's "zero-size array to reduction
+    # operation minimum"
+    rc, _, err = run_cli("qsmap-verify", "--map", files["shear1"],
+                         "--matrix", files["j2"], "--samples", "0",
+                         "--out", str(files["dir"] / "v.json"))
+    assert rc == 1
+    assert "samples must be at least 1" in err
 
 
 def test_unknown_flag_exits_one(files):

@@ -1,19 +1,28 @@
-"""The package never loads scipy.  Canonical spaces with several
-eigenvalues, or whose g may rise (and so march on the closed-form g),
-the map bounds, which share the metric's bracket-and-refine, and the
-general D_A path and mat_exp of a non-canonical matrix, which take the
-numpy real Schur form, all run on numpy alone.  Each check runs in a
-fresh interpreter, since the test session itself imports scipy.
+"""The package never loads scipy, and loads each layer on first use.
+
+Canonical spaces with several eigenvalues, or whose g may rise (and so
+march on the closed-form g), the map bounds, which share the metric's
+bracket-and-refine, and the general D_A path and mat_exp of a
+non-canonical matrix, which take the numpy real Schur form, all run on
+numpy alone.  ``import heintze`` loads numpy and ``linalg`` only; each of
+``metric``, ``spectral``, ``variation`` and ``maps`` loads on first use
+of one of its names, and each CLI subcommand loads only its own layer.
+Each check runs in a fresh interpreter, since the test session itself
+imports scipy and every layer.
 """
 
+import json
 import os
 import subprocess
 import sys
 import textwrap
 from pathlib import Path
 
+import pytest
+
 import heintze
 
+LAYERS = ("metric", "spectral", "variation", "maps")
 SRC = str(Path(heintze.__file__).resolve().parents[1])
 
 
@@ -25,6 +34,16 @@ def run_python(code, tmp_path):
                           capture_output=True, text=True, env=env, cwd=tmp_path)
     assert proc.returncode == 0, proc.stderr
     return proc.stdout
+
+
+def loaded_layers(code, tmp_path):
+    """The layers loaded once ``code`` has run in a fresh interpreter."""
+    out = run_python(textwrap.dedent(code) + textwrap.dedent(f"""
+        import json, sys
+        print(json.dumps(sorted(m for m in {LAYERS!r}
+                                if "heintze." + m in sys.modules)))
+    """), tmp_path)
+    return json.loads(out.splitlines()[-1])
 
 
 def test_canonical_workflows_never_load_scipy(tmp_path):
@@ -118,3 +137,80 @@ def test_cli_rpjf_on_a_canonical_matrix_never_loads_scipy(tmp_path):
         assert "scipy" not in sys.modules
     """, tmp_path)
     assert out.strip()
+
+
+def test_import_loads_numpy_and_linalg_and_no_other_layer(tmp_path):
+    layers = loaded_layers("""
+        import sys
+
+        import heintze
+        assert "numpy" in sys.modules and "heintze.linalg" in sys.modules
+    """, tmp_path)
+    assert layers == []
+
+
+@pytest.mark.parametrize("name, layer", [("count_cells", "variation"),
+                                         ("dist_pairs", "metric")])
+def test_first_use_loads_the_owning_layer_only(tmp_path, name, layer):
+    layers = loaded_layers(f"""
+        import heintze
+        f = heintze.{name}
+        assert vars(heintze)["{name}"] is f  # later lookups are dict hits
+    """, tmp_path)
+    assert layers == [layer]
+
+
+def test_every_public_name_is_its_layers_object(tmp_path):
+    layers = loaded_layers("""
+        import sys
+
+        import heintze
+        names = heintze.__all__
+        assert len(set(names)) == len(names)
+        assert set(names) <= set(dir(heintze))
+        for name in names:
+            obj = getattr(heintze, name)
+            layer = sys.modules[obj.__module__]
+            assert layer.__name__.startswith("heintze."), name
+            assert getattr(layer, name) is obj is getattr(heintze, name), name
+    """, tmp_path)
+    assert layers == sorted(LAYERS)
+
+
+def test_star_import_binds_every_name_and_unknown_names_raise(tmp_path):
+    run_python("""
+        import heintze
+
+        ns = {}
+        exec("from heintze import *", ns)
+        assert heintze.__all__ and all(
+            ns[name] is getattr(heintze, name) for name in heintze.__all__)
+        for name in ("no_such_name", "_solve_decreasing", "linalg_"):
+            try:
+                getattr(heintze, name)
+            except AttributeError as exc:
+                assert name in str(exc)
+            else:
+                raise AssertionError(name)
+    """, tmp_path)
+
+
+@pytest.mark.parametrize("argv, layer", [
+    (["rpjf", "j3.json"], "spectral"),
+    (["dist", "--matrix", "j3.json", "--x", "0,0,0", "--y", "1,2,3"],
+     "metric"),
+    (["qvar", "--matrix", "j3.json", "--u", "1", "--box=0,1;0,1;0,1",
+      "--t=-4:-2:1", "--q", "1", "--out", "q.csv"], "variation"),
+], ids=["rpjf", "dist", "qvar"])
+def test_cli_subcommand_loads_its_own_layer_only(tmp_path, argv, layer):
+    heintze.save_matrix(tmp_path / "j3.json", heintze.jordan_block(1.0, 3))
+    layers = loaded_layers(f"""
+        import runpy, sys
+
+        sys.argv = ["heintze", *{argv!r}]
+        try:
+            runpy.run_module("heintze.cli", run_name="__main__")
+        except SystemExit as exc:
+            assert not exc.code, exc.code
+    """, tmp_path)
+    assert layers == [layer]

@@ -154,6 +154,13 @@ def test_numerical_rank():
     assert numerical_rank(jordan_block(1.0, 2) - np.eye(2), 1e-9) == 1
 
 
+@pytest.mark.parametrize("tol", [math.nan, 0.0, -1e-9, 1.0, 2.0])
+def test_numerical_rank_rejects_tolerances_outside_0_1(tol):
+    # NaN passed a `tol <= 0` test and counted no singular value at all
+    with pytest.raises(ValueError, match="tol must lie in"):
+        numerical_rank(np.eye(2), tol)
+
+
 def test_semigroup_property():
     rng = np.random.default_rng(7)
     for _ in range(30):

@@ -392,6 +392,39 @@ def test_conformal_probe_values():
     assert r[0] == pytest.approx(math.sqrt(1.25), rel=1e-9)
 
 
+@pytest.mark.parametrize("t, base", [
+    (-744.0, None),  # e^t is subnormal: the ratio read 0
+    (-746.0, None),  # e^t is 0: NaN
+    (700.0, None),  # the squared norm overflows: inf
+    (709.0, None),  # e^t is finite, e^t e^{tN} is not: NaN
+    (710.0, None),  # math.exp overflows
+    (-700.0, (0.0, 0.0)),  # the squared norm underflows: the ratio read 0
+])
+def test_conformal_probe_rejects_t_outside_the_float_range(t, base):
+    sh = Shear(2, PiecewiseLinear.linear(1.0))
+    with pytest.raises(RangeError, match=f"t = {t!r}"):
+        conformal_probe(sh, 2, [-4.0, t], base=base)
+
+
+def test_conformal_probe_near_the_float_range_is_unchanged():
+    sh = Shear(2, PiecewiseLinear.linear(1.0))
+    r = conformal_probe(sh, 2, [-350.0, -300.0, 300.0])
+    assert r == pytest.approx(math.sqrt(2.0), rel=1e-12)
+
+
+@pytest.mark.parametrize("call", [
+    lambda space: empirical_bilip(Translation((1.0, 0.0)), space, samples=0),
+    lambda space: transfer_check(space.a, space.a, np.eye(2), 1.0, samples=0),
+    lambda space: distortion_profile(Translation((1.0, 0.0)), space,
+                                     np.zeros(2), [1.0],
+                                     samples_per_radius=0),
+], ids=["empirical_bilip", "transfer_check", "distortion_profile"])
+def test_estimators_reject_zero_samples(call):
+    space = BoundarySpace(jordan_block(1.0, 2))
+    with pytest.raises(ValueError, match="samples.* must be at least 1"):
+        call(space)
+
+
 def test_map_json_roundtrip(rng):
     specs = [
         Translation((1.0, 2.0)),

@@ -80,6 +80,28 @@ def test_rpjf_hypothesis_violation():
         real_part_jordan_form(np.diag([0.0, 2.0]))
 
 
+@pytest.mark.parametrize("kwargs", [
+    {"tol": float("nan")},
+    {"rank_tol": float("nan")},
+    {"rank_tol": 2.0},
+    {"rank_tol": 1.0},
+    {"rank_tol": 0.0},
+    {"rank_tol": -1e-9},
+])
+def test_rpjf_rejects_bad_tolerances(kwargs):
+    # each of these used to read J3 as three J1s, or to fall back silently
+    # on the rounding floor, instead of raising
+    with pytest.raises(ValueError, match="tol must"):
+        real_part_jordan_form(jordan_block(1.0, 3), **kwargs)
+    with pytest.raises(ValueError, match="tol must"):
+        classify(jordan_block(1.0, 2), np.diag([1.0, 2.0]), **kwargs)
+
+
+def test_eigen_clusters_rejects_a_nan_tolerance():
+    with pytest.raises(ValueError, match="tol must be positive"):
+        eigen_clusters(np.diag([1.0, 2.0]), float("nan"))
+
+
 def test_rpjf_idempotent_on_canonical_matrices(rng):
     for _ in range(20):
         a, form = random_canonical(rng)
