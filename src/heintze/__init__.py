@@ -7,9 +7,8 @@ layer loads on first use of one of its names (PEP 562).
 
 __version__ = "0.1.0"
 
-from .linalg import (check_matrix, frob_sq, jordan_block, load_matrix,
-                     mat_exp, nilpotent_exp, nilpotent_shift, numerical_rank,
-                     save_matrix)
+from .linalg import (check_matrix, jordan_block, load_matrix, mat_exp,
+                     nilpotent_exp, nilpotent_shift, save_matrix)
 
 _LAYERS = {
     "metric": """BoundarySpace block_distance_check dist dist_pairs

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import json
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -16,8 +17,6 @@ from .errors import (ConditioningError, HypothesisViolationError,
 
 DEFAULT_EXP_GUARD = 50.0
 DEFAULT_RANK_TOL = 1e-9
-# degree of the Taylor sums of e^{sT} with |s| ||T|| <= 1/2
-_TAYLOR_DEGREE = 16
 
 
 def check_matrix(a) -> np.ndarray:
@@ -145,18 +144,15 @@ def exponential(a, t, chains=None) -> np.ndarray:
 
     On a canonical A (``chains`` as from ``_canonical_chains``, found when
     not given) each chain's block is the closed form e^{t lam} * sum_k t^k
-    N^k / k!, from math.exp and ``_taylor_terms``; otherwise Q e^{tT} Q^T
-    from the real Schur form A = Q T Q^T (``real_schur``, ``schur_exp``).
+    N^k / k!, from math.exp and ``_taylor_terms``; otherwise Q S e^{tD}
+    S^-1 Q^T from the decoupled real Schur form (``schur_clusters``), one
+    closed form per cluster.
     """
     ts = np.asarray(t, dtype=float)
     if chains is None:
         chains = _canonical_chains(a)
     if chains is None:
-        tri, q = real_schur(a)
-        window = 0.5 / (float(np.linalg.norm(a, 2)) or 1.0)  # any, if A = 0
-        out = q @ schur_exp(tri, ts.reshape(-1), window,
-                            taylor_table(tri, window)) @ q.T
-        return out.reshape(ts.shape + a.shape)
+        return schur_clusters(a).exp(ts.ravel()).reshape(ts.shape + a.shape)
     flat, xs = ts.reshape(-1), ts.reshape(-1).tolist()
     terms = _taylor_terms(flat, max(size for _, size, _ in chains))
     out = np.zeros((flat.size,) + a.shape)
@@ -181,30 +177,42 @@ def real_schur(a):
     part E of T below x's block is set to 0.  A pair whose residual as a
     real vector, |Im lam| |Im x|, is at the rounding level (a double
     eigenvalue split by rounding) deflates as Re x alone, a 1 x 1 block.
-    The eigenvectors of the other eigenvalues are carried through each H.
-    eig is recomputed where the next one's trailing part has norm below
-    1/2 (a defective cluster, whose eigenvectors are nearly parallel), and
-    where a carried x would leave ||E|| past 16 eps ||A||_F; past that
-    bound with a fresh x, a ConditioningError is raised.
+    Each eigenvalue after the first is the one nearest the last, so close
+    eigenvalues fill adjacent blocks.  The other eigenvectors are carried
+    through each H; eig is recomputed where the next one's trailing part
+    has norm below 1/2 (a defective cluster) or leaves ||E|| past 16 eps
+    ||T_i||_F, T_i the trailing block, which keeps the slow blocks of a
+    stiff A accurate to their own scale.  Of fresh ones, the next nearest
+    is tried past 16 eps ||A||_F, and a ConditioningError is raised where
+    all are.
     """
     tri = np.array(a, dtype=float)
     n = tri.shape[0]
     q = np.eye(n)
-    tol = 16.0 * np.finfo(float).eps * np.linalg.norm(tri)
-    i, vecs = 0, None
+    unit = 16.0 * np.finfo(float).eps
+    tol = unit * np.linalg.norm(tri)
+    i, vecs, last = 0, None, None
     while i < n - 1:
-        fresh = vecs is None or np.linalg.norm(vecs[:, 0]) < 0.5
+        fresh = vecs is None
         if fresh:
             vals, vecs = np.linalg.eig(tri[i:, i:])
-        x = vecs[:, 0]  # for a pair, vals[1] = conj vals[0]
-        pair = vals[0].imag != 0
-        k = 1 + (pair and abs(vals[0].imag) * np.linalg.norm(x.imag) > tol / 4)
-        h = np.linalg.qr(np.stack([x.real, x.imag][:k], axis=1),
-                         mode="complete")[0]
-        block = h.T @ tri[i:, i:] @ h  # tri[i:, :i] is 0 already
-        below = np.linalg.norm(block[k:, :k])
-        if below > tol and not fresh:  # a carried x drifted: ask eig again
-            vecs = None
+        up = np.flatnonzero(vals.imag >= 0)  # a pair's conjugate is next
+        if last is not None:  # nearest the last deflated first
+            up = up[np.argsort(np.abs(vals[up] - complex(
+                last.real, abs(last.imag))), kind="stable")]
+        for j in up[:None if fresh else 1]:
+            x, pair = vecs[:, j], vals[j].imag != 0
+            k = 1 + (pair and abs(vals[j].imag) * np.linalg.norm(x.imag)
+                     > tol / 4)
+            h = np.linalg.qr(np.stack([x.real, x.imag][:k], axis=1),
+                             mode="complete")[0]
+            block = h.T @ tri[i:, i:] @ h  # tri[i:, :i] is 0 already
+            below = np.linalg.norm(block[k:, :k])
+            if below <= tol:
+                break
+        if not fresh and (np.linalg.norm(x) < 0.5 or below > unit
+                          * np.linalg.norm(tri[i:, i:])):
+            vecs = None  # a carried x drifted: ask eig again
             continue
         if below > tol:
             raise ConditioningError(
@@ -214,95 +222,188 @@ def real_schur(a):
         tri[i:, i:] = block
         tri[:i, i:] = tri[:i, i:] @ h
         q[:, i:] = q[:, i:] @ h
-        vals, vecs = vals[k:], (h.T @ vecs[:, k:])[k:]
+        rest = [m for m in range(len(vals)) if not j <= m < j + k]
+        last, vals, vecs = vals[j], vals[rest], (h.T @ vecs[:, rest])[k:]
         if pair and k == 1:  # the conjugate of x is no eigenvector now
             vecs = None
         i += k
     return tri, q
 
 
-def taylor_table(tri, window: float) -> np.ndarray:
-    """(-window T)^k / k! for k <= 16: ``taylor_sum(table, x)`` is
-    e^{-x window T}.  With window ||T|| <= 1/2 and |x| <= 1 the remainder
-    is below 2^-17/17! < 3e-20 of the sum."""
-    table = [np.eye(tri.shape[0])]
-    for k in range(1, _TAYLOR_DEGREE + 1):
-        table.append(table[-1] @ (-window / k * tri))
-    return np.stack(table)
+# a cluster splits from the blocks after it where the Sylvester solution
+# that decouples them has norm at most this; else it takes the next block
+_DECOUPLE = 100.0
+# Taylor terms of a divided difference of exp at points in the unit disc
+_DD_TERMS = 20
 
 
-def taylor_sum(table, x) -> np.ndarray:
-    """sum_k x[i]^k table[k] for each x[i] of the 1-D ``x``."""
-    size, n = table.shape[:2]
-    powers = x[:, None] ** np.arange(size)
-    return (powers @ table.reshape(size, n * n)).reshape(-1, n, n)
+@dataclass(frozen=True)
+class _Cluster:
+    """Rows ``lo:hi`` of T = S D S^-1, with e^{-tT_c} = e^{-mu t} sum_p
+    c_p(t) ``basis[p]`` on its block T_c (mu: the mean real part of its
+    eigenvalues) and the c_p closed forms by ``kind``: "one" (1 x 1): 1;
+    "pair" ([[mu - h, b], [0, mu + h]], ``data`` [h]): e^{th}, e^{-th} and
+    the sinch form -t sinh(th)/(th) on b; "rot" (mu +- i nu, ``data``
+    [nu]): cos(nu t) on I, -sin(nu t)/nu on T_c - mu I; "newton" (``data``
+    the ``_dd_table`` of d = l - mu, l the eigenvalues): Newton's form
+    sum_p f[l_0..l_p] prod_{q<p} (T_c - l_q I) of f(l) = e^{-t(l - mu)},
+    c_p = (-t)^p e[x_0..x_p] at x = -t d (``_exp_divided_differences``)."""
+
+    lo: int
+    hi: int
+    kind: str
+    mu: float
+    data: np.ndarray
+    basis: np.ndarray
+
+    def coefficients(self, t) -> np.ndarray:
+        """The (p, m) c_p(t) for the 1-D t."""
+        if self.kind == "one":
+            return np.ones((1, t.size))
+        if self.kind == "newton":
+            return _exp_divided_differences(-t, self.data)
+        x = t * self.data[0]
+        if self.kind == "pair":
+            sinch = np.divide(np.sinh(x), x, out=np.ones_like(x),
+                              where=x != 0)
+            return np.stack([np.exp(x), np.exp(-x), -t * sinch])
+        return np.stack([np.cos(x), -np.sin(x) / self.data[0]])
 
 
-def schur_exp(tri, ts, window: float, table) -> np.ndarray:
-    """e^{tT} for each t of the 1-D ``ts``, T quasi-upper-triangular (as
-    from ``real_schur``) with window ||T|| <= 1/2 and ``table`` its
-    ``taylor_table``.
+def _cluster(block, lo) -> _Cluster:
+    """The ``_Cluster`` of the quasi-triangular ``block`` at row ``lo``."""
+    k = len(block)
+    mu = 0.5 * (block[0, 0] + block[-1, -1])
+    shift = block - mu * np.eye(k)
+    nu2 = -(shift[0, 0] ** 2 + block[0, 1] * block[1, 0]) if k == 2 else 0
+    if k == 1:
+        return _Cluster(lo, lo + 1, "one", mu, None, np.ones((1, 1, 1)))
+    if k == 2 and block[1, 0] == 0:
+        return _Cluster(lo, lo + 2, "pair", mu, shift[1, 1:], np.stack([
+            np.diag([1.0, 0.0]), np.diag([0.0, 1.0]), block * np.eye(2, k=1)]))
+    if nu2 > 0:
+        return _Cluster(lo, lo + 2, "rot", mu, np.array([math.sqrt(nu2)]),
+                        np.stack([np.eye(2), shift]))
+    lam = np.linalg.eigvals(block)  # its diagonal blocks', in their order
+    lam = lam if lam.imag.any() else lam.real
+    basis = [np.eye(k)]
+    for x in lam[:-1]:
+        basis.append(basis[-1] @ (block - x * np.eye(k)))
+    mu = float(np.mean(lam.real))
+    return _Cluster(lo, lo + k, "newton", mu, _dd_table(lam - mu),
+                    np.stack(basis))
 
-    The Taylor sum at s = t 2^-j, the least j >= 0 with |s| < window, is
-    squared j times; powers of two of one sign above the window share one
-    chain of squares.  After each square the diagonal entries of the 1 x 1
-    blocks, and the superdiagonal entries between two of them, are reset
-    to their closed forms e^{s lam} and s t12 e^{s lam1/2} e^{s lam2/2}
-    sinch(s(lam2 - lam1)/2) (Al-Mohy & Higham 2009, Code Fragment 2.1),
-    and each 2 x 2 block B of a complex pair mu +- i nu to e^{s mu}(cos(s
-    nu) I + sin(s nu)/nu (B - mu I)), as (B - mu I)^2 = -nu^2 I: the
-    squarings leave no error there, where close eigenvalues or a rotation
-    would put it.  For s a power of two each exponent is exact; e^{s(lam1
-    + lam2)/2} would carry the rounding of lam1 + lam2, |s lam| eps
-    relative.
-    """
-    n = tri.shape[0]
-    j = np.maximum(0, np.frexp(ts / window)[1])
-    base, inv = np.unique(np.ldexp(ts, -j), return_inverse=True)
-    top = np.zeros(base.size, int)
-    np.maximum.at(top, inv, j)
-    mats = taylor_sum(table, -base / window)
-    sub = np.diag(tri, -1) != 0
-    one = ~(np.append(sub, False) | np.insert(sub, 0, False))
-    d, e = np.flatnonzero(one), np.flatnonzero(one[:-1] & one[1:])
-    lam = np.diag(tri)
-    half = 0.5 * (lam[e + 1] - lam[e])
-    # the 2 x 2 blocks [[a, b], [c, d]] at rows i, i + 1 whose computed
-    # nu^2 = -(p^2 + bc) is positive: B - mu I is [[p, b], [c, -p]] with
-    # p = (a - d)/2
-    i = np.flatnonzero(sub)
-    p = 0.5 * (lam[i] - lam[i + 1])
-    nu2 = -(p * p + tri[i, i + 1] * tri[i + 1, i])
-    i, p, nu = i[nu2 > 0], p[nu2 > 0], np.sqrt(nu2[nu2 > 0])
-    rows, cols = i[:, None, None] + [[0], [1]], i[:, None, None] + [0, 1]
-    shift = tri[rows, cols]
-    shift[:, 0, 0], shift[:, 1, 1] = p, -p
-    out = np.empty((ts.size, n, n))
-    for level in range(int(j.max(initial=0)) + 1):
-        live = np.flatnonzero(top >= level)
-        m, s = mats[live], np.ldexp(base[live], level)[:, None]
-        if level:
-            m = m @ m
-        m[:, d, d] = np.exp(s * lam[d])
-        y = s * half
-        sinch = np.divide(np.sinh(y), y, out=np.ones_like(y), where=y != 0)
-        m[:, e, e + 1] = (s * tri[e, e + 1] * np.exp(0.5 * s * lam[e])
-                          * np.exp(0.5 * s * lam[e + 1]) * sinch)
-        if i.size:
-            y = (s * nu)[..., None, None]
-            m[:, rows, cols] = (np.exp(0.5 * s * lam[i]) * np.exp(
-                0.5 * s * lam[i + 1]))[..., None, None] * (
-                    np.cos(y) * np.eye(2) + np.sin(y) / nu[:, None, None]
-                    * shift)
-        mats[live] = m
-        now = j == level
-        out[now] = mats[inv[now]]
-    return out
+
+def _dd_table(d) -> np.ndarray:
+    """c[i, j, k + j - i] = h_k(d_i..d_j) / (k + j - i)! for i <= j and
+    k < 20, h_k the complete homogeneous symmetric sums, so that y^{j - i}
+    e[y d_i..y d_j] = sum_k c[i, j, k] y^k where |y d| < 1: each term is at
+    most 1/(k! (j - i)!) and the sum at least 1/(e (j - i)!) in size."""
+    m = len(d)
+    inv = _taylor_terms(1.0, _DD_TERMS + m)  # 1/k!
+    table = np.zeros((m, m, _DD_TERMS + m), d.dtype)
+    for i in range(m):
+        h = np.zeros(_DD_TERMS, d.dtype)
+        h[0] = 1.0
+        for j in range(i, m):
+            for k in range(1, _DD_TERMS):
+                h[k] += d[j] * h[k - 1]
+            table[i, j, j - i:j - i + _DD_TERMS] = h * inv[
+                j - i:j - i + _DD_TERMS]
+    return table
+
+
+def _exp_divided_differences(tau, table) -> np.ndarray:
+    """The (m, r) tau^p e[x_0..x_p] for each p at x = tau d, per entry of
+    the 1-D tau, from ``table`` = ``_dd_table(d)`` (McCurdy, Ng & Parlett
+    1984): the first row of e^Z for the Opitz matrix Z = tau (diag(d) + N).
+    With s the least such that |x| < 2^s and y = tau 2^-s, e^{Z 2^-s} has
+    entries y^{j - i} e[y d_i..y d_j], by Horner's rule on the table; s
+    squarings give e^Z."""
+    s = np.maximum(0, np.frexp(np.abs(tau) * np.abs(np.diagonal(
+        table[:, :, 1])).max())[1])  # table[i, i, 1] = d_i
+    y = tau * np.ldexp(1.0, -s)
+    table = table if s.any() else table[:1]  # no squaring: row 0 suffices
+    e = table[:, :, -1, None] * y
+    for k in range(table.shape[2] - 2, 0, -1):
+        e = (e + table[:, :, k, None]) * y
+    e = np.moveaxis(e + table[:, :, 0, None], -1, 0)
+    for level in range(s.max(initial=0)):
+        on = s > level
+        e[on] = e[on] @ e[on]
+    return e[:, 0].T
+
+
+def _sylvester(t11, t22, c, edges) -> np.ndarray:
+    """Y with t11 Y - Y t22 = c, t22 quasi-triangular with blocks at
+    ``edges``: Bartels & Stewart's sweep, one Kronecker solve per block."""
+    p, y = len(t11), np.zeros_like(c)
+    for lo, hi in zip(edges, edges[1:]):
+        k = hi - lo  # op = kron(I_k, t11) - kron(t22_bb^T, I_p)
+        rhs = c[:, lo:hi] + y[:, :lo] @ t22[:lo, lo:hi]
+        op = (np.eye(k)[:, None, :, None] * t11[:, None]
+              - t22[lo:hi, lo:hi].T[:, None, :, None] * np.eye(p)[:, None])
+        y[:, lo:hi] = np.linalg.solve(op.reshape(k * p, k * p),
+                                      rhs.T.ravel()).reshape(k, p).T
+    return y
+
+
+@dataclass(frozen=True)
+class SchurClusters:
+    """A = Q T Q^T (``real_schur``, ``edges`` bounding T's diagonal
+    blocks) and T = S D S^-1: D the direct sum of the ``clusters``' blocks,
+    S = prod [[I, Y], [0, I]], Y solving T_ii Y - Y T_jj = -T_ij to decouple
+    a cluster, the fewest leading blocks with ||Y|| <= 100, from the blocks
+    after it (Bavely & Stewart 1979; Davies & Higham 2003)."""
+
+    q: np.ndarray
+    tri: np.ndarray
+    s: np.ndarray
+    s_inv: np.ndarray
+    edges: list
+    clusters: tuple
+
+    def exp(self, ts) -> np.ndarray:
+        """e^{tA} for each t of the 1-D ``ts``: Q (S e^{tD} S^-1) Q^T."""
+        mid = np.zeros((ts.size,) + self.tri.shape)
+        for c in self.clusters:
+            block = np.einsum("pt,pij->tij", c.coefficients(-ts), c.basis)
+            mid[:, c.lo:c.hi, c.lo:c.hi] = (np.exp(c.mu * ts)[:, None, None]
+                                            * block.real)
+        return self.q @ (self.s @ mid @ self.s_inv) @ self.q.T
+
+
+def schur_clusters(a) -> SchurClusters:
+    """The decoupled real Schur form of A (see ``SchurClusters``)."""
+    tri, q = real_schur(a)
+    n = len(tri)
+    # a block edge at every i but the middle of a 2 x 2 block
+    edges = [i for i in range(n + 1) if i in (0, n) or tri[i, i - 1] == 0]
+    s, s_inv, clusters, i = np.eye(n), np.eye(n), [], 0
+    while i < len(edges) - 1:
+        for j in range(i + 1, len(edges)):
+            lo, hi = edges[i], edges[j]
+            if hi == n:
+                break
+            try:
+                with np.errstate(all="ignore"):
+                    y = _sylvester(tri[lo:hi, lo:hi], tri[hi:, hi:],
+                                   -tri[lo:hi, hi:],
+                                   [e - hi for e in edges[j:]])
+            except np.linalg.LinAlgError:  # an eigenvalue shared
+                continue
+            if np.linalg.norm(y) <= _DECOUPLE:  # False if not finite
+                s[:, hi:] += s[:, lo:hi] @ y
+                s_inv[lo:hi] -= y @ s_inv[hi:]
+                break
+        clusters.append(_cluster(tri[lo:hi, lo:hi], lo))
+        i = j
+    return SchurClusters(q, tri, s, s_inv, edges, tuple(clusters))
 
 
 def mat_exp(a, t: float, guard: float = DEFAULT_EXP_GUARD) -> np.ndarray:
-    """e^{tA}: exact closed form on a canonical A, the real Schur form with
-    Taylor scaling-and-squaring otherwise (see ``exponential``).
+    """e^{tA}: exact closed form on a canonical A, the decoupled real Schur
+    form's cluster closed forms otherwise (see ``exponential``).
 
     Relative accuracy is ~1e-12 in the operator norm while
     |t| * ||A|| <= guard (default 50); beyond the guard a RangeError is
@@ -317,24 +418,6 @@ def mat_exp(a, t: float, guard: float = DEFAULT_EXP_GUARD) -> np.ndarray:
             f"|t|*||A|| = {scale:.6g} exceeds the overflow guard {guard:.6g}"
         )
     return exponential(a, t)
-
-
-def frob_sq(a) -> float:
-    """Sum of squared entries; dominates the squared operator norm."""
-    m = check_matrix(a)
-    return float(np.sum(m * m))
-
-
-def numerical_rank(a, tol: float = DEFAULT_RANK_TOL) -> int:
-    """Number of singular values above tol * (largest singular value);
-    a ValueError is raised unless 0 < tol < 1 (NaN is not)."""
-    if not 0 < tol < 1:
-        raise ValueError(f"tol must lie in (0, 1), not {tol!r}")
-    m = np.asarray(a)
-    s = np.linalg.svd(m, compute_uv=False)
-    if s.size == 0 or s[0] == 0.0:
-        return 0
-    return int(np.count_nonzero(s > tol * s[0]))
 
 
 def load_matrix(path) -> np.ndarray:

@@ -548,15 +548,6 @@ class DistortionRadius:
 class DistortionReport:
     rows: tuple
 
-    @property
-    def limit_sup_ratio(self) -> float:
-        """Ratio at the smallest tabulated radius (reported, not claimed)."""
-        return self.rows[-1].sup_ratio
-
-    @property
-    def limit_inf_ratio(self) -> float:
-        return self.rows[-1].inf_ratio
-
 
 def distortion_profile(spec, space: BoundarySpace, x, radii,
                        samples_per_radius: int = 200,
@@ -672,8 +663,10 @@ def conformal_probe(spec, n: int, t_values, base=None) -> np.ndarray:
     sqrt(1 + C'(0)^2): equal to 1 iff the map is conformal at the point,
     and reached exactly at every t when C is globally affine.
 
-    A RangeError names the first t where e^t is not a normal float or the
-    ratio is not finite and positive (the norm overflowed or underflowed).
+    Where the squared norm leaves the normal range, the vector is scaled
+    by its largest component first, so the ratio stays exact from t = -708
+    to t = 700.  A RangeError names the first t where e^t is not a normal
+    float or the ratio is not finite and positive.
     """
     base = check_vector(np.zeros(n) if base is None else base, n)
     t_values = np.asarray(t_values, dtype=float)
@@ -688,8 +681,12 @@ def conformal_probe(spec, n: int, t_values, base=None) -> np.ndarray:
             raise RangeError(f"t = {float(t)!r}: e^t is not a normal float")
         with np.errstate(all="ignore"):  # an overflow is reported below
             xt = base + et * nilpotent_exp(n, t)[:, -1]
-            diff = eval_map(spec, xt) - f_base
-            ratios[i] = np.linalg.norm(nilpotent_exp(n, -t) @ diff) / et
+            diff = nilpotent_exp(n, -t) @ (eval_map(spec, xt) - f_base)
+            sq, top = diff @ diff, np.abs(diff).max()  # np.linalg.norm's sq
+            norm = math.sqrt(sq)
+            if not np.finfo(float).tiny <= sq < math.inf and 0 < top:
+                norm = top * np.linalg.norm(diff / top)
+            ratios[i] = norm / et
         if not 0.0 < ratios[i] < math.inf:
             raise RangeError(f"t = {float(t)!r}: the ratio {ratios[i]} is not "
                              "finite and positive")

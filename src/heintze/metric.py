@@ -2,62 +2,53 @@
 
 D_A(x, y) = e^{t*} where t* is the smallest real number with
 |e^{-tA}(x - y)| = 1.  The solver locates the smallest zero of
-g(t) = log |e^{-tA}(y - x)|:
+g(t) = log |e^{-tA}(y - x)|, evaluated in closed form by one
+g(t, rows, slope) per pipeline:
 
-* canonical A (block diagonal lam*I + N chains): g is the closed form
-  (1/2) logsumexp over the eigenvalues of log P_lam(t) - 2 lam t, with
-  P_lam(t) = |e^{-tN} v_lam|^2 an explicit polynomial (constant on a
-  diagonal, lam*I gives log|v|/lam).  The numerical range of A is the
-  hull of its chains' discs, lam about radius cos(pi/(s+1)), so g' <=
-  -min over chains of (lam - cos(pi/(s+1))).  Where that is negative, g
-  has exactly one zero, and log|v|/lam_max, log|v|/lam_min start its
-  bracket; elsewhere the march below, on the same g and from a
-  closed-form left endpoint, finds the bracket [t, t + s] of the first
-  crossing.  Chandrupatla's method (inverse quadratic interpolation,
-  bisection where it is unsafe) then shrinks each bracket g(lo) > 0 >=
-  g(hi) to hi - lo <= min(t_tol, 4e-16 max(1, |lo|)) and returns its
-  midpoint;
-* general A: a left endpoint t_lo with g > 0 on (-inf, t_lo], certified
-  by g(t_lo) and Van Loan's bound on ||e^{-uA}|| (its nilpotent part
-  bounded by Henrici's departure from normality), then the march below
-  in real Schur coordinates A = Q T Q^T (``linalg.real_schur``): a step
-  of at most 1/(2||A||) is a Taylor sum of e^{-hT}, a longer one the
-  largest rung <= it of a cached ladder of e^{-2^k T}
-  (``linalg.schur_exp``).  A certified crossing step ends at the zero up
-  to rounding; a floored one gives its midpoint.
+* canonical A (block diagonal lam*I + N chains): g is (1/2) logsumexp
+  over the eigenvalues of log P_lam(t) - 2 lam t, with P_lam(t) =
+  |e^{-tN} v_lam|^2 an explicit polynomial (constant on a diagonal,
+  lam*I gives log|v|/lam).  The numerical range of A is the hull of its
+  chains' discs, lam about radius cos(pi/(s+1)), so g' <= -min over
+  chains of (lam - cos(pi/(s+1))).  Where that is negative, g has
+  exactly one zero, and log|v|/lam_max, log|v|/lam_min start its
+  bracket;
+* general A: the decoupled real Schur form A = Q S D S^-1 Q^T
+  (``linalg.schur_clusters``, built once per space), where each cluster
+  of eigenvalues evolves by its own closed form e^{-mu t} E(t) and keeps
+  its own log scale; the clusters are recombined through S inside one
+  scaled sum.
 
-Both march by one loop (``_march``): each step goes to the zero of the
-lower bound g + g'h - Kh^2/2 (g'' >= -K, K from the norms of A's
-symmetric and skew parts), so it passes no zero, floored at t_tol.
+Every other space marches: from a closed-form left endpoint (g > 0
+left of it), each step goes to the zero of the lower bound g + g'h -
+Kh^2/2 (g'' >= -K, K from the norms of A's symmetric and skew parts,
+once per space), so it passes no zero, floored at t_tol
+(``_march``).  Chandrupatla's method (inverse quadratic interpolation,
+bisection where it is unsafe) then shrinks each bracket g(lo) > 0 >=
+g(hi) to hi - lo <= min(t_tol, 4e-16 max(1, |lo|)) and returns its
+midpoint (``_refine``).
 
 t_tol is 1e-12.  All evaluators are pure and vectorized over batches of
-difference vectors.  The canonical pipeline is column-major: a batch is
-the (n, m) array of its vectors, its polynomials and log-sum-exp terms
-(powers or eigenvalues, m) arrays, reduced over axis 0 along contiguous
-rows, each sum in row order (``_sum_rows``).  Every operation there acts
-on each column alone, so a vector's distance does not depend on the rest
-of its batch, bit for bit, and independent batches may share one call.
-The general march multiplies rows through BLAS, whose rounding depends
-on the batch: there a row's root may move by that rounding, within
-t_tol.  Results for a given batch are deterministic.
+difference vectors, column-major: a batch is the (n, m) array of its
+vectors, its polynomials, log-sum-exp terms and Schur coordinates (rows,
+m) arrays, reduced over axis 0 along contiguous rows, each sum in row
+order (``_sum_rows``, ``_mul``).  Every operation acts on each column
+alone, so a vector's distance does not depend on the rest of its batch,
+bit for bit, and independent batches may share one call.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .errors import RangeError, SolverError
 from .linalg import (_canonical_chains, _taylor_terms, check_hypothesis,
-                     check_matrix, check_vector, real_schur, schur_exp,
-                     taylor_sum, taylor_table)
+                     check_matrix, check_vector, schur_clusters)
 
 _T_TOL = 1e-12
-_CERT_MARGIN = 0.05
-# log of the largest norm ||e^{sA}|| a ladder rung may reach
-_SAFE_LOG = 600.0
 _MAX_STEPS = 100_000
 # steps of the bracket refiner: the cap, and the steps before a bracket
 # must shrink at least half as fast as under bisection
@@ -93,7 +84,6 @@ class BoundarySpace:
             lam - math.cos(math.pi / (s + 1)) > 4.0 * _EPS * lam
             for lam, s, _ in self.chains
         )
-        self._ladder = None
 
     # -- structure helpers -------------------------------------------------
 
@@ -128,42 +118,15 @@ class BoundarySpace:
         idx = np.concatenate([np.arange(o, o + s) for _, s, o in chains])
         return BoundarySpace(self.a[np.ix_(idx, idx)]), idx
 
-    # -- march machinery -----------------------------------------------------
+    # -- solver data, built on first use --------------------------------
 
-    def _march_ladder(self) -> "_Ladder":
-        if self._ladder is None:
-            self._ladder = _build_ladder(self.a)
-        return self._ladder
+    @cached_property
+    def _curvature_bound(self) -> float:  # K with g'' >= -K
+        return _curvature(self.a)
 
-
-@dataclass(frozen=True)
-class _Ladder:
-    """Matrices of the general march, built once per space.
-
-    The march works in real Schur coordinates A = Q T Q^T (``q``, ``tri``),
-    where |e^{-tA}v| = |e^{-tT} Q^T v|: there a rung scales each invariant
-    subspace by its own eigenvalues, so the rounding error of a stiff
-    component does not land in a slow one.  A step of length h <=
-    ``window`` = 1 / (2||T||) is applied exactly, as sum_k (h/window)^k
-    ``taylor[k]`` with ``taylor[k]`` = (-window T)^k / k!, k <= 16; a
-    longer one applies the largest rung <= h, so ``down[k]`` is
-    e^{-2^(k_lo+k) T} from 2^k_lo, the largest power of two <= window.
-    ``up[j]`` is e^{2^(j_lo+j) T}, the candidate left endpoints t =
-    -2^(j_lo+j).  The rungs are the same Taylor sums, squared
-    (``linalg.schur_exp``).  ``g(t) > cert`` certifies g > 0 on (-inf,
-    t].  ``curvature`` is K with g'' >= -K.
-    """
-
-    q: np.ndarray
-    tri: np.ndarray
-    k_lo: int
-    j_lo: int
-    down: np.ndarray
-    up: np.ndarray
-    cert: float
-    curvature: float
-    window: float
-    taylor: np.ndarray
+    @cached_property
+    def _clusters(self):  # the decoupled real Schur form of a general A
+        return schur_clusters(self.a)
 
 
 def _curvature(a: np.ndarray) -> float:
@@ -186,52 +149,6 @@ def _curvature(a: np.ndarray) -> float:
             f"(||A|| = {np.linalg.norm(a, 2):.6g}, ||Z|| = {skew:.6g})"
         )
     return curvature
-
-
-def _build_ladder(a: np.ndarray) -> _Ladder:
-    # Van Loan: with the Schur form T = U(D + N)U*, lam = min Re(eig) and
-    # u >= 0, ||e^{-uT}|| <= e^{-u lam} S(u), S(u) = sum_{k<n} (u||N||)^k/k!.
-    # As e^{-(t-u)T}w = e^{uT} e^{-tT}w, g(t - u) >= g(t) + lam u - log S(u).
-    # Bounding S(u) by n times its largest term and minimising each
-    # lam u - k log(u||N||) + log k! over u (at u = k/lam) gives
-    # lam u - log S(u) >= c for every u, so g(t) > margin - c certifies
-    # g > 0 on (-inf, t].  ||N|| <= ||N||_F, Henrici's departure from
-    # normality ||T||_F^2 - sum |eig|^2; the sums err by at most about
-    # n^2 eps ||T||_F^2, and twice that keeps ``nil`` a bound
-    n = a.shape[0]
-    curvature = _curvature(a)
-    tri, q = real_schur(a)
-    eigs, frob = np.linalg.eigvals(tri), float(np.sum(tri * tri))
-    nil = math.sqrt(max(0.0, frob - float(np.sum(np.abs(eigs) ** 2)))
-                    + 2.0 * n * n * _EPS * frob)
-    c = -math.log(n) + min([0.0] + [
-        k - k * math.log(k * nil / eigs.real.min()) + math.lgamma(k + 1)
-        for k in range(1, n) if nil > 0
-    ])
-
-    window = 0.5 / np.linalg.norm(a, 2)
-    # the march takes a step of at most the window exactly and a longer
-    # one by the largest rung <= it: no rung below 2^k_lo <= window
-    k_lo = math.frexp(window)[1] - 1
-    ks = np.arange(k_lo, 64)
-    s = np.ldexp(1.0, ks)
-    # log S(s), a log-sum-exp over k of k log(s||N||) - log k!
-    log_s = 0.0 if nil == 0 else np.logaddexp.reduce(np.arange(n) * np.log(
-        s * nil)[:, None] - [math.lgamma(k + 1) for k in range(n)], axis=1)
-    # the largest rung keeps ||e^{sA}|| <= e^{s max Re(eig)} S(s) finite
-    k_hi = int(ks[s * eigs.real.max() + log_s <= _SAFE_LOG].max())
-    down = np.ldexp(1.0, np.arange(k_lo, k_hi + 1))
-    # the first left endpoint keeps 2^j_lo max Re(eig) <= 2: further
-    # left, a stiff component grows so large that its rounding error
-    # swamps the slow ones (on R.diag(1, 350).R^T, T's off-diagonal of
-    # 3e-14 put 1e136 into the slow coordinate at t = -1)
-    j_lo = min(0, math.floor(1.0 - math.log2(eigs.real.max())))
-    up = np.ldexp(1.0, np.arange(j_lo, k_hi + 1))
-    taylor = taylor_table(tri, window)
-    mats = schur_exp(tri, np.concatenate([-down, up]), window, taylor)
-    return _Ladder(q=q, tri=tri, k_lo=k_lo, j_lo=j_lo, down=mats[:down.size],
-                   up=mats[down.size:], cert=_CERT_MARGIN - c,
-                   curvature=curvature, window=window, taylor=taylor)
 
 
 # ---------------------------------------------------------------------------
@@ -431,14 +348,17 @@ def _roots_canonical(space: BoundarySpace, v: np.ndarray,
                 block, np.stack([last, np.maximum(last - 1, 0)]), 0))
             near = np.where(last >= 1, -(1.0 + prev) / entry, -math.inf)
             start = np.maximum(start, np.maximum(np.log(entry) / lam, near))
-    lo = _expand(g, start, -1.0, "canonical")[0]
+    return _solve_marching(space, g, start, "canonical")
+
+
+def _solve_marching(space: BoundarySpace, g, start, path):
+    """Each row's first zero of ``g``, g > 0 on (-inf, start]: ``_expand``
+    left, ``_march``, ``_refine``, then the bracket's midpoint."""
+    lo = _expand(g, start, -1.0, path)[0]
     with np.errstate(over="ignore", invalid="ignore"):
         g_lo, slope = g(lo, np.arange(lo.size), slope=True)
-    lo, hi, g_lo, g_hi, _ = _march(
-        space, "canonical",
-        lambda t, step, rows, _: (step, *g(t + step, rows, slope=True), None),
-        lo, g_lo, slope, _curvature(space.a))
-    lo, hi = _refine(g, lo, hi, g_lo, g_hi, _T_TOL, "canonical")
+    lo, hi, g_lo, g_hi = _march(space, path, g, lo, g_lo, slope)
+    lo, hi = _refine(g, lo, hi, g_lo, g_hi, _T_TOL, path)
     return 0.5 * (lo + hi)
 
 
@@ -464,59 +384,33 @@ def _step_length(g, slope, big_k):
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def _march(space: BoundarySpace, path, advance, t, gt, slope, big_k,
-           state=None):
-    """lo, hi with g(lo) > 0 >= g(hi), g(lo), g(hi) bracketing each row's
+def _march(space: BoundarySpace, path, g, t, gt, slope):
+    """lo, hi, g(lo), g(hi) with g(lo) > 0 >= g(hi), bracketing each row's
     first zero of g, marching right from ``t`` (g > 0 on (-inf, t]; g, g'
-    there are ``gt``, ``slope``; g'' >= -``big_k``), and whether each
-    crossing step was certified.
+    there are ``gt``, ``slope``; g'' >= -K, the space's curvature bound).
 
-    ``advance(t, step, rows, state)`` moves the rows indexed by ``rows`` by
-    at most ``step`` and returns the step s taken, g and g' at t + s and
-    the new per-row ``state`` (or None).  The step asked for is fmax(h,
-    floor), with h the ``_step_length`` and the floor t_tol (or an ulp of
-    t, where coarser), so a NaN h takes the floor.  h is NaN where it
-    certifies nothing: where K = 0 and g' >= 0, which only rounding gives,
-    as K = 0 makes g' < 0 (an h = inf there would step to t = inf).  Where
-    h >= s, g > 0 on [t, t + s) in exact arithmetic: a crossing there is
-    certified, and the zero lies at t + s up to rounding.
+    ``g(t, rows, slope=True)`` gives g and g' on the rows ``rows``.  Each
+    step is fmax(h, floor), h the ``_step_length`` (g > 0 on [t, t + h)
+    in exact arithmetic) and the floor t_tol or an ulp of t, so a NaN h,
+    where K = 0 and g' >= 0 (only rounding gives that), takes the floor.
     """
-    out, idx = np.empty((5, t.size)), np.arange(t.size)
+    big_k = space._curvature_bound
+    out, idx = np.empty((4, t.size)), np.arange(t.size)
     for _ in range(_MAX_STEPS):
         if not math.isfinite(gt.sum() + slope.sum()):
             raise _march_failure(path, space, "non-finite g or slope",
                                  ~np.isfinite(gt + slope), t, gt)
         h = _step_length(gt, slope, big_k)
-        step, g_next, slope, state = advance(
-            t, np.fmax(h, np.maximum(_T_TOL, _EPS * np.abs(t))), idx, state)
-        t_next = t + step
+        t_next = t + np.fmax(h, np.maximum(_T_TOL, _EPS * np.abs(t)))
+        g_next, slope = g(t_next, idx, slope=True)
         cross = g_next <= 0
-        # h - step >= 0 exactly where h >= step; a NaN h fails both
-        out[:, idx[cross]] = np.stack([t, t_next, gt, g_next,
-                                       h - step])[:, cross]
+        out[:, idx[cross]] = np.stack([t, t_next, gt, g_next])[:, cross]
         keep = ~cross
         idx, t, gt, slope = idx[keep], t_next[keep], g_next[keep], slope[keep]
-        if state is not None:
-            state = state[keep]
         if idx.size == 0:
-            return (*out[:4], out[4] >= 0)
+            return out
     raise _march_failure(path, space, "no sign change within the step cap",
                          np.ones(idx.size, bool), t, gt)
-
-
-def _log_norm(w):
-    """log |w| per row.  The norm squares |w|, so a row whose square leaves
-    the float range (|w| above 1.34e154) is scaled by its largest entry
-    first.  Callers ignore overflow and divide-by-zero warnings."""
-    g = np.log(np.linalg.norm(w, axis=1))
-    if not math.isfinite(g.sum()):  # logs sum far below overflow
-        odd = np.flatnonzero(~np.isfinite(g))
-        s = np.abs(w[odd]).max(axis=1)
-        keep = np.isfinite(s) & (s > 0)
-        odd, s = odd[keep], s[keep]
-        g[odd] = np.log(s) + np.log(
-            np.linalg.norm(w[odd] / s[:, None], axis=1))
-    return g
 
 
 def _march_failure(path, space, what, bad, t, g):
@@ -527,59 +421,84 @@ def _march_failure(path, space, what, bad, t, g):
     )
 
 
-def _schur_g(lad, w):
-    """g = log|w| and g' = -<Tw, w>/|w|^2 per row of Schur coordinates w;
-    where |w|^2 may overflow, g' comes from unit rows."""
-    g = _log_norm(w)
-    if g.max() > _SAFE_LOG / 2:
-        w = w * np.exp(-g)[:, None]
-    return g, (-np.einsum("ij,ij->i", w, w @ lad.tri.T)
-               / np.einsum("ij,ij->i", w, w))
+def _mul(m: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """m @ x for column-major x, summed over m's nonzero columns in order:
+    unlike BLAS, each column of the result is independent of the batch."""
+    out = np.zeros((m.shape[0], x.shape[1]), np.result_type(m, x))
+    for k in np.flatnonzero(np.any(m != 0, axis=0)):
+        out += m[:, k, None] * x[k]
+    return out
 
 
-@np.errstate(over="ignore", divide="ignore")
+@np.errstate(over="ignore", divide="ignore", invalid="ignore")
 def _roots_general(space: BoundarySpace, v: np.ndarray) -> np.ndarray:
-    """Each row's root by the march in Schur coordinates."""
-    lad = space._march_ladder()
-    m = v.shape[0]
+    # v is (n, m), column-major.  With A = Q S D S^-1 Q^T and u = S^-1 Q^T v,
+    # e^{-tA}v = Q S x, x_c = e^{-mu_c t} E_c(t) u_c on each cluster c.  x_c
+    # keeps its own log scale l_c - mu_c t, l_c = log max|u_c|: g = log
+    # max|v| + top + log|S x'|, x'_c = e^{l_c - mu_c t - top} E_c(t) u_c /
+    # max|u_c|, top the largest scale, so no stiff cluster overflows
+    sc = space._clusters
+    peak = np.abs(v).max(axis=0)
+    z = _mul(sc.q.T, v / peak)  # Schur coordinates
+    u = _mul(sc.s_inv, z)
+    scales, parts = [], []
+    for c in sc.clusters:
+        top = np.abs(u[c.lo:c.hi]).max(axis=0)
+        scales.append(np.log(top))  # -inf where u_c = 0
+        unit = u[c.lo:c.hi] / np.where(top > 0, top, 1.0)
+        parts.append(np.stack([_mul(b, unit) for b in c.basis]))
+    scales, log_peak = np.array(scales), np.log(peak)
+    mus = np.array([[c.mu] for c in sc.clusters])
 
-    v = v @ lad.q  # rows Q^T v: Schur coordinates
-    # certified left endpoint: the first of t = 0, -1, -2, -4, ... with
-    # g(t) > cert; starting near the root keeps rounding errors in w from
-    # being amplified by the non-normal part of e^{-tA}
-    t = np.zeros(m)
-    w = v.copy()
-    g = _log_norm(w)
-    for j, rung in enumerate(lad.up):
-        low = np.flatnonzero(~(g > lad.cert))
-        if low.size == 0:
-            break
-        t[low] = -np.ldexp(1.0, lad.j_lo + j)
-        w[low] = v[low] @ rung.T
-        g[low] = _log_norm(w[low])
-    bad = ~((g > lad.cert) & np.isfinite(g))
-    if bad.any():
-        raise _march_failure("general", space, "no certified left endpoint",
-                             bad, t, g)
+    def g(t, rows, slope=False):
+        # with slope, also g' = -<w, Tw>/|w|^2 at w = S x'
+        e = scales.take(rows, axis=1) - mus * t
+        top = e.max(axis=0)
+        x = np.empty((space.n, rows.size))
+        for c, y, ec in zip(sc.clusters, parts, e):
+            acc = _sum_rows(c.coefficients(t)[:, None] * y.take(rows, axis=2))
+            x[c.lo:c.hi] = np.exp(ec - top) * acc.real
+        w = _mul(sc.s, x)
+        sq = _sum_rows(w * w)
+        gt = log_peak.take(rows) + top + 0.5 * np.log(sq)
+        return (gt, -_sum_rows(w * _mul(sc.tri, w)) / sq) if slope else gt
 
-    def advance(t, step, rows, w):
-        # a step within the window by its Taylor sum, a longer one by the
-        # largest rung <= it (2^k_lo <= window, so there is one)
-        exact = step <= lad.window
-        k = np.minimum(np.frexp(step)[1] - 1 - lad.k_lo, len(lad.down) - 1)
-        step = np.where(exact, step, np.ldexp(1.0, lad.k_lo + k))
-        w_next = np.empty_like(w)
-        w_next[exact] = np.einsum("rij,rj->ri", taylor_sum(
-            lad.taylor, step[exact] / lad.window), w[exact])
-        w_next[~exact] = np.einsum("rij,rj->ri", lad.down[k[~exact]],
-                                   w[~exact])
-        return (step, *_schur_g(lad, w_next), w_next)
+    return _solve_marching(space, g, _general_start(sc, z, log_peak),
+                           "general")
 
-    lo, hi, _, _, certified = _march(space, "general", advance, t,
-                                     *_schur_g(lad, w), lad.curvature, w)
-    # a certified crossing ends at the zero up to rounding; a floored step
-    # may cross anywhere in it
-    return np.where(certified, hi, 0.5 * (lo + hi))
+
+def _general_start(sc, z: np.ndarray, log_peak: np.ndarray) -> np.ndarray:
+    """Per column of the Schur coordinates z of v/max|v|, a t with
+    |e^{-tA}v| > 1 on (-inf, t].  The last diagonal block b of T where z
+    is nonzero evolves alone: |e^{-tA}v| >= |z_b| e^{-mu t} / c, c = 1 on a
+    1 x 1 block and 1 + ||B||_F/nu on a complex pair (e^{tB} = cos(nu t) I
+    + sin(nu t)/nu B, nu^2 = det B).  Where b and the block above are 1 x 1
+    (eigenvalues l, l', coupling c'), that entry is e^{-l't}z' + c' f z_b,
+    |f| >= |t| e^{-t min(l, l')} for t < 0: it exceeds 1 left of -(1 +
+    e|z'|)/(|c'||z_b|) while (l' - l)|t| <= 1, a second point kept where
+    the first covers the rest (a tiny z_b puts the first far left)."""
+    edges, tri, cols = np.array(sc.edges), sc.tri, np.arange(z.shape[1])
+    mu, cost = np.empty(len(edges) - 1), np.ones(len(edges) - 1)
+    for b, (i, j) in enumerate(zip(edges, edges[1:])):
+        mu[b] = np.trace(tri[i:j, i:j]) / (j - i)
+        if j - i == 2:  # B = [[p, c], [d, -p]], ||B|| <= ||B||_F
+            p, c, d = tri[i, i] - mu[b], tri[i, j - 1], tri[i + 1, i]
+            cost[b] += math.hypot(p, p, c, d) / math.sqrt(
+                max(-p * p - c * d, _TINY))
+    nonzero = np.stack([np.any(z[i:j] != 0, axis=0)
+                        for i, j in zip(edges, edges[1:])])
+    last = len(mu) - 1 - np.argmax(nonzero[::-1], axis=0)
+    i, two = edges[last], np.diff(edges)[last] == 2
+    z_b = np.hypot(z[i, cols], np.where(two, z[np.minimum(i + 1, len(tri) - 1),
+                                                  cols], 0.0))
+    start = (log_peak + np.log(z_b) - np.log(cost[last])) / mu[last]
+    up = np.maximum(i - 1, 0)
+    near = -(np.exp(-log_peak) + math.e * np.abs(z[up, cols])) / (
+        np.abs(tri[up, i]) * z_b)
+    gap = np.maximum(0.0, tri[up, up] - tri[i, i])
+    ok = (~two & (last >= 1) & (np.diff(edges)[last - 1] == 1)
+          & (gap * near >= -1.0) & (gap * start >= -1.0))
+    return np.where(ok, np.maximum(start, near), start)
 
 
 def _dist_from_diffs(space: BoundarySpace, diffs: np.ndarray) -> np.ndarray:
@@ -601,7 +520,7 @@ def _dist_from_diffs(space: BoundarySpace, diffs: np.ndarray) -> np.ndarray:
         )
     if not nz.any():
         return out
-    roots = (_roots_general(space, diffs[nz]) if space.chains is None
+    roots = (_roots_general(space, cols[:, nz]) if space.chains is None
              else _roots_canonical(space, cols[:, nz],
                                    np.log(np.sqrt(sq[nz]))))
     with np.errstate(over="ignore"):

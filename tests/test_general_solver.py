@@ -6,7 +6,6 @@ corpus checks D_{RAR^T}(Rx, Ry) = D_A(x, y) against the exact
 single-eigenvalue path.
 """
 
-import dataclasses
 import math
 
 import numpy as np
@@ -176,8 +175,8 @@ def test_huge_vectors_on_a_humped_matrix():
 
 
 def test_general_space_of_dimension_172():
-    # the ladder's certificate sums (s||N||)^k / k! over k < n, past 170!
-    # from n = 172: an eigenvector of length 3 is at distance 3
+    # 172 eigenvalues 1/171 apart, each a cluster of its own: an
+    # eigenvector of length 3 is at distance 3
     rng = np.random.default_rng(0)
     q, _ = np.linalg.qr(rng.normal(size=(172, 172)))
     a = q @ np.diag(np.linspace(1.0, 2.0, 172)) @ q.T
@@ -186,11 +185,12 @@ def test_general_space_of_dimension_172():
 
 
 def test_stiff_vector_past_the_last_up_rung_raises():
-    # e^{-tA}(0.01, 0) = (0.01 e^{-t}, 0) needs t < -5.4 to certify, but the
-    # up rungs stop at t = -1/2, where e^{lam/2} reaches the ladder's limit
+    # e^{-tA}(0.01, 0) = (0.01 e^{-t}, 0): log D = log 0.01, where e^{-1000 t}
+    # is about e^4605.  Each cluster keeps its own log scale, so nothing
+    # caps ||e^{-tA}||
     space = BoundarySpace(np.array([[1.0, 1.0], [0.0, 1000.0]]))
-    with pytest.raises(SolverError, match="no certified left endpoint"):
-        dist_pairs(space, np.zeros((1, 2)), [[0.01, 0.0]])
+    got = math.log(dist_pairs(space, np.zeros((1, 2)), [[0.01, 0.0]])[0])
+    assert abs(got - math.log(0.01)) <= metric._T_TOL
     assert dist_pairs(space, np.zeros((1, 2)), [[0.01, 1.0]])[0] > 0
 
 
@@ -211,37 +211,46 @@ def test_overflowing_curvature_never_gives_the_later_crossing(b):
 def test_uncertified_steps_take_the_bottom_rung(monkeypatch):
     # with K = inf every step length h is 0 or NaN: the march may only
     # creep by the floor step t_tol, so it cannot reach the root within
-    # the cap
+    # the cap.  The error names the row count and the matrix
     monkeypatch.setattr(metric, "_MAX_STEPS", 1000)
+    monkeypatch.setattr(metric, "_curvature", lambda a: math.inf)
     space = BoundarySpace(np.array([[1.0, -3.0], [3.0, 1.0]]))
-    space._ladder = dataclasses.replace(space._march_ladder(),
-                                        curvature=math.inf)
-    with pytest.raises(SolverError, match="step cap"):
+    with pytest.raises(SolverError,
+                       match=r"step cap for 2 vector.*matrix = \[\["):
         dist_pairs(space, np.zeros((2, 2)), [[1.0, 0.0], [3.0, 3.0]])
 
 
 def test_general_space_builds_its_ladder_once(monkeypatch):
+    # the decoupled Schur form and K are built by the first batch that
+    # needs them, once per space
     rng = np.random.default_rng(5)
     calls = []
-    schur_exp = metric.schur_exp
 
-    def counted(tri, *args):
-        calls.append(tri.shape)
-        return schur_exp(tri, *args)
+    def counted(name):
+        real = getattr(metric, name)
 
-    monkeypatch.setattr(metric, "schur_exp", counted)
+        def wrapper(a):
+            calls.append(name)
+            return real(a)
+        return wrapper
+
+    for name in ("schur_clusters", "_curvature"):
+        monkeypatch.setattr(metric, name, counted(name))
     space = BoundarySpace(np.array([[1.0, -3.0], [3.0, 1.0]]))
     for _ in range(2):
         x, y = rng.uniform(-5.0, 5.0, (2, 500, 2))
         # e^{-tA} is e^{-t} times a rotation, so D is the Euclidean distance
         np.testing.assert_allclose(dist_pairs(space, x, y),
                                    np.linalg.norm(y - x, axis=1), rtol=1e-11)
-    assert len(calls) == 1
+    assert sorted(calls) == ["_curvature", "schur_clusters"]
 
 
 def test_uncertifiable_vector_raises_with_diagnostics():
+    # the root of (0, 1e-150) lies at log D = -1128.75, where e^t
+    # underflows: a RangeError names it, though the march reaches it
     space = BoundarySpace(_rotated_j2(0.3))
-    with pytest.raises(SolverError, match=r"1 vector.*matrix = \[\["):
+    with pytest.raises(RangeError, match=r"^1 distance\(s\) out of range: "
+                                         r"log D = -1128\.75 "):
         dist_pairs(space, np.zeros((2, 2)), [[1.0, 2.0], [0.0, 1e-150]])
 
 
@@ -330,13 +339,12 @@ GENERAL_CASES = {
                                         ("diag(2)+J2(1)", 8),
                                         ("R.(diag(2)+J2(1)).RT", 8)])
 def test_march_step_counts(monkeypatch, name, most):
-    # exact steps converge quadratically near a simple root; rounding
-    # every step down to a rung takes about one more step per binary digit
+    # exact steps converge quadratically near a simple root
     space = BoundarySpace(GENERAL_CASES[name])
     # the canonical diag(2)+J2(1) has a decreasing g and takes no march by
     # itself: forced, it counts the steps of the march on the closed-form
     # g, which canonical spaces whose g may rise take; its rotation counts
-    # those of the general path's Schur ladder on the same g
+    # those on the general path's cluster g of the same function
     space._decreasing = False
     count = _count_steps(monkeypatch)
     x, y = np.random.default_rng(7).uniform(-5.0, 5.0, (2, 2000, space.n))
@@ -441,9 +449,9 @@ def test_general_roots_match_50_digit_roots():
 def test_rotated_j2_matches_the_canonical_path():
     # D_{RAR^T}(x, y) = D_A(R^T x, R^T y): the general path on R.J2(0.3).R^T
     # against the canonical closed-form g at R^T(y - x).  Its Schur form
-    # has eigenvalues 0.3 +- 7.45e-9: a rung whose superdiagonal is the
-    # divided difference (e^{s lam2} - e^{s lam1}) / (lam2 - lam1) cancels
-    # over that split, is off by 2e-10 and moves roots by as much
+    # has eigenvalues 0.3 +- 7.45e-9: the divided difference (e^{s lam2} -
+    # e^{s lam1}) / (lam2 - lam1) would cancel over that split and move
+    # roots by 2e-10, where the sinch form keeps every bit
     x, y = np.random.default_rng(0).uniform(-5.0, 5.0, (2, 2000, 2))
     got = np.log(dist_pairs(BoundarySpace(_rotated_j2(0.3)), x, y))
     want = np.log(dist_pairs(BoundarySpace(jordan_block(0.3, 2)),
@@ -451,36 +459,71 @@ def test_rotated_j2_matches_the_canonical_path():
     assert np.abs(got - want).max() <= 1e-12
 
 
+@pytest.mark.parametrize("a, kinds", [
+    (_rotated_j2(0.3), ["pair"]), (_rotated_j2(0.35), ["pair"]),
+    (_rotated_j2(0.45), ["pair"]),
+    (np.array([[1.0, -3.0], [3.0, 1.0]]), ["rot"]),
+    (ROTATION3 @ DIAG2_J2 @ ROTATION3.T, ["one", "pair"])],
+    ids=["R.J2(0.3).RT", "R.J2(0.35).RT", "R.J2(0.45).RT", "spiral",
+         "R.(diag(2)+J2(1)).RT"])
+def test_ladder_holds_only_rungs_the_march_can_apply(a, kinds):
+    # the decoupled Schur form: A = Q S D S^-1 Q^T to rounding, D the direct
+    # sum of the cluster blocks.  A split double eigenvalue stays one
+    # cluster, a "pair"; the spiral's complex pair is a "rot" block; diag(2)
+    # is decoupled from J2(1)
+    sc = BoundarySpace(a)._clusters
+    assert [c.kind for c in sc.clusters] == kinds
+    d = np.zeros_like(a)
+    for c in sc.clusters:
+        d[c.lo:c.hi, c.lo:c.hi] = sc.tri[c.lo:c.hi, c.lo:c.hi]
+    back = sc.q @ sc.s @ d @ sc.s_inv @ sc.q.T
+    assert np.abs(back - a).max() <= 1e-14 * np.abs(a).max()
+    assert np.abs(sc.s @ sc.s_inv - np.eye(len(a))).max() <= 1e-15
+
+
 @pytest.mark.parametrize("a", [_rotated_j2(0.3), _rotated_j2(0.35),
-                               _rotated_j2(0.45),
                                np.array([[1.0, -3.0], [3.0, 1.0]]),
-                               ROTATION3 @ DIAG2_J2 @ ROTATION3.T],
-                         ids=["R.J2(0.3).RT", "R.J2(0.35).RT",
-                              "R.J2(0.45).RT", "spiral",
-                              "R.(diag(2)+J2(1)).RT"])
-def test_ladder_holds_only_rungs_the_march_can_apply(a):
-    # a step of at most the window is a Taylor sum, and a longer one takes
-    # the largest rung <= it: no rung below 2^k_lo <= window is applied
-    lad = BoundarySpace(a)._march_ladder()
-    assert 2.0 ** lad.k_lo <= lad.window < 2.0 ** (lad.k_lo + 1)
-
-
-@pytest.mark.parametrize("a", [_rotated_j2(0.3), _rotated_j2(0.35),
-                               np.array([[1.0, -3.0], [3.0, 1.0]])],
-                         ids=["R.J2(0.3).RT", "R.J2(0.35).RT", "spiral"])
+                               ROTATION3 @ jordan_block(1.0, 3) @ ROTATION3.T],
+                         ids=["R.J2(0.3).RT", "R.J2(0.35).RT", "spiral",
+                              "R.J3.RT"])
 def test_ladder_rungs_match_50_digit_exponentials(a):
+    # each cluster's closed form e^{-tT_c} = e^{-mu t} sum_p c_p(t) basis[p]
+    # against mpmath's expm of the same float block, at t = +-2^k: the sinch
+    # pair, the rotation and (R.J3.RT, split into a real eigenvalue and a
+    # complex pair) Newton's form
     mp = pytest.importorskip("mpmath")
-    lad = BoundarySpace(a)._march_ladder()
-    rungs = np.concatenate([
-        -np.ldexp(1.0, np.arange(lad.k_lo, lad.k_lo + len(lad.down))),
-        np.ldexp(1.0, np.arange(lad.j_lo, lad.j_lo + len(lad.up)))])
+    ts = np.concatenate([-np.ldexp(1.0, np.arange(-3, 5)),
+                         np.ldexp(1.0, np.arange(-3, 5))])
+    sc = BoundarySpace(a)._clusters
     with mp.workdps(50):
-        tri = mp.matrix(lad.tri.tolist())
-        for s, got in zip(rungs, np.concatenate([lad.down, lad.up])):
-            want = mp.expm(mp.mpf(float(s)) * tri)
-            scale = max(abs(x) for x in want)
-            err = max(abs(mp.mpf(float(g)) - w)
-                      for g, w in zip(got.ravel().tolist(), want))
-            # the spiral's 2 x 2 block is reset to its closed form after
-            # each squaring, the others' 1 x 1 entries
-            assert float(err / scale) <= 1e-15, s
+        for c in sc.clusters:
+            block = mp.matrix(sc.tri[c.lo:c.hi, c.lo:c.hi].tolist())
+            got = np.exp(-c.mu * ts)[:, None, None] * np.einsum(
+                "pt,pij->tij", c.coefficients(ts), c.basis).real
+            for t, m in zip(ts, got):
+                want = mp.expm(-mp.mpf(float(t)) * block)
+                scale = max(abs(x) for x in want)
+                err = max(abs(mp.mpf(float(g)) - w)
+                          for g, w in zip(m.ravel().tolist(), want))
+                assert float(err / scale) <= 1e-15, t
+
+
+@pytest.mark.parametrize("lam", [10.0, 100.0, 1e3, 1e4])
+def test_rotated_stiff_sums_match_50_digit_roots(lam):
+    # R.(diag(lam) + J2(1)).R^T: a stiff cluster decoupled from a slow
+    # pair, each on its own log scale.  The vectors are uniform in the
+    # unrotated coordinates, so each has a stiff part and the rounding of
+    # R A R^T and of R^T v moves a root by far less than t_tol
+    mp = pytest.importorskip("mpmath")
+    a = ROTATION3 @ scipy.linalg.block_diag([[lam]], jordan_block(1.0, 2)) \
+        @ ROTATION3.T
+    space = BoundarySpace(a)
+    assert space.chains is None
+    v = np.random.default_rng(41).uniform(-5.0, 5.0, (20, 3)) @ ROTATION3.T
+    got = np.log(dist_pairs(space, np.zeros_like(v), v))
+    with mp.workdps(50):
+        for t, row in zip(got, v):
+            exact = _Exact(mp, [(lam, 1), (1.0, 2)],
+                           ROTATION3.T @ row).smallest_root()
+            err = float(abs(mp.mpf(t) - exact))
+            assert err <= metric._T_TOL * max(1.0, abs(float(exact))), row

@@ -395,15 +395,28 @@ def test_conformal_probe_values():
 @pytest.mark.parametrize("t, base", [
     (-744.0, None),  # e^t is subnormal: the ratio read 0
     (-746.0, None),  # e^t is 0: NaN
-    (700.0, None),  # the squared norm overflows: inf
     (709.0, None),  # e^t is finite, e^t e^{tN} is not: NaN
     (710.0, None),  # math.exp overflows
-    (-700.0, (0.0, 0.0)),  # the squared norm underflows: the ratio read 0
 ])
 def test_conformal_probe_rejects_t_outside_the_float_range(t, base):
     sh = Shear(2, PiecewiseLinear.linear(1.0))
     with pytest.raises(RangeError, match=f"t = {t!r}"):
         conformal_probe(sh, 2, [-4.0, t], base=base)
+
+
+@pytest.mark.parametrize("t, base", [
+    (700.0, None),  # the squared norm overflowed: RangeError
+    (-700.0, (0.0, 0.0)),  # the squared norm underflowed: RangeError
+])
+def test_conformal_probe_scales_its_norm_near_the_float_range(t, base):
+    sh = Shear(2, PiecewiseLinear.linear(1.0))
+    r = conformal_probe(sh, 2, [-4.0, t], base=base)
+    assert r == pytest.approx(math.sqrt(2.0), rel=1e-13)
+    # the subnormal squares below t = -354 read 1.41604 at -370 and
+    # 1.60498 at -372, and raised from -372.5 on
+    ts = np.linspace(-708.0, 700.0, 353)
+    assert conformal_probe(sh, 2, ts) == pytest.approx(math.sqrt(2.0),
+                                                        rel=1e-13)
 
 
 def test_conformal_probe_near_the_float_range_is_unchanged():
