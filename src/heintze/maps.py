@@ -457,33 +457,42 @@ def nilpotent_poly_inverse(coeffs) -> tuple:
     return tuple(c / coeffs[0] for c in acc)
 
 
-def poly_bilip_bound(n: int, coeffs) -> float:
-    """e^{max(a, a', 0)} with a, a' the u solving
-    e^u = sqrt(Q(e^{uN}) Q(B)) for B = B_2 and B = B_2^{-1}."""
+def _poly_constants(n: int, coeffs) -> list:
+    """log Q(B) / 2 for B = B_2 and B = B_2^{-1}, as log(4^e Q(2^-e B))
+    where Q(B) is 0 or inf."""
     coeffs = tuple(float(c) for c in coeffs)
     if len(coeffs) != n:
         raise ValueError(f"need exactly {n} coefficients")
     if coeffs[0] == 0.0:
         raise ValueError("leading coefficient a_0 must be nonzero")
-    consts = []  # log Q(B) / 2, as log(4^e Q(2^-e B)) where Q(B) is 0 or inf
+    consts = []
     with np.errstate(over="ignore", under="ignore"):
         for c in map(np.array, (coeffs, nilpotent_poly_inverse(coeffs))):
             e = 0 if 0.0 < _q(c) < math.inf else math.frexp(np.abs(c).max())[1]
             consts.append(0.5 * math.log(_q(np.ldexp(c, -e))) + e * math.log(2))
-    roots = _bound_exponents(n, consts)
+    return consts
+
+
+def poly_bilip_bound(n: int, coeffs) -> float:
+    """e^{max(a, a', 0)} with a, a' the u solving
+    e^u = sqrt(Q(e^{uN}) Q(B)) for B = B_2 and B = B_2^{-1}."""
+    roots = _bound_exponents(n, _poly_constants(n, coeffs))
     return math.exp(max(float(roots.max()), 0.0))
 
 
 def jordan_family_bound(spec: JordanFamilyMap) -> float:
     """Distortion bound for the full family map via its decomposition
-    into translation * shear * nilpotent-polynomial.
+    into translation * shear * nilpotent-polynomial: ``shear_bilip_bound``
+    times ``poly_bilip_bound``, their three exponents solved in one batch.
 
     The shear factor in the decomposition carries C(y / a_0), so its
     Lipschitz constant is L(C) / |a_0|.
     """
     shear_l = spec.c.lipschitz() / abs(spec.a[0])
-    poly = poly_bilip_bound(spec.n, spec.a + (0.0,))
-    return shear_bilip_bound(spec.n, shear_l) * poly
+    roots = _bound_exponents(spec.n, _poly_constants(spec.n, spec.a + (0.0,))
+                             + [math.log1p(shear_l)])
+    poly = math.exp(max(float(roots[:2].max()), 0.0))
+    return math.exp(max(float(roots[2]), 0.0)) * poly
 
 
 # ---------------------------------------------------------------------------
@@ -498,12 +507,12 @@ def empirical_bilip(spec, space: BoundarySpace, samples: int = 10_000,
     rng = np.random.default_rng(seed)
     x = rng.uniform(-box_radius, box_radius, (samples, space.n))
     y = rng.uniform(-box_radius, box_radius, (samples, space.n))
-    d1 = dist_pairs(space, x, y)
+    # no point depends on a distance: one batch holds x, y and F(x), F(y)
+    d1, d2 = np.split(dist_pairs(
+        space, np.concatenate([x, eval_map_batch(spec, x)]),
+        np.concatenate([y, eval_map_batch(spec, y)])), 2)
     ok = d1 > 0
-    fx = eval_map_batch(spec, x[ok])
-    fy = eval_map_batch(spec, y[ok])
-    d2 = dist_pairs(space, fx, fy)
-    ratios = d2 / d1[ok]
+    ratios = d2[ok] / d1[ok]
     return float(np.min(ratios)), float(np.max(ratios))
 
 
@@ -634,19 +643,14 @@ def qs_profile(spec, space: BoundarySpace, triples: int = 10_000,
     rng = np.random.default_rng(seed)
     pts = rng.uniform(-box_radius, box_radius, (3, triples, space.n))
     x, y, z = pts
-    dxy, dxz = np.split(dist_pairs(space, np.concatenate([x, x]),
-                                   np.concatenate([y, z])), 2)
-    ok = (dxy > 0) & (dxz > 0)
+    fx, fy, fz = (eval_map_batch(spec, p) for p in pts)
+    # no point depends on a distance: the four blocks share one batch
+    dxy, dxz, oxy, oxz = np.split(dist_pairs(
+        space, np.concatenate([x, x, fx, fx]), np.concatenate([y, z, fy, fz])),
+        4)
+    ok = (dxy > 0) & (dxz > 0) & (oxz > 0)
     skipped = int(np.sum(~ok))
-    fx = eval_map_batch(spec, x[ok])
-    fy = eval_map_batch(spec, y[ok])
-    fz = eval_map_batch(spec, z[ok])
-    oxy, oxz = np.split(dist_pairs(space, np.concatenate([fx, fx]),
-                                   np.concatenate([fy, fz])), 2)
-    inner = (oxz > 0)
-    rin = (dxy[ok] / dxz[ok])[inner]
-    rout = (oxy / oxz)[inner]
-    skipped += int(np.sum(~inner))
+    rin, rout = dxy[ok] / dxz[ok], oxy[ok] / oxz[ok]
     order = np.argsort(rin, kind="stable")
     rin = rin[order]
     rout = rout[order]

@@ -26,7 +26,8 @@ once per space), so it passes no zero, floored at t_tol
 (``_march``).  Chandrupatla's method (inverse quadratic interpolation,
 bisection where it is unsafe) then shrinks each bracket g(lo) > 0 >=
 g(hi) to hi - lo <= min(t_tol, 4e-16 max(1, |lo|)) and returns its
-midpoint (``_refine``).
+midpoint (``_refine``, which keeps the newest, the other and the replaced
+point of each open bracket).
 
 t_tol is 1e-12.  All evaluators are pure and vectorized over batches of
 difference vectors, column-major: a batch is the (n, m) array of its
@@ -180,72 +181,62 @@ def _refine(g, lo, hi, g_lo, g_hi, t_tol, path):
     is finer than t_tol, which stays the guaranteed bound) or no float lies
     between lo and hi.  Returns the final (lo, hi).
 
-    Chandrupatla's method (1997): each step evaluates g at one point inside
-    the bracket (``_interpolation_point``), and that point replaces the
-    bracket end of its sign.  After _SLACK steps a bracket must shrink at
-    least half as fast as under bisection, or the step bisects it, so no
-    row takes more than _SLACK + 2 steps beyond twice those of bisection.
-    ``g(t, rows)`` evaluates the rows indexed by ``rows``; rows leave the
-    loop as their brackets close.
+    Chandrupatla's method (1997): each step evaluates g at one point x
+    inside the bracket and x replaces the bracket end of its sign.  The
+    point is the inverse quadratic interpolant through the newest point
+    x1, the other end x2 and the end x1 replaced, x3, where that
+    interpolant is monotone across the bracket, else the midpoint; it stays
+    half a stop width, and an ulp of x1, inside both ends.  After _SLACK
+    steps a bracket must shrink at least half as fast as under bisection,
+    or the step bisects it, so no row takes more than _SLACK + 2 steps
+    beyond twice those of bisection.  ``g(t, rows)`` evaluates the rows
+    indexed by ``rows``; rows leave the loop as their brackets close.
     """
     out_lo, out_hi = lo.copy(), hi.copy()
     rows = np.arange(lo.size)
-    # new_lo: the newest point is lo; x3: the end it replaced.  x3 = lo at
-    # the start makes the first step a bisection
-    new_lo, x3, f3, width0 = np.zeros(lo.size, bool), lo, g_lo, hi - lo
+    # x1 = hi and x3 = x2 = lo at the start make the first step a bisection
+    x1, f1, x2, f2, x3, f3, width0 = hi, g_hi, lo, g_lo, lo, g_lo, hi - lo
     for step in range(_REFINE_STEPS):
+        lo, hi = np.minimum(x1, x2), np.maximum(x1, x2)
         width, mid = hi - lo, 0.5 * (lo + hi)
         stop = np.minimum(t_tol, 4e-16 * np.maximum(1.0, np.abs(lo)))
         # a midpoint that rounds to an end leaves no float between them
         done = (width <= stop) | (mid <= lo) | (mid >= hi)
         if done.any():
-            out_lo[rows[done]], out_hi[rows[done]] = lo[done], hi[done]
-            keep = ~done
-            (rows, lo, hi, g_lo, g_hi, new_lo, x3, f3, width0, width, mid,
-             stop) = (a[keep] for a in (rows, lo, hi, g_lo, g_hi, new_lo, x3,
-                                        f3, width0, width, mid, stop))
-            if rows.size == 0:
+            out_lo[rows], out_hi[rows] = lo, hi  # open rows are overwritten
+            keep = np.flatnonzero(~done)
+            if keep.size == 0:
                 return out_lo, out_hi
+            (rows, x1, f1, x2, f2, x3, f3, width0, lo, hi, width, mid,
+             stop) = (a.take(keep) for a in (rows, x1, f1, x2, f2, x3, f3,
+                                             width0, lo, hi, width, mid, stop))
+        d21, d32 = x2 - x1, f3 - f2
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            xi = -d21 / (x3 - x2)
+            phi = (f1 - f2) / d32
+            iqi = (phi * phi < xi) & ((1.0 - phi) ** 2 < 1.0 - xi)
+            t = np.where(iqi, f1 / (f2 - f1) * f3 / (f2 - f3)
+                         + (x3 - x1) / d21 * f1 / (f3 - f1) * f2 / d32, 0.5)
+            if (f1 == 0).any():
+                # an exact zero of g at x1 = hi puts every interpolant there:
+                # while g stays 0 there, double the step left from hi instead
+                t = np.where((f1 == 0) & (f3 == 0), 2.0 * (x3 - x1) / -d21, t)
+        # fmax/fmin, unlike clip, also send a NaN t to an end
+        edge = np.maximum(0.5 * stop, _EPS * np.abs(x1)) / width
+        x = x1 + np.fmin(np.fmax(t, edge), 1.0 - edge) * d21
         slow = width > width0 * 2.0 ** ((_SLACK - step) / 2)
-        x = np.where(slow, mid,
-                     _interpolation_point(lo, hi, g_lo, g_hi, new_lo, x3, f3,
-                                          stop))
-        x = np.where((lo < x) & (x < hi), x, mid)
+        x = np.where(slow | ~((lo < x) & (x < hi)), mid, x)
+        # free the step's arrays: a batch's memory peaks inside g
+        del lo, hi, width, mid, stop, d21, d32, xi, phi, iqi, t, edge, slow
         gx = g(x, rows)
-        new_lo = gx > 0
-        x3, f3 = np.where(new_lo, lo, hi), np.where(new_lo, g_lo, g_hi)
-        lo, g_lo = np.where(new_lo, x, lo), np.where(new_lo, gx, g_lo)
-        hi, g_hi = np.where(new_lo, hi, x), np.where(new_lo, g_hi, gx)
+        same = (gx > 0) == (f1 > 0)  # x replaces x1
+        x3, f3 = np.where(same, x1, x2), np.where(same, f1, f2)
+        x2, f2 = np.where(same, x2, x1), np.where(same, f2, f1)
+        x1, f1 = x, gx
     raise SolverError(
         f"{rows.size} root bracket(s) still open after {_REFINE_STEPS} "
         f"steps ({path} path)"
     )
-
-
-def _interpolation_point(lo, hi, g_lo, g_hi, new_lo, x3, f3, stop):
-    """The next point of Chandrupatla's method in each bracket [lo, hi]:
-    the inverse quadratic interpolant through the newest point x1 (lo where
-    ``new_lo``), the other end x2 and the end x1 replaced, x3, where that
-    interpolant is monotone across the bracket, else the midpoint.  It
-    stays half a stop width, and an ulp of x1 (eps |x1|), inside both
-    ends."""
-    x1, f1 = np.where(new_lo, lo, hi), np.where(new_lo, g_lo, g_hi)
-    x2, f2 = np.where(new_lo, hi, lo), np.where(new_lo, g_hi, g_lo)
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        xi = (x1 - x2) / (x3 - x2)
-        phi = (f1 - f2) / (f3 - f2)
-        iqi = (phi * phi < xi) & ((1.0 - phi) ** 2 < 1.0 - xi)
-        t = np.where(iqi, f1 / (f2 - f1) * f3 / (f2 - f3)
-                     + (x3 - x1) / (x2 - x1) * f1 / (f3 - f1)
-                     * f2 / (f3 - f2), 0.5)
-        # an exact zero of g at hi puts every interpolant there: while g
-        # stays 0 there, double the step left from hi instead
-        zero = ~new_lo & (f1 == 0) & (f3 == 0)
-        t = np.where(zero, 2.0 * (x3 - x1) / (x1 - x2), t)
-    # fmax/fmin, unlike clip, also send a NaN t to an end
-    edge = np.maximum(0.5 * stop, _EPS * np.abs(x1)) / (hi - lo)
-    t = np.fmin(np.fmax(t, edge), 1.0 - edge)
-    return x1 + t * (x2 - x1)
 
 
 def _sum_rows(a: np.ndarray) -> np.ndarray:

@@ -393,15 +393,39 @@ def test_mat_exp_guard_is_at_the_same_scale(a):
             mat_exp(a, s)
 
 
+# normwise, relative to max |e^{tA}|: about ten times the largest error
+# of these cases
+EXP_TOL = 3e-14
+
+
 def test_det_exp_trace(rng):
+    # e^{tA} entrywise against the 50-digit expm of the same float matrix,
+    # then det e^{tA} = e^{t tr A} within what that accuracy allows: det
+    # moves by det * sum_ij |(E^-1)_ji| |dE_ij| to first order, dE the
+    # allowed error of E plus the backward error gamma_n |L||U| of the LU
+    # factors np.linalg.det multiplies, and t tr A rounds by n eps |t|
+    # sum |a_ii|, e^x by eps
+    mp = pytest.importorskip("mpmath")
+    eps = np.finfo(float).eps
     for _ in range(30):
         n = int(rng.integers(1, 5))
         a = rng.normal(size=(n, n))
         a *= min(1.0, 5.0 / operator_norm(a))
         t = float(rng.uniform(-4, 4))
-        det = np.linalg.det(mat_exp(a, t))
-        expected = math.exp(t * np.trace(a))
-        assert det == pytest.approx(expected, rel=1e-9)
+        e = mat_exp(a, t)
+        with mp.workdps(50):
+            exact = mp.expm(mp.matrix(a.tolist()) * mp.mpf(t))
+            err = np.array([[float(abs(exact[i, j] - mp.mpf(e[i, j])))
+                             for j in range(n)] for i in range(n)])
+        assert err.max() <= EXP_TOL * np.abs(e).max(), (a, t)
+        _, lower, upper = scipy.linalg.lu(e)
+        backward = n * eps / (1.0 - n * eps) * (np.abs(lower) @ np.abs(upper))
+        dets = np.abs(np.linalg.inv(e)).T * (EXP_TOL * np.abs(e).max()
+                                              + backward)
+        trace = t * np.trace(a)
+        rounding = eps * (1.0 + n * abs(t) * np.abs(np.diag(a)).sum())
+        bound = 2.0 * (dets.sum() + rounding)
+        assert abs(np.linalg.det(e) / math.exp(trace) - 1.0) <= bound, (a, t)
 
 
 def test_check_matrix_rejects_bad_shapes():

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -258,6 +259,56 @@ def test_bounds_reject_nan_and_overflow():
     # the slope (1e308 + 1e308) / 1e-300 is inf, without a warning
     with pytest.raises(RangeError):
         Shear(2, PiecewiseLinear(((0.0, -1e308), (1e-300, 1e308)))).bound()
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_jordan_family_bound_is_the_product_of_its_factors(monkeypatch, n):
+    # one batch solves the shear's and both polynomial exponents; each is
+    # the root its factor's bound solves alone, bit for bit
+    if n == 1:  # no Jordan-family map, and no shear, on R^1
+        with pytest.raises(ValueError, match="dimension >= 2"):
+            JordanFamilyMap(1, (), (0.0,), PiecewiseLinear.constant(0.0))
+        assert shear_bilip_bound(1, 3.0) == 1.0
+        return
+    rng = np.random.default_rng(20 + n)
+    specs = [random_jordan_map(rng, n) for _ in range(10)]
+    # Q(B) = n 1e400 overflows and Q(B^{-1}) underflows: both are scaled by
+    # powers of two
+    specs.append(JordanFamilyMap(n, (1e200,) + (0.5,) * (n - 2), (0.0,) * n,
+                                 random_pwl(rng)))
+    solves = []
+    real = maps._solve_decreasing
+
+    def counted(*args):
+        solves.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(maps, "_solve_decreasing", counted)
+    for spec in specs:
+        solves.clear()
+        got = jordan_family_bound(spec)
+        assert len(solves) == 1
+        shear = shear_bilip_bound(n, spec.c.lipschitz() / abs(spec.a[0]))
+        assert got == shear * poly_bilip_bound(n, spec.a + (0.0,)), spec
+
+
+def test_jordan_family_bound_errors_keep_their_types_and_messages():
+    unit = PiecewiseLinear.linear(1.0)
+    nan_message = "bound constants must not be NaN"
+    range_message = ("the bound's constant, log(1 + L) or log Q(B) / 2, "
+                     "leaves the float range")
+    # a NaN a_0 gives a NaN Lipschitz constant L / |a_0|
+    with pytest.raises(ValueError, match=f"^{nan_message}$"):
+        jordan_family_bound(JordanFamilyMap(2, (math.nan,), (0.0, 0.0), unit))
+    # L / |a_0| = 1e300 / 1e-10 is infinite, and Q(B) is finite
+    steep = PiecewiseLinear.linear(1e300)
+    with pytest.raises(RangeError, match=f"^{re.escape(range_message)}$"):
+        jordan_family_bound(JordanFamilyMap(2, (1e-10,), (0.0, 0.0), steep))
+    with pytest.raises(ValueError,
+                       match="^Lipschitz constant must be a nonnegative number$"):
+        shear_bilip_bound(2, math.nan)
+    with pytest.raises(RangeError, match=f"^{re.escape(range_message)}$"):
+        shear_bilip_bound(2, math.inf)
 
 
 def test_bounds_at_least_one(rng):
@@ -540,9 +591,10 @@ def test_one_solver_batch_per_estimator_stage(monkeypatch):
         fn(*args, **kwargs)
         return len(calls)
 
-    assert count(qs_profile, spec, space, triples=300) == 2
+    assert count(qs_profile, spec, space, triples=300) == 1
+    # the annulus points are placed from the base distances: two batches
     for radii in ([1.0], [1.0, 0.3, 0.1], [2.0, 1.0, 0.5, 0.25, 0.1]):
         assert count(distortion_profile, spec, space, np.zeros(3), radii,
                      samples_per_radius=20) == 2
     assert count(quasimetric_constant, space, 300) == 1
-    assert count(empirical_bilip, spec, space, 300) == 2
+    assert count(empirical_bilip, spec, space, 300) == 1

@@ -71,6 +71,121 @@ def test_refine_closes_certified_brackets(name):
     print(f"{name}: {steps} steps")
 
 
+# ---------------------------------------------------------------------------
+# the reference: the bracket-end refiner that metric._refine replaced, kept
+# verbatim.  It holds lo, hi, g(lo), g(hi) and which end is newest; the
+# program holds the newest, other and replaced points.  Both must give the
+# same brackets bit for bit.
+
+_REFINE_STEPS, _SLACK, _EPS = metric._REFINE_STEPS, metric._SLACK, metric._EPS
+
+
+def _reference_refine(g, lo, hi, g_lo, g_hi, t_tol, path):
+    out_lo, out_hi = lo.copy(), hi.copy()
+    rows = np.arange(lo.size)
+    # new_lo: the newest point is lo; x3: the end it replaced.  x3 = lo at
+    # the start makes the first step a bisection
+    new_lo, x3, f3, width0 = np.zeros(lo.size, bool), lo, g_lo, hi - lo
+    for step in range(_REFINE_STEPS):
+        width, mid = hi - lo, 0.5 * (lo + hi)
+        stop = np.minimum(t_tol, 4e-16 * np.maximum(1.0, np.abs(lo)))
+        # a midpoint that rounds to an end leaves no float between them
+        done = (width <= stop) | (mid <= lo) | (mid >= hi)
+        if done.any():
+            out_lo[rows[done]], out_hi[rows[done]] = lo[done], hi[done]
+            keep = ~done
+            (rows, lo, hi, g_lo, g_hi, new_lo, x3, f3, width0, width, mid,
+             stop) = (a[keep] for a in (rows, lo, hi, g_lo, g_hi, new_lo, x3,
+                                        f3, width0, width, mid, stop))
+            if rows.size == 0:
+                return out_lo, out_hi
+        slow = width > width0 * 2.0 ** ((_SLACK - step) / 2)
+        x = np.where(slow, mid,
+                     _interpolation_point(lo, hi, g_lo, g_hi, new_lo, x3, f3,
+                                          stop))
+        x = np.where((lo < x) & (x < hi), x, mid)
+        gx = g(x, rows)
+        new_lo = gx > 0
+        x3, f3 = np.where(new_lo, lo, hi), np.where(new_lo, g_lo, g_hi)
+        lo, g_lo = np.where(new_lo, x, lo), np.where(new_lo, gx, g_lo)
+        hi, g_hi = np.where(new_lo, hi, x), np.where(new_lo, g_hi, gx)
+    raise SolverError(
+        f"{rows.size} root bracket(s) still open after {_REFINE_STEPS} "
+        f"steps ({path} path)"
+    )
+
+
+def _interpolation_point(lo, hi, g_lo, g_hi, new_lo, x3, f3, stop):
+    """The next point of Chandrupatla's method in each bracket [lo, hi]:
+    the inverse quadratic interpolant through the newest point x1 (lo where
+    ``new_lo``), the other end x2 and the end x1 replaced, x3, where that
+    interpolant is monotone across the bracket, else the midpoint.  It
+    stays half a stop width, and an ulp of x1 (eps |x1|), inside both
+    ends."""
+    x1, f1 = np.where(new_lo, lo, hi), np.where(new_lo, g_lo, g_hi)
+    x2, f2 = np.where(new_lo, hi, lo), np.where(new_lo, g_hi, g_lo)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        xi = (x1 - x2) / (x3 - x2)
+        phi = (f1 - f2) / (f3 - f2)
+        iqi = (phi * phi < xi) & ((1.0 - phi) ** 2 < 1.0 - xi)
+        t = np.where(iqi, f1 / (f2 - f1) * f3 / (f2 - f3)
+                     + (x3 - x1) / (x2 - x1) * f1 / (f3 - f1)
+                     * f2 / (f3 - f2), 0.5)
+        # an exact zero of g at hi puts every interpolant there: while g
+        # stays 0 there, double the step left from hi instead
+        zero = ~new_lo & (f1 == 0) & (f3 == 0)
+        t = np.where(zero, 2.0 * (x3 - x1) / (x1 - x2), t)
+    # fmax/fmin, unlike clip, also send a NaN t to an end
+    edge = np.maximum(0.5 * stop, _EPS * np.abs(x1)) / (hi - lo)
+    t = np.fmin(np.fmax(t, edge), 1.0 - edge)
+    return x1 + t * (x2 - x1)
+
+
+@pytest.mark.parametrize("name", SYNTHETIC)
+def test_refine_matches_the_reference_on_synthetic_functions(name):
+    # zero_right runs the exact-zero branch: g is 0 at every right end
+    rng = np.random.default_rng(11)
+    m = 1000
+    r = rng.uniform(-3.0, 3.0, m)
+    lo0 = r - 10.0 ** rng.uniform(-3, 1.5, m)
+    hi0 = r + 10.0 ** rng.uniform(-3, 1.5, m)
+
+    def g(t, rows):
+        return SYNTHETIC[name](t, r[rows])
+
+    every = np.arange(m)
+    args = (lo0, hi0, g(lo0, every), g(hi0, every), T_TOL, "test")
+    got, want = metric._refine(g, *args), _reference_refine(g, *args)
+    assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+
+
+_TURN = np.array([[math.cos(0.7), -math.sin(0.7)],
+                  [math.sin(0.7), math.cos(0.7)]])
+REFERENCE_BATCHES = {  # matrix, half-width of the box of difference vectors
+    "J3": (jordan_block(1.0, 3), 5.0),
+    "diag(1..6)": (np.diag(np.arange(1.0, 7.0)), 5.0),
+    "J3(0.35)": (jordan_block(0.35, 3), 3.0),
+    "R.J2(0.3).RT": (_TURN @ jordan_block(0.3, 2) @ _TURN.T, 3.0),
+}
+
+
+@pytest.mark.parametrize("name", REFERENCE_BATCHES)
+def test_refine_matches_the_reference_on_solver_batches(monkeypatch, name):
+    a, box = REFERENCE_BATCHES[name]
+    real, pairs = metric._refine, []
+
+    def both(g, *args):
+        pairs.append((real(g, *args), _reference_refine(g, *args)))
+        return pairs[-1][0]
+
+    monkeypatch.setattr(metric, "_refine", both)
+    v = np.random.default_rng(13).uniform(-box, box, (3000, a.shape[0]))
+    dist_pairs(BoundarySpace(a), np.zeros_like(v), v)
+    assert len(pairs) == 1
+    (lo, hi), (ref_lo, ref_hi) = pairs[0]
+    assert np.array_equal(lo, ref_lo) and np.array_equal(hi, ref_hi)
+
+
 def test_refine_reaching_the_cap_raises():
     # 2e300 wide brackets need about 1000 halvings, and a step function
     # leaves only bisection
