@@ -402,20 +402,25 @@ def q_exp_nilpotent(n: int, u) -> np.ndarray:
 def _bound_exponents(n: int, consts) -> np.ndarray:
     """Per constant c, the one u with u = c + log Q(e^{uN}) / 2: with a_k
     = u^k / k!, Q'/2 = sum_k (n - k) a_k a_{k-1} is below Q for u > 0
-    (AM-GM) and negative for u < 0, so u - c - log Q / 2 increases.  As Q
-    >= n, the bracket starts at c + log(n) / 2, where it is <= 0."""
+    (AM-GM) and negative for u < 0, so g = c + log Q / 2 - u, with g' =
+    Q'/2Q - 1, decreases.  As Q >= n, g >= 0 at Newton's start c + log(n)
+    / 2."""
     consts = np.asarray(consts, dtype=float)
     if np.isnan(consts).any():
         raise ValueError("bound constants must not be NaN")
     if np.isinf(consts).any():
         raise RangeError("the bound's constant, log(1 + L) or log Q(B) / 2, "
                          "leaves the float range")
+    weights = np.arange(n - 1, 0, -1)  # n - k for k = 1 .. n - 1
 
-    def g(u, rows):
-        return consts[rows] + 0.5 * np.log(q_exp_nilpotent(n, u)) - u
+    def g(u, rows, slope=False):
+        a = _taylor_terms(u, n)
+        q = _q(a)
+        gu = consts[rows] + 0.5 * np.log(q) - u
+        return ((gu, (weights * a[:, 1:] * a[:, :-1]).sum(axis=-1) / q - 1.0)
+                if slope else gu)
 
-    start = consts + 0.5 * math.log(n)
-    return _solve_decreasing(g, start, start, "bound")
+    return _solve_decreasing(g, consts + 0.5 * math.log(n), "bound")
 
 
 def shear_bilip_bound(n: int, lipschitz: float) -> float:

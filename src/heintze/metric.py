@@ -8,11 +8,12 @@ g(t, rows, slope) per pipeline:
 * canonical A (block diagonal lam*I + N chains): g is (1/2) logsumexp
   over the eigenvalues of log P_lam(t) - 2 lam t, with P_lam(t) =
   |e^{-tN} v_lam|^2 an explicit polynomial (constant on a diagonal,
-  lam*I gives log|v|/lam).  The numerical range of A is the hull of its
-  chains' discs, lam about radius cos(pi/(s+1)), so g' <= -min over
-  chains of (lam - cos(pi/(s+1))).  Where that is negative, g has
-  exactly one zero, and log|v|/lam_max, log|v|/lam_min start its
-  bracket;
+  lam*I gives log|v|/lam) whose slope comes from the same Horner pass.
+  The numerical range of A is the hull of its chains' discs, lam about
+  radius cos(pi/(s+1)), so g' <= -min over chains of (lam -
+  cos(pi/(s+1))).  Where that is negative, g has exactly one zero:
+  Newton's method finds it from min(log|v|/lam_max, log|v|/lam_min),
+  inside the bracket of the signs it has seen (``_solve_decreasing``);
 * general A: the decoupled real Schur form A = Q S D S^-1 Q^T
   (``linalg.schur_clusters``, built once per space), where each cluster
   of eigenvalues evolves by its own closed form e^{-mu t} E(t) and keeps
@@ -51,8 +52,8 @@ from .linalg import (_canonical_chains, _taylor_terms, check_hypothesis,
 
 _T_TOL = 1e-12
 _MAX_STEPS = 100_000
-# steps of the bracket refiner: the cap, and the steps before a bracket
-# must shrink at least half as fast as under bisection
+# the step cap of the refiner and of the Newton solve, and the refiner's
+# steps before a bracket must shrink at least half as fast as bisection
 _REFINE_STEPS = 200
 _SLACK = 8
 _TINY = np.finfo(float).tiny
@@ -156,23 +157,21 @@ def _curvature(a: np.ndarray) -> float:
 # root finding
 
 
-def _expand(g, t, sign, path):
-    """g(t) on every row, then t stepped by sign * 1, 2, 4, ... on the rows
-    where g(t) lies on the root's side: g <= 0 going left (sign < 0), g > 0
-    going right.  ``g(t, rows)`` evaluates the rows indexed by ``rows``.
-    Returns the final t and g(t)."""
+def _expand(g, t, path):
+    """g(t) on every row, then t stepped left by 1, 2, 4, ... on the rows
+    where g(t) <= 0.  ``g(t, rows)`` evaluates the rows indexed by
+    ``rows``.  Returns the final t."""
     t = t.copy()
     gt = g(t, np.arange(t.size))
     step = 1.0
     for _ in range(200):
-        bad = np.flatnonzero((gt <= 0) if sign < 0 else (gt > 0))
+        bad = np.flatnonzero(gt <= 0)
         if bad.size == 0:
-            return t, gt
-        t[bad] += sign * step
+            return t
+        t[bad] -= step
         gt[bad] = g(t[bad], bad)
         step *= 2.0
-    side = "left" if sign < 0 else "right"
-    raise SolverError(f"failed to bracket from the {side} ({path} path)")
+    raise SolverError(f"failed to bracket from the left ({path} path)")
 
 
 def _refine(g, lo, hi, g_lo, g_hi, t_tol, path):
@@ -264,13 +263,16 @@ def _poly_coeffs(chains, v: np.ndarray) -> np.ndarray:
     return p
 
 
-def _poly_eval(coeffs: np.ndarray, t: np.ndarray) -> np.ndarray:
+def _poly_eval(coeffs: np.ndarray, t: np.ndarray, slope=False):
     """Horner evaluation at per-column t of the column-major (powers, m)
-    ascending ``coeffs``: each step reads one contiguous row."""
-    acc = np.zeros(t.shape)
-    for k in range(coeffs.shape[0] - 1, -1, -1):
-        acc = acc * t + coeffs[k]
-    return acc
+    ascending ``coeffs``: each step reads one contiguous row.  With slope,
+    also the derivative, from the same pass."""
+    acc, der = coeffs[-1].copy(), np.zeros(t.shape)
+    for c in coeffs[-2::-1]:
+        if slope:
+            der = der * t + acc
+        acc = acc * t + c
+    return (acc, der) if slope else acc
 
 
 def _roots_canonical(space: BoundarySpace, v: np.ndarray,
@@ -288,8 +290,7 @@ def _roots_canonical(space: BoundarySpace, v: np.ndarray,
         return log_norm / lam_min
     with np.errstate(divide="ignore"):
         logs = np.log(np.stack([p[0] for p in polys]))
-    curved = [(j, p, p[1:] * np.arange(1, p.shape[0])[:, None])
-              for j, p in enumerate(polys) if p.shape[0] > 1]
+    curved = [(j, p) for j, p in enumerate(polys) if p.shape[0] > 1]
     two_lam = 2.0 * np.array(lams)[:, None]
 
     def g(t, rows, slope=False):
@@ -297,12 +298,12 @@ def _roots_canonical(space: BoundarySpace, v: np.ndarray,
         e = logs.take(rows, axis=1)
         rate = np.zeros(e.shape) if slope else None  # P_lam'/P_lam
         with np.errstate(divide="ignore"):
-            for j, p, dp in curved:
-                val = _poly_eval(p.take(rows, axis=1), t)
-                e[j] = np.log(val)
+            for j, p in curved:
+                val = _poly_eval(p.take(rows, axis=1), t, slope)
                 if slope:
-                    np.divide(_poly_eval(dp.take(rows, axis=1), t), val,
-                              out=rate[j], where=val != 0)
+                    val, der = val
+                    np.divide(der, val, out=rate[j], where=val != 0)
+                e[j] = np.log(val)
         e -= t * two_lam
         if e.shape[0] == 1:  # the log-sum-exp of one row, bit for bit
             gt, weights, total = 0.5 * e[0], 1.0, 1.0
@@ -317,14 +318,9 @@ def _roots_canonical(space: BoundarySpace, v: np.ndarray,
     if space._decreasing:
         # one zero.  On a diagonal |e^{-tA}v| lies between |v| e^{-t lam_max}
         # and |v| e^{-t lam_min} (ordered by the sign of t), so g >= 0 at
-        # the smaller of log|v|/lam_max and log|v|/lam_min and g <= 0 at
-        # the larger.  With one eigenvalue the two coincide, and the
-        # bracket starts one unit wide; on longer chains, or where rounding
-        # puts g on the wrong side, the ends expand
-        a, b = log_norm / lam_max, log_norm / lam_min
-        return _solve_decreasing(g, np.minimum(a, b),
-                                 np.maximum(a, b) + (lam_min == lam_max),
-                                 "canonical")
+        # the smaller of log|v|/lam_max and log|v|/lam_min: Newton's start
+        return _solve_decreasing(
+            g, np.minimum(log_norm / lam_max, log_norm / lam_min), "canonical")
     # the last nonzero entry c = v_l of v on a chain is an entry of
     # e^{-tN}v for every t, so |e^{-tA}v| >= |c| e^{-lam t}: g > 0 left of
     # log|c|/lam.  Where l >= 1, entry l - 1 is v_{l-1} - tc, so g >= -lam
@@ -345,7 +341,7 @@ def _roots_canonical(space: BoundarySpace, v: np.ndarray,
 def _solve_marching(space: BoundarySpace, g, start, path):
     """Each row's first zero of ``g``, g > 0 on (-inf, start]: ``_expand``
     left, ``_march``, ``_refine``, then the bracket's midpoint."""
-    lo = _expand(g, start, -1.0, path)[0]
+    lo = _expand(g, start, path)
     with np.errstate(over="ignore", invalid="ignore"):
         g_lo, slope = g(lo, np.arange(lo.size), slope=True)
     lo, hi, g_lo, g_hi = _march(space, path, g, lo, g_lo, slope)
@@ -353,13 +349,50 @@ def _solve_marching(space: BoundarySpace, g, start, path):
     return 0.5 * (lo + hi)
 
 
-def _solve_decreasing(g, left, right, path):
-    """Each row's one zero of ``g``: ``_expand`` widens [left, right] to
-    g(lo) > 0 >= g(hi), ``_refine`` shrinks it; its midpoint."""
-    lo, g_lo = _expand(g, left, -1.0, path)
-    hi, g_hi = _expand(g, right, 1.0, path)
-    lo, hi = _refine(g, lo, hi, g_lo, g_hi, _T_TOL, path)
-    return 0.5 * (lo + hi)
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
+def _solve_decreasing(g, x, path):
+    """Each row's one zero of a strictly decreasing ``g`` from the start
+    ``x``, by Newton's method inside the bracket of the signs seen so far
+    (rtsafe; Press et al., Numerical Recipes).  ``g(t, rows, slope=True)``
+    gives g and g' on the rows ``rows``, once a step.  lo is the last point
+    with 0 < g < inf (inf is an overflow), hi the last with g <= 0 or NaN.
+    The step moves |g/g'| (at least half a stop width) toward the root;
+    where that leaves (lo, hi) it bisects, or doubles its reach from the
+    one known end.  A row stops at x where the float g(x) is 0, or at the
+    midpoint once hi - lo <= min(t_tol, 4e-16 max(1, |x|)) or no float
+    lies between.
+    """
+    out, rows = np.empty(x.size), np.arange(x.size)
+    lo, hi = np.full(x.size, -math.inf), np.full(x.size, math.inf)
+    reach = np.ones(x.size)
+    for _ in range(_REFINE_STEPS):
+        gx, slope = g(x, rows, slope=True)
+        pos = gx > 0
+        lo, hi = np.where(pos & (gx < math.inf), x, lo), np.where(pos, hi, x)
+        stop = np.clip(4e-16 * np.abs(x), 4e-16, _T_TOL)  # 4e-16 max(1, |x|)
+        # |g/g'| toward the root; a NaN or a zero g' fails the bracket test
+        step = x + np.copysign(np.maximum(np.abs(gx / slope), 0.5 * stop), gx)
+        inside = (lo < step) & (step < hi)
+        if not inside.all():
+            step = np.where(inside, step, np.where(
+                hi == math.inf, lo + reach,
+                np.where(lo == -math.inf, hi - reach, 0.5 * (lo + hi))))
+            reach = np.where(inside, reach, 2.0 * reach)
+        zero = gx == 0
+        done = zero | (hi - lo <= stop) | (np.nextafter(lo, hi) >= hi)
+        if done.any():
+            # open rows are overwritten
+            out[rows] = np.where(zero, x, 0.5 * (lo + hi))
+            keep = np.flatnonzero(~done)
+            if keep.size == 0:
+                return out
+            rows, step, lo, hi, reach = (
+                a.take(keep) for a in (rows, step, lo, hi, reach))
+        x = step
+    raise SolverError(
+        f"{rows.size} root(s) still open after {_REFINE_STEPS} Newton steps "
+        f"({path} path)"
+    )
 
 
 def _step_length(g, slope, big_k):
@@ -498,6 +531,7 @@ def _dist_from_diffs(space: BoundarySpace, diffs: np.ndarray) -> np.ndarray:
         raise ValueError(f"expected vectors of dimension {space.n}")
     out = np.zeros(diffs.shape[0])
     cols = np.ascontiguousarray(diffs.T)  # (n, m): one row per coordinate
+    del diffs  # the solve reads cols only
     nz = np.any(cols != 0.0, axis=0)
     # every path squares |v|; outside this range that rounds to 0 or inf
     with np.errstate(over="ignore"):
@@ -511,9 +545,10 @@ def _dist_from_diffs(space: BoundarySpace, diffs: np.ndarray) -> np.ndarray:
         )
     if not nz.any():
         return out
-    roots = (_roots_general(space, cols[:, nz]) if space.chains is None
-             else _roots_canonical(space, cols[:, nz],
-                                   np.log(np.sqrt(sq[nz]))))
+    if not nz.all():  # copy only where a column is zero
+        cols, sq = cols[:, nz], sq[nz]
+    roots = (_roots_general(space, cols) if space.chains is None
+             else _roots_canonical(space, cols, np.log(np.sqrt(sq))))
     with np.errstate(over="ignore"):
         d = np.exp(roots)
     bad = ~((d > 0.0) & (d < np.inf))

@@ -175,9 +175,9 @@ PROBE_GOLDEN = {
     "shear": (
         {"kind": "shear", "n": 2,
          "C": {"knots": [[-1.0, 0.0], [0.5, 0.25], [1.0, 1.0]]}},
-        '{\n  "bound": 5.557504237413571,\n  "box_radius": 5.0,\n'
+        '{\n  "bound": 5.557504237413575,\n  "box_radius": 5.0,\n'
         '  "max_ratio": 1.6271809890822992,\n'
-        '  "min_ratio": 0.3443208731561612,\n  "samples": 300,\n'
+        '  "min_ratio": 0.3443208731561613,\n  "samples": 300,\n'
         '  "seed": 4,\n  "within_bound": true\n}\n',
         "1.01379375505",
     ),
@@ -185,7 +185,7 @@ PROBE_GOLDEN = {
         {"kind": "jordan_family", "n": 2, "a": [1.5], "v": [0.1, -0.2],
          "C": {"knots": [[0.0, 0.0], [1.0, 0.5]]}},
         '{\n  "bound": 9.241432094149962,\n  "box_radius": 5.0,\n'
-        '  "max_ratio": 1.6117356999601278,\n'
+        '  "max_ratio": 1.6117356999601269,\n'
         '  "min_ratio": 1.4643952204884956,\n  "samples": 300,\n'
         '  "seed": 4,\n  "within_bound": true\n}\n',
         "1.58113883008",

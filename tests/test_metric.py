@@ -14,6 +14,7 @@ from heintze.linalg import jordan_block
 from heintze.metric import (
     BoundarySpace,
     _expand,
+    _solve_decreasing,
     block_distance_check,
     dist,
     dist_pairs,
@@ -280,13 +281,17 @@ def test_canonical_chain_of_size_172():
 
 
 def test_bracket_expansion_failures_name_the_path():
-    # g <= 0 everywhere never clears on the left, g > 0 never on the right
+    # g <= 0 everywhere never clears on the left; g = e^{-t} > 0 never
+    # changes sign, so the Newton solve of a decreasing g reaches its cap
     with pytest.raises(SolverError, match=r"the left \(canonical path\)"):
-        _expand(lambda t, rows: np.zeros_like(t), np.zeros(2), -1.0,
-                "canonical")
-    with pytest.raises(SolverError, match=r"the right \(canonical path\)"):
-        _expand(lambda t, rows: np.ones_like(t), np.zeros(2), 1.0,
-                "canonical")
+        _expand(lambda t, rows: np.zeros_like(t), np.zeros(2), "canonical")
+
+    def g(t, rows, slope=False):
+        return (np.exp(-t), -np.exp(-t)) if slope else np.exp(-t)
+
+    with pytest.raises(SolverError, match=r"2 root\(s\) still open after "
+                                          r"200 Newton steps \(bound path\)"):
+        _solve_decreasing(g, np.zeros(2), "bound")
 
 
 def test_quasimetric_constant_examples(spaces):

@@ -1,10 +1,13 @@
-"""The bracket refiner of canonical (lam I + N chain) spaces.
+"""The root solvers of canonical (lam I + N chain) spaces.
 
-``metric._refine`` shrinks sign-certified brackets g(lo) > 0 >= g(hi) by
-Chandrupatla's method.  These tests check its invariants on synthetic
-monotone functions (including ones that defeat interpolation), its step
-cap, the number of g evaluations a batch costs, and the accuracy of the
-roots against 50-digit roots computed by mpmath.
+``metric._refine`` shrinks the sign-certified brackets g(lo) > 0 >= g(hi)
+of marching spaces by Chandrupatla's method, and
+``metric._solve_decreasing`` solves a strictly decreasing g by Newton's
+method inside the bracket of the signs it has seen.  These tests check
+their invariants on synthetic monotone functions (including ones that
+defeat interpolation), their step caps, the number of g evaluations a
+batch costs, and the accuracy of the roots against 50-digit roots
+computed by mpmath.
 """
 
 import math
@@ -162,8 +165,8 @@ def test_refine_matches_the_reference_on_synthetic_functions(name):
 _TURN = np.array([[math.cos(0.7), -math.sin(0.7)],
                   [math.sin(0.7), math.cos(0.7)]])
 REFERENCE_BATCHES = {  # matrix, half-width of the box of difference vectors
-    "J3": (jordan_block(1.0, 3), 5.0),
-    "diag(1..6)": (np.diag(np.arange(1.0, 7.0)), 5.0),
+    "J2(0.3)": (jordan_block(0.3, 2), 3.0),
+    "J4(0.3)": (jordan_block(0.3, 4), 3.0),
     "J3(0.35)": (jordan_block(0.35, 3), 3.0),
     "R.J2(0.3).RT": (_TURN @ jordan_block(0.3, 2) @ _TURN.T, 3.0),
 }
@@ -186,6 +189,18 @@ def test_refine_matches_the_reference_on_solver_batches(monkeypatch, name):
     assert np.array_equal(lo, ref_lo) and np.array_equal(hi, ref_hi)
 
 
+@pytest.mark.parametrize(
+    "a", [jordan_block(1.0, 3), np.diag(np.arange(1.0, 7.0))],
+    ids=["J3", "diag(1..6)"])
+def test_decreasing_batches_never_refine(monkeypatch, a):
+    def refine(*args):
+        raise AssertionError("a decreasing space reached the refiner")
+
+    monkeypatch.setattr(metric, "_refine", refine)
+    v = np.random.default_rng(13).uniform(-5.0, 5.0, (3000, a.shape[0]))
+    assert np.all(dist_pairs(BoundarySpace(a), np.zeros_like(v), v) > 0)
+
+
 def test_refine_reaching_the_cap_raises():
     # 2e300 wide brackets need about 1000 halvings, and a step function
     # leaves only bisection
@@ -200,26 +215,187 @@ def test_refine_reaching_the_cap_raises():
         metric._refine(g, lo, hi, g(lo, None), g(hi, None), T_TOL, "canonical")
 
 
+# ---------------------------------------------------------------------------
+# the Newton solve of a strictly decreasing g: each synthetic g(s, slope)
+# has its one zero at s = t - r = 0, and the start is r + offset
+
+
+def _logsumexp_g(s):
+    # (1/2) log((e^{-2s} + e^{-4s}) / 2), a diagonal space's g in miniature
+    return (0.5 * np.logaddexp(-2.0 * s, -4.0 * s) - 0.5 * math.log(2.0),
+            -1.0 - 1.0 / (1.0 + np.exp(2.0 * s)))
+
+
+DECREASING = {  # g and g' of s, the offsets of the start, the roots r
+    "linear": (lambda s: (-s, -np.ones_like(s)), (-30.0, 30.0), (-3.0, 3.0)),
+    "cubic": (lambda s: (-s ** 3 - s, -3.0 * s * s - 1.0), (-30.0, 30.0),
+              (-3.0, 3.0)),
+    "logsumexp_near_700": (_logsumexp_g, (-5.0, 5.0), (699.0, 701.0)),
+    "logsumexp_near_-700": (_logsumexp_g, (-5.0, 5.0), (-701.0, -699.0)),
+    # past |t| = 4503 the float spacing (1.8e-12 here) exceeds t_tol, and
+    # the root, 7e-13 right of r, lies between two floats
+    "logsumexp_near_1e4": (lambda s: _logsumexp_g(s - 7e-13), (-5.0, 5.0),
+                           (9999.0, 10001.0)),
+    # tanh(20) is 1 and its slope 0: far from r every Newton step leaves the
+    # bracket, and the reach doubles from the one known end
+    "tanh_far_left": (lambda s: (-np.tanh(s), np.tanh(s) ** 2 - 1.0),
+                      (-600.0, -400.0), (-3.0, 3.0)),
+    "tanh_far_right": (lambda s: (-np.tanh(s), np.tanh(s) ** 2 - 1.0),
+                       (400.0, 600.0), (-3.0, 3.0)),
+    # a flat start sends Newton's first step past s = 100, where this g
+    # overflows to inf: an infinite g is no sign, so the reach doubles
+    "atan_overflow": (lambda s: (np.where(s > 100.0, np.inf, -np.arctan(s)),
+                                 -1.0 / (1.0 + s * s)),
+                      (-30.0, -10.0), (-3.0, 3.0)),
+    # a NaN g, as from a computed P < 0, counts as g <= 0: a bisection
+    # point in the NaN band closes the bracket there
+    "atan_nan_band": (lambda s: (np.where((s > 1.0) & (s < 200.0), np.nan,
+                                          -np.arctan(s)),
+                                 -1.0 / (1.0 + s * s)),
+                      (-30.0, -10.0), (-3.0, 3.0)),
+}
+
+
+def _decreasing_case(name, m=1000, seed=17):
+    """Roots, starts and g(t, rows, slope) of a ``DECREASING`` case."""
+    fn, (a, b), (r_lo, r_hi) = DECREASING[name]
+    rng = np.random.default_rng(seed)
+    r = rng.uniform(r_lo, r_hi, m)
+    start = r + rng.uniform(a, b, m)
+
+    def g(t, rows, slope=False):
+        gt, dg = fn(t - r[rows])
+        return (gt, dg) if slope else gt
+
+    return r, start, g
+
+
+def _assert_certified(g, got, r, zero_ok=False):
+    """Each result is an exact zero of the float g (where ``zero_ok``), or
+    lies within the stop width (or the float spacing, where coarser) of the
+    root r with g > 0 that width left of it and g <= 0 that width right."""
+    every = np.arange(got.size)
+    stop = np.maximum(_stop(got), np.spacing(np.abs(got)))
+    zero = (g(got, every) == 0) if zero_ok else np.zeros(got.size, bool)
+    assert np.all(zero | (np.abs(got - r) <= stop))
+    assert np.all(zero | ((g(got - stop, every) > 0)
+                          & (g(got + stop, every) <= 0)))
+
+
+@pytest.mark.parametrize("name", DECREASING)
+def test_newton_solves_decreasing_functions(name):
+    r, start, g = _decreasing_case(name)
+    calls = []
+
+    def g_counted(t, rows, slope=False):
+        calls.append(rows.size)
+        return g(t, rows, slope)
+
+    got = metric._solve_decreasing(g_counted, start, "test")
+    # a linear g's Newton step lands on the root, where g is exactly 0
+    _assert_certified(g, got, r, zero_ok=name == "linear")
+    print(f"{name}: {len(calls)} evaluations of g")
+
+
+def test_newton_takes_a_nan_slope_as_a_step_out_of_the_bracket():
+    r, start, g = _decreasing_case("cubic")
+
+    def g_nan(t, rows, slope=False):
+        # no slope at the start: the first step doubles from the known end
+        gt, dg = g(t, rows, slope=True)
+        return (gt, np.where(t == start[rows], math.nan, dg)) if slope else gt
+
+    _assert_certified(g, metric._solve_decreasing(g_nan, start, "test"), r)
+
+
+def test_newton_stops_on_an_exact_zero_plateau():
+    # the float g is exactly 0 on the 9 floats nearest each root, and
+    # linear elsewhere; Newton lands on the root or nearby
+    r, start, g_linear = _decreasing_case("linear")
+
+    def g(t, rows, slope=False):
+        gt, dg = g_linear(t, rows, slope=True)
+        gt = np.where(np.abs(t - r[rows]) <= 4.0 * np.spacing(r[rows]), 0.0,
+                      gt)
+        return (gt, dg) if slope else gt
+
+    got = metric._solve_decreasing(g, start + 1e-9, "test")
+    _assert_certified(g, got, r, zero_ok=True)
+
+
+def test_bound_slope_matches_50_digit_derivatives(monkeypatch):
+    mp = pytest.importorskip("mpmath")
+    from heintze import maps
+
+    seen, real = [], maps._solve_decreasing
+
+    def keep_g(g, *args):
+        seen.append(g)
+        return real(g, *args)
+
+    monkeypatch.setattr(maps, "_solve_decreasing", keep_g)
+    rng = np.random.default_rng(19)
+    for n in range(2, 6):
+        consts = rng.uniform(-3.0, 10.0, 20)
+        maps._bound_exponents(n, consts)
+        u = rng.uniform(-20.0, 20.0, 20)
+        _, slope = seen[-1](u, np.arange(20), slope=True)
+        with mp.workdps(50):
+            for ui, si in zip(u, slope):
+                def q_half_log(x):
+                    return mp.log(sum((n - k) * (x ** k / mp.factorial(k)) ** 2
+                                      for k in range(n))) / 2 - x
+                want = mp.diff(q_half_log, mp.mpf(float(ui)))
+                assert abs(si / float(want) - 1.0) <= 1e-14, (n, ui)
+
+
+@pytest.mark.parametrize("a", [np.diag(np.arange(1.0, 7.0)),
+                               jordan_block(1.0, 4), jordan_block(1.0, 2)],
+                         ids=["diag(1..6)", "J4", "J2"])
+def test_stacked_decreasing_batches_equal_their_parts(a):
+    # batches of different scales stop after different numbers of Newton
+    # steps; each row's distance is the same alone and stacked, bit for bit
+    rng = np.random.default_rng(23)
+    n = a.shape[0]
+    parts = [rng.uniform(-s, s, (k, n))
+             for s, k in ((1e-3, 300), (5.0, 700), (1e3, 200))]
+    sp = BoundarySpace(a)
+    alone = [dist_pairs(sp, np.zeros_like(v), v) for v in parts]
+    stacked = np.concatenate(parts)
+    together = dist_pairs(sp, np.zeros_like(stacked), stacked)
+    assert np.array_equal(together, np.concatenate(alone))
+    assert np.array_equal(together[:1], dist_pairs(sp, np.zeros((1, n)),
+                                                   stacked[:1]))
+
+
+def test_stacked_bound_exponents_equal_their_parts():
+    from heintze.maps import _bound_exponents
+
+    consts = np.random.default_rng(29).uniform(-3.0, 300.0, 50)
+    for n in range(2, 6):
+        together = _bound_exponents(n, consts)
+        alone = np.concatenate([_bound_exponents(n, consts[i:i + 1])
+                                for i in range(consts.size)])
+        assert np.array_equal(together, alone)
+
+
 def _count_calls(monkeypatch):
-    """Count the evaluations of g that bracket expansion and refinement
-    make, by function: all of them on a space whose g strictly
-    decreases."""
-    calls = {"_expand": 0, "_refine": 0}
+    """Count the evaluations of g that the Newton solve makes: all of them
+    on a space whose g strictly decreases."""
+    calls = []
+    real = metric._solve_decreasing
 
-    def counted(name, fn):
-        def wrapper(g, *args):
-            def g_counted(t, rows):
-                calls[name] += 1
-                return g(t, rows)
-            return fn(g_counted, *args)
-        return wrapper
+    def counted(g, *args):
+        def g_counted(t, rows, slope=False):
+            calls.append(rows.size)
+            return g(t, rows, slope)
+        return real(g_counted, *args)
 
-    for name in calls:
-        monkeypatch.setattr(metric, name, counted(name, getattr(metric, name)))
+    monkeypatch.setattr(metric, "_solve_decreasing", counted)
     return calls
 
 
-@pytest.mark.parametrize("case, most", [("diag(1..6)", 16), ("J4", 24)])
+@pytest.mark.parametrize("case, most", [("diag(1..6)", 10), ("J4", 12)])
 def test_evaluation_counts(monkeypatch, case, most):
     a = {"diag(1..6)": np.diag(np.arange(1.0, 7.0)),
          "J4": jordan_block(1.0, 4)}[case]
@@ -227,16 +403,13 @@ def test_evaluation_counts(monkeypatch, case, most):
     calls = _count_calls(monkeypatch)
     x, y = np.random.default_rng(7).uniform(-5, 5, (2, 4000, sp.n))
     dist_pairs(sp, x, y)
-    print(f"{case}: {calls} evaluations of g")
-    assert 0 < sum(calls.values()) <= most
-    if case == "diag(1..6)":
-        # the closed-form bracket: one check per side, no expansion
-        assert calls["_expand"] == 2
+    print(f"{case}: {len(calls)} evaluations of g, {sum(calls)} rows")
+    assert 0 < len(calls) <= most
 
 
 def test_diagonal_roots_on_the_eigen_axes():
-    # on an eigen-axis the closed-form bracket end is the root itself, so
-    # rounding decides its sign and the bracket may have to expand
+    # on an eigen-axis Newton's closed-form start is the root itself, so
+    # rounding decides the sign of g there
     sp = BoundarySpace(np.diag([1.0, 2.0, 3.0]))
     c = np.random.default_rng(9).uniform(-5, 5, 200)
     c[:3] = (1.0, -1.0, 0.5)
@@ -356,18 +529,20 @@ def _rows(mp, name, chains, rng, count=50):
 
 
 def _program_gs(monkeypatch, space, rows):
-    """The float g the program refines for the batch ``rows``: g(t, idx)
-    evaluates the rows indexed by idx."""
+    """The float g the program solves for the batch ``rows``, taken from
+    the Newton solve on decreasing spaces and from the refiner on the
+    others: g(t, idx) evaluates the rows indexed by idx."""
     seen = []
-    real = metric._refine
+    name = "_solve_decreasing" if space._decreasing else "_refine"
+    real = getattr(metric, name)
 
     def keep_g(g, *args):
         seen.append(g)
         return real(g, *args)
 
-    monkeypatch.setattr(metric, "_refine", keep_g)
+    monkeypatch.setattr(metric, name, keep_g)
     dist_pairs(space, np.zeros_like(rows), rows)
-    monkeypatch.setattr(metric, "_refine", real)
+    monkeypatch.setattr(metric, name, real)
     return seen[0]
 
 
