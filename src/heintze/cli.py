@@ -113,6 +113,8 @@ def _parse_grid(text: str):
         start, stop, step = (float(p) for p in parts)
     except ValueError as exc:
         raise _UsageError(f"bad grid {text!r}") from exc
+    if not np.isfinite([start, stop, step]).all():
+        raise _UsageError(f"grid {text!r} must be finite")
     if step <= 0:
         raise _UsageError("grid step must be positive")
     grid = []

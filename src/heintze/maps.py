@@ -19,7 +19,7 @@ import numpy as np
 from .linalg import (_taylor_terms, _upper_toeplitz, check_matrix,
                      check_vector, exponential, nilpotent_exp)
 from .errors import RangeError
-from .metric import BoundarySpace, _solve_decreasing, dist_pairs
+from .metric import BoundarySpace, _newton, dist_pairs
 
 
 # ---------------------------------------------------------------------------
@@ -420,7 +420,9 @@ def _bound_exponents(n: int, consts) -> np.ndarray:
         return ((gu, (weights * a[:, 1:] * a[:, :-1]).sum(axis=-1) / q - 1.0)
                 if slope else gu)
 
-    return _solve_decreasing(g, consts + 0.5 * math.log(n), "bound")
+    u = consts + 0.5 * math.log(n)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        return _newton(g, u, *g(u, np.arange(u.size), slope=True), "bound")
 
 
 def shear_bilip_bound(n: int, lipschitz: float) -> float:

@@ -13,7 +13,7 @@ g(t, rows, slope) per pipeline:
   radius cos(pi/(s+1)), so g' <= -min over chains of (lam -
   cos(pi/(s+1))).  Where that is negative, g has exactly one zero:
   Newton's method finds it from min(log|v|/lam_max, log|v|/lam_min),
-  inside the bracket of the signs it has seen (``_solve_decreasing``);
+  inside the bracket of the signs it has seen (``_newton``);
 * general A: the decoupled real Schur form A = Q S D S^-1 Q^T
   (``linalg.schur_clusters``, built once per space), where each cluster
   of eigenvalues evolves by its own closed form e^{-mu t} E(t) and keeps
@@ -24,11 +24,8 @@ Every other space marches: from a closed-form left endpoint (g > 0
 left of it), each step goes to the zero of the lower bound g + g'h -
 Kh^2/2 (g'' >= -K, K from the norms of A's symmetric and skew parts,
 once per space), so it passes no zero, floored at t_tol
-(``_march``).  Chandrupatla's method (inverse quadratic interpolation,
-bisection where it is unsafe) then shrinks each bracket g(lo) > 0 >=
-g(hi) to hi - lo <= min(t_tol, 4e-16 max(1, |lo|)) and returns its
-midpoint (``_refine``, which keeps the newest, the other and the replaced
-point of each open bracket).
+(``_march``).  The march hands each bracket, and g, g' at the end with
+the shorter Newton step, to the same Newton solve.
 
 t_tol is 1e-12.  All evaluators are pure and vectorized over batches of
 difference vectors, column-major: a batch is the (n, m) array of its
@@ -52,10 +49,7 @@ from .linalg import (_canonical_chains, _taylor_terms, check_hypothesis,
 
 _T_TOL = 1e-12
 _MAX_STEPS = 100_000
-# the step cap of the refiner and of the Newton solve, and the refiner's
-# steps before a bracket must shrink at least half as fast as bisection
-_REFINE_STEPS = 200
-_SLACK = 8
+_NEWTON_STEPS = 200  # the Newton solve's step cap
 _TINY = np.finfo(float).tiny
 _EPS = np.finfo(float).eps
 
@@ -157,85 +151,22 @@ def _curvature(a: np.ndarray) -> float:
 # root finding
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def _expand(g, t, path):
-    """g(t) on every row, then t stepped left by 1, 2, 4, ... on the rows
-    where g(t) <= 0.  ``g(t, rows)`` evaluates the rows indexed by
-    ``rows``.  Returns the final t."""
+    """(t, g(t), g'(t)) on every row, t stepped left by 1, 2, 4, ... on
+    the rows where g(t) <= 0.  ``g(t, rows, slope=True)`` gives g and g' on
+    the rows indexed by ``rows``."""
     t = t.copy()
-    gt = g(t, np.arange(t.size))
+    gt, slope = g(t, np.arange(t.size), slope=True)
     step = 1.0
     for _ in range(200):
         bad = np.flatnonzero(gt <= 0)
         if bad.size == 0:
-            return t
+            return t, gt, slope
         t[bad] -= step
-        gt[bad] = g(t[bad], bad)
+        gt[bad], slope[bad] = g(t[bad], bad, slope=True)
         step *= 2.0
     raise SolverError(f"failed to bracket from the left ({path} path)")
-
-
-def _refine(g, lo, hi, g_lo, g_hi, t_tol, path):
-    """Shrink brackets with g(lo) > 0 >= g(hi), g monotone on each, until
-    hi - lo <= min(t_tol, 4e-16 max(1, |lo|)) (machine precision when that
-    is finer than t_tol, which stays the guaranteed bound) or no float lies
-    between lo and hi.  Returns the final (lo, hi).
-
-    Chandrupatla's method (1997): each step evaluates g at one point x
-    inside the bracket and x replaces the bracket end of its sign.  The
-    point is the inverse quadratic interpolant through the newest point
-    x1, the other end x2 and the end x1 replaced, x3, where that
-    interpolant is monotone across the bracket, else the midpoint; it stays
-    half a stop width, and an ulp of x1, inside both ends.  After _SLACK
-    steps a bracket must shrink at least half as fast as under bisection,
-    or the step bisects it, so no row takes more than _SLACK + 2 steps
-    beyond twice those of bisection.  ``g(t, rows)`` evaluates the rows
-    indexed by ``rows``; rows leave the loop as their brackets close.
-    """
-    out_lo, out_hi = lo.copy(), hi.copy()
-    rows = np.arange(lo.size)
-    # x1 = hi and x3 = x2 = lo at the start make the first step a bisection
-    x1, f1, x2, f2, x3, f3, width0 = hi, g_hi, lo, g_lo, lo, g_lo, hi - lo
-    for step in range(_REFINE_STEPS):
-        lo, hi = np.minimum(x1, x2), np.maximum(x1, x2)
-        width, mid = hi - lo, 0.5 * (lo + hi)
-        stop = np.minimum(t_tol, 4e-16 * np.maximum(1.0, np.abs(lo)))
-        # a midpoint that rounds to an end leaves no float between them
-        done = (width <= stop) | (mid <= lo) | (mid >= hi)
-        if done.any():
-            out_lo[rows], out_hi[rows] = lo, hi  # open rows are overwritten
-            keep = np.flatnonzero(~done)
-            if keep.size == 0:
-                return out_lo, out_hi
-            (rows, x1, f1, x2, f2, x3, f3, width0, lo, hi, width, mid,
-             stop) = (a.take(keep) for a in (rows, x1, f1, x2, f2, x3, f3,
-                                             width0, lo, hi, width, mid, stop))
-        d21, d32 = x2 - x1, f3 - f2
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            xi = -d21 / (x3 - x2)
-            phi = (f1 - f2) / d32
-            iqi = (phi * phi < xi) & ((1.0 - phi) ** 2 < 1.0 - xi)
-            t = np.where(iqi, f1 / (f2 - f1) * f3 / (f2 - f3)
-                         + (x3 - x1) / d21 * f1 / (f3 - f1) * f2 / d32, 0.5)
-            if (f1 == 0).any():
-                # an exact zero of g at x1 = hi puts every interpolant there:
-                # while g stays 0 there, double the step left from hi instead
-                t = np.where((f1 == 0) & (f3 == 0), 2.0 * (x3 - x1) / -d21, t)
-        # fmax/fmin, unlike clip, also send a NaN t to an end
-        edge = np.maximum(0.5 * stop, _EPS * np.abs(x1)) / width
-        x = x1 + np.fmin(np.fmax(t, edge), 1.0 - edge) * d21
-        slow = width > width0 * 2.0 ** ((_SLACK - step) / 2)
-        x = np.where(slow | ~((lo < x) & (x < hi)), mid, x)
-        # free the step's arrays: a batch's memory peaks inside g
-        del lo, hi, width, mid, stop, d21, d32, xi, phi, iqi, t, edge, slow
-        gx = g(x, rows)
-        same = (gx > 0) == (f1 > 0)  # x replaces x1
-        x3, f3 = np.where(same, x1, x2), np.where(same, f1, f2)
-        x2, f2 = np.where(same, x2, x1), np.where(same, f2, f1)
-        x1, f1 = x, gx
-    raise SolverError(
-        f"{rows.size} root bracket(s) still open after {_REFINE_STEPS} "
-        f"steps ({path} path)"
-    )
 
 
 def _sum_rows(a: np.ndarray) -> np.ndarray:
@@ -319,8 +250,10 @@ def _roots_canonical(space: BoundarySpace, v: np.ndarray,
         # one zero.  On a diagonal |e^{-tA}v| lies between |v| e^{-t lam_max}
         # and |v| e^{-t lam_min} (ordered by the sign of t), so g >= 0 at
         # the smaller of log|v|/lam_max and log|v|/lam_min: Newton's start
-        return _solve_decreasing(
-            g, np.minimum(log_norm / lam_max, log_norm / lam_min), "canonical")
+        x = np.minimum(log_norm / lam_max, log_norm / lam_min)
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            return _newton(g, x, *g(x, np.arange(x.size), slope=True),
+                           "canonical")
     # the last nonzero entry c = v_l of v on a chain is an entry of
     # e^{-tN}v for every t, so |e^{-tA}v| >= |c| e^{-lam t}: g > 0 left of
     # log|c|/lam.  Where l >= 1, entry l - 1 is v_{l-1} - tc, so g >= -lam
@@ -340,45 +273,52 @@ def _roots_canonical(space: BoundarySpace, v: np.ndarray,
 
 def _solve_marching(space: BoundarySpace, g, start, path):
     """Each row's first zero of ``g``, g > 0 on (-inf, start]: ``_expand``
-    left, ``_march``, ``_refine``, then the bracket's midpoint."""
-    lo = _expand(g, start, path)
-    with np.errstate(over="ignore", invalid="ignore"):
-        g_lo, slope = g(lo, np.arange(lo.size), slope=True)
-    lo, hi, g_lo, g_hi = _march(space, path, g, lo, g_lo, slope)
-    lo, hi = _refine(g, lo, hi, g_lo, g_hi, _T_TOL, path)
-    return 0.5 * (lo + hi)
+    left, ``_march`` to a bracket with g > 0 on [lo, hi) and g(hi) <= 0,
+    then ``_newton`` inside it."""
+    x, gx, slope, lo, hi = _march(space, path, g, *_expand(g, start, path))
+    return _newton(g, x, gx, slope, path, (lo, hi))
 
 
 @np.errstate(over="ignore", invalid="ignore", divide="ignore")
-def _solve_decreasing(g, x, path):
-    """Each row's one zero of a strictly decreasing ``g`` from the start
-    ``x``, by Newton's method inside the bracket of the signs seen so far
-    (rtsafe; Press et al., Numerical Recipes).  ``g(t, rows, slope=True)``
-    gives g and g' on the rows ``rows``, once a step.  lo is the last point
-    with 0 < g < inf (inf is an overflow), hi the last with g <= 0 or NaN.
-    The step moves |g/g'| (at least half a stop width) toward the root;
-    where that leaves (lo, hi) it bisects, or doubles its reach from the
-    one known end.  A row stops at x where the float g(x) is 0, or at the
+def _newton(g, x, gx, slope, path, bracket=None):
+    """Each row's zero of ``g`` from x (g, g' there ``gx``, ``slope``) by
+    Newton's method inside the bracket of the signs seen so far (rtsafe;
+    Press et al., Numerical Recipes).  g strictly decreases, or is > 0 on
+    [lo, hi) and not at hi, a march's ``bracket`` about x.  ``g(t, rows,
+    slope=True)`` gives g and g' on the rows ``rows``, once a step.  lo is
+    the last point with 0 < g < inf (inf is an overflow), hi the last with
+    g <= 0 or NaN.  The step moves |g/g'| (at least half a stop width)
+    toward the root; where that leaves (lo, hi), or in a march's bracket
+    exceeds half a stop width and half the step before the last (rtsafe's
+    rule: a flat g cannot make it creep), it bisects, or doubles its reach
+    from the one known end.  A row stops at x where g(x) is 0 and g'(x) is
+    not (a plateau of zeros bisects on toward its first), or at the
     midpoint once hi - lo <= min(t_tol, 4e-16 max(1, |x|)) or no float
-    lies between.
-    """
-    out, rows = np.empty(x.size), np.arange(x.size)
-    lo, hi = np.full(x.size, -math.inf), np.full(x.size, math.inf)
-    reach = np.ones(x.size)
-    for _ in range(_REFINE_STEPS):
-        gx, slope = g(x, rows, slope=True)
+    lies between."""
+    out, rows, reach = np.empty(x.size), np.arange(x.size), np.ones(x.size)
+    marched = bracket is not None
+    lo, hi = bracket if marched else (np.full(x.size, -math.inf),
+                                      np.full(x.size, math.inf))
+    # the last two step lengths (inf at first), in a march's bracket only
+    last = older = np.full(x.size if marched else 0, math.inf)
+    for _ in range(_NEWTON_STEPS):
         pos = gx > 0
         lo, hi = np.where(pos & (gx < math.inf), x, lo), np.where(pos, hi, x)
         stop = np.clip(4e-16 * np.abs(x), 4e-16, _T_TOL)  # 4e-16 max(1, |x|)
         # |g/g'| toward the root; a NaN or a zero g' fails the bracket test
-        step = x + np.copysign(np.maximum(np.abs(gx / slope), 0.5 * stop), gx)
+        newton = np.abs(gx / slope)
+        step = x + np.copysign(np.maximum(newton, 0.5 * stop), gx)
         inside = (lo < step) & (step < hi)
+        if marched:  # rtsafe's rule: decreasing roots would move by ulps
+            inside &= newton <= 0.5 * np.maximum(older, stop)
         if not inside.all():
             step = np.where(inside, step, np.where(
                 hi == math.inf, lo + reach,
                 np.where(lo == -math.inf, hi - reach, 0.5 * (lo + hi))))
             reach = np.where(inside, reach, 2.0 * reach)
-        zero = gx == 0
+        if marched:
+            last, older = np.abs(step - x), last
+        zero = (gx == 0) & (slope != 0)
         done = zero | (hi - lo <= stop) | (np.nextafter(lo, hi) >= hi)
         if done.any():
             # open rows are overwritten
@@ -386,11 +326,13 @@ def _solve_decreasing(g, x, path):
             keep = np.flatnonzero(~done)
             if keep.size == 0:
                 return out
-            rows, step, lo, hi, reach = (
-                a.take(keep) for a in (rows, step, lo, hi, reach))
+            rows, step, lo, hi, reach, last, older = (
+                a.take(keep) if a.size else a
+                for a in (rows, step, lo, hi, reach, last, older))
         x = step
+        gx, slope = g(x, rows, slope=True)
     raise SolverError(
-        f"{rows.size} root(s) still open after {_REFINE_STEPS} Newton steps "
+        f"{rows.size} root(s) still open after {_NEWTON_STEPS} Newton steps "
         f"({path} path)"
     )
 
@@ -409,9 +351,10 @@ def _step_length(g, slope, big_k):
 
 @np.errstate(over="ignore", invalid="ignore")
 def _march(space: BoundarySpace, path, g, t, gt, slope):
-    """lo, hi, g(lo), g(hi) with g(lo) > 0 >= g(hi), bracketing each row's
-    first zero of g, marching right from ``t`` (g > 0 on (-inf, t]; g, g'
-    there are ``gt``, ``slope``; g'' >= -K, the space's curvature bound).
+    """x, g(x), g'(x), lo, hi with g > 0 on [lo, hi) >= g(hi), bracketing
+    each row's first zero of g, marching right from ``t`` (g > 0 on (-inf,
+    t]; g, g' there are ``gt``, ``slope``; g'' >= -K, the space's curvature
+    bound).  x is the end with the shorter Newton step |g/g'|.
 
     ``g(t, rows, slope=True)`` gives g and g' on the rows ``rows``.  Each
     step is fmax(h, floor), h the ``_step_length`` (g > 0 on [t, t + h)
@@ -419,18 +362,21 @@ def _march(space: BoundarySpace, path, g, t, gt, slope):
     where K = 0 and g' >= 0 (only rounding gives that), takes the floor.
     """
     big_k = space._curvature_bound
-    out, idx = np.empty((4, t.size)), np.arange(t.size)
+    out, idx = np.empty((5, t.size)), np.arange(t.size)
     for _ in range(_MAX_STEPS):
         if not math.isfinite(gt.sum() + slope.sum()):
             raise _march_failure(path, space, "non-finite g or slope",
                                  ~np.isfinite(gt + slope), t, gt)
         h = _step_length(gt, slope, big_k)
         t_next = t + np.fmax(h, np.maximum(_T_TOL, _EPS * np.abs(t)))
-        g_next, slope = g(t_next, idx, slope=True)
+        g_next, s_next = g(t_next, idx, slope=True)
         cross = g_next <= 0
-        out[:, idx[cross]] = np.stack([t, t_next, gt, g_next])[:, cross]
+        # x is lo where g / -g' there is below |g/g'| at hi
+        ends = np.stack([t, gt, slope, t_next, g_next, s_next])[:, cross]
+        near = ends[1] * np.abs(ends[5]) < -ends[2] * np.abs(ends[4])
+        out[:, idx[cross]] = [*np.where(near, ends[:3], ends[3:]), *ends[::3]]
         keep = ~cross
-        idx, t, gt, slope = idx[keep], t_next[keep], g_next[keep], slope[keep]
+        idx, t, gt, slope = idx[keep], t_next[keep], g_next[keep], s_next[keep]
         if idx.size == 0:
             return out
     raise _march_failure(path, space, "no sign change within the step cap",

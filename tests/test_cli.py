@@ -8,7 +8,7 @@ import pytest
 from heintze.linalg import jordan_block, save_matrix
 
 
-def run_cli(*args, env=None):
+def run_cli(*args, env=None, timeout=None):
     import os
 
     full_env = dict(os.environ)
@@ -16,7 +16,7 @@ def run_cli(*args, env=None):
         full_env.update(env)
     proc = subprocess.run(
         [sys.executable, "-m", "heintze.cli", *args],
-        capture_output=True, text=True, env=full_env,
+        capture_output=True, text=True, env=full_env, timeout=timeout,
     )
     return proc.returncode, proc.stdout, proc.stderr
 
@@ -118,6 +118,21 @@ def test_qvar_report_and_manifest(files):
     assert manifest["seed"] == 0
     assert "matrix" in manifest["input_digests"]
     assert manifest["version"]
+
+
+@pytest.mark.parametrize("grid", ["-inf:0:1", "0:1:nan", "nan:1:0.5",
+                                  "0:nan:0.5"])
+def test_qvar_non_finite_grid_exits_one(files, grid):
+    # -inf + step stays -inf, so a grid from -inf would grow without end:
+    # the timeout ends the child should it loop.  A NaN bound or step
+    # would give a grid of one point or none
+    rc, out, err = run_cli(
+        "qvar", "--matrix", files["d12"], "--u", "1", "--box=0,1;0,1",
+        f"--t={grid}", "--q", "1", "--out", str(files["dir"] / "t.csv"),
+        timeout=60)
+    assert rc == 1 and out == ""
+    assert f"grid {grid!r} must be finite" in err
+    assert not (files["dir"] / "t.csv").exists()
 
 
 def test_qvar_cap_exit_code(files):

@@ -184,7 +184,7 @@ def test_general_space_of_dimension_172():
     assert abs(got - 3.0) <= 4e-15, got
 
 
-def test_stiff_vector_past_the_last_up_rung_raises():
+def test_stiff_vector_solves():
     # e^{-tA}(0.01, 0) = (0.01 e^{-t}, 0): log D = log 0.01, where e^{-1000 t}
     # is about e^4605.  Each cluster keeps its own log scale, so nothing
     # caps ||e^{-tA}||
@@ -208,7 +208,7 @@ def test_overflowing_curvature_never_gives_the_later_crossing(b):
 
 
 @pytest.mark.filterwarnings("ignore:invalid value")
-def test_uncertified_steps_take_the_bottom_rung(monkeypatch):
+def test_infinite_curvature_reaches_the_step_cap(monkeypatch):
     # with K = inf every step length h is 0 or NaN: the march may only
     # creep by the floor step t_tol, so it cannot reach the root within
     # the cap.  The error names the row count and the matrix
@@ -220,7 +220,7 @@ def test_uncertified_steps_take_the_bottom_rung(monkeypatch):
         dist_pairs(space, np.zeros((2, 2)), [[1.0, 0.0], [3.0, 3.0]])
 
 
-def test_general_space_builds_its_ladder_once(monkeypatch):
+def test_general_space_builds_its_clusters_once(monkeypatch):
     # the decoupled Schur form and K are built by the first batch that
     # needs them, once per space
     rng = np.random.default_rng(5)
@@ -245,7 +245,7 @@ def test_general_space_builds_its_ladder_once(monkeypatch):
     assert sorted(calls) == ["_curvature", "schur_clusters"]
 
 
-def test_uncertifiable_vector_raises_with_diagnostics():
+def test_underflowing_distance_raises():
     # the root of (0, 1e-150) lies at log D = -1128.75, where e^t
     # underflows: a RangeError names it, though the march reaches it
     space = BoundarySpace(_rotated_j2(0.3))
@@ -466,7 +466,7 @@ def test_rotated_j2_matches_the_canonical_path():
     (ROTATION3 @ DIAG2_J2 @ ROTATION3.T, ["one", "pair"])],
     ids=["R.J2(0.3).RT", "R.J2(0.35).RT", "R.J2(0.45).RT", "spiral",
          "R.(diag(2)+J2(1)).RT"])
-def test_ladder_holds_only_rungs_the_march_can_apply(a, kinds):
+def test_clusters_rebuild_the_matrix(a, kinds):
     # the decoupled Schur form: A = Q S D S^-1 Q^T to rounding, D the direct
     # sum of the cluster blocks.  A split double eigenvalue stays one
     # cluster, a "pair"; the spiral's complex pair is a "rot" block; diag(2)
@@ -486,7 +486,7 @@ def test_ladder_holds_only_rungs_the_march_can_apply(a, kinds):
                                ROTATION3 @ jordan_block(1.0, 3) @ ROTATION3.T],
                          ids=["R.J2(0.3).RT", "R.J2(0.35).RT", "spiral",
                               "R.J3.RT"])
-def test_ladder_rungs_match_50_digit_exponentials(a):
+def test_cluster_exponentials_match_50_digit_expm(a):
     # each cluster's closed form e^{-tT_c} = e^{-mu t} sum_p c_p(t) basis[p]
     # against mpmath's expm of the same float block, at t = +-2^k: the sinch
     # pair, the rotation and (R.J3.RT, split into a real eigenvalue and a

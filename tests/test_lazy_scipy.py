@@ -185,7 +185,7 @@ def test_star_import_binds_every_name_and_unknown_names_raise(tmp_path):
         exec("from heintze import *", ns)
         assert heintze.__all__ and all(
             ns[name] is getattr(heintze, name) for name in heintze.__all__)
-        for name in ("no_such_name", "_solve_decreasing", "linalg_"):
+        for name in ("no_such_name", "_newton", "linalg_"):
             try:
                 getattr(heintze, name)
             except AttributeError as exc:

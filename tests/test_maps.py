@@ -277,13 +277,13 @@ def test_jordan_family_bound_is_the_product_of_its_factors(monkeypatch, n):
     specs.append(JordanFamilyMap(n, (1e200,) + (0.5,) * (n - 2), (0.0,) * n,
                                  random_pwl(rng)))
     solves = []
-    real = maps._solve_decreasing
+    real = maps._newton
 
     def counted(*args):
         solves.append(args)
         return real(*args)
 
-    monkeypatch.setattr(maps, "_solve_decreasing", counted)
+    monkeypatch.setattr(maps, "_newton", counted)
     for spec in specs:
         solves.clear()
         got = jordan_family_bound(spec)

@@ -2,16 +2,11 @@
 
 g(t) = log|e^{-tA}v| has g' <= -min over chains of (lam - cos(pi/(s+1))),
 so a canonical space whose chains all clear that numerical radius has a
-strictly decreasing g: its one zero is bracketed from log|v|/lam.  Every
-other canonical space marches to the bracket of its first crossing, as
-the general path does, before the same refiner.  These tests pin which
-spaces march, and that forcing the march on a decreasing space moves
-log D by rounding only.
-
-Two test names are older than the march and keep their IDs: "skip the
-companion solve" reads "never march", and "run the companion solve"
-reads "march".  The companion-matrix solve of g's critical points that
-they name is gone.
+strictly decreasing g: Newton's method finds its one zero from
+log|v|/lam.  Every other canonical space marches to the bracket of its
+first crossing, as the general path does, before the same Newton solve.
+These tests pin which spaces march, and that forcing the march on a
+decreasing space moves log D by rounding only.
 """
 
 import numpy as np
@@ -60,7 +55,7 @@ def _no_march(*args):
 
 
 @pytest.mark.parametrize("name", DECREASING)
-def test_decreasing_spaces_skip_the_companion_solve(name, monkeypatch):
+def test_decreasing_spaces_never_march(name, monkeypatch):
     monkeypatch.setattr(metric, "_march", _no_march)
     sp = _space(DECREASING[name])
     x, y = np.random.default_rng(3).uniform(-5, 5, (2, 200, sp.n))
@@ -69,7 +64,7 @@ def test_decreasing_spaces_skip_the_companion_solve(name, monkeypatch):
 
 
 @pytest.mark.parametrize("name", NOT_DECREASING)
-def test_other_spaces_run_the_companion_solve(name, monkeypatch):
+def test_other_spaces_march(name, monkeypatch):
     monkeypatch.setattr(metric, "_march", _no_march)
     sp = _space(NOT_DECREASING[name])
     x, y = np.random.default_rng(3).uniform(-5, 5, (2, 200, sp.n))
@@ -79,7 +74,7 @@ def test_other_spaces_run_the_companion_solve(name, monkeypatch):
 
 @pytest.mark.parametrize("name", DECREASING)
 def test_forced_march_matches_the_bracket_path(name):
-    # both ways end in the same refiner on the same g, so the results
+    # both ways end in the same Newton solve on the same g, so the results
     # differ only where the two brackets close on different sides of the
     # last float steps
     sp = _space(DECREASING[name])
