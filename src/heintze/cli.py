@@ -33,6 +33,7 @@ EXIT_NOT_EQUIVALENT = 3
 EXIT_SOLVER = 4
 
 MAX_CELLS_ENV = "HEINTZE_MAX_CELLS"
+_MAX_GRID = 10_000  # points in a 'start:stop:step' grid
 
 
 class _Parser(argparse.ArgumentParser):
@@ -117,10 +118,17 @@ def _parse_grid(text: str):
         raise _UsageError(f"grid {text!r} must be finite")
     if step <= 0:
         raise _UsageError("grid step must be positive")
+    count = (stop - start) / step + 1
+    if count > _MAX_GRID:
+        raise _UsageError(f"grid {text!r} has {count:.6g} points, more than "
+                          f"{_MAX_GRID}")
     grid = []
     t = start
     while t <= stop + 1e-12:
         grid.append(round(t, 12))
+        if t + step == t:  # past 2^53 |step| may fall below half an ulp of t
+            raise _UsageError(f"grid {text!r} stops at {t!r}: its step "
+                              "is below the float spacing there")
         t += step
     return grid
 

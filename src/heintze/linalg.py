@@ -6,9 +6,8 @@ ndarray; ``check_matrix`` is the single validation gate.
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -237,8 +236,7 @@ _DECOUPLE = 100.0
 _DD_TERMS = 20
 
 
-@dataclass(frozen=True)
-class _Cluster:
+class _Cluster(NamedTuple):
     """Rows ``lo:hi`` of T = S D S^-1, with e^{-tT_c} = e^{-mu t} sum_p
     c_p(t) ``basis[p]`` on its block T_c (mu: the mean real part of its
     eigenvalues) and the c_p closed forms by ``kind``: "one" (1 x 1): 1;
@@ -348,8 +346,7 @@ def _sylvester(t11, t22, c, edges) -> np.ndarray:
     return y
 
 
-@dataclass(frozen=True)
-class SchurClusters:
+class SchurClusters(NamedTuple):
     """A = Q T Q^T (``real_schur``, ``edges`` bounding T's diagonal
     blocks) and T = S D S^-1: D the direct sum of the ``clusters``' blocks,
     S = prod [[I, Y], [0, I]], Y solving T_ii Y - Y T_jj = -T_ij to decouple
@@ -426,6 +423,8 @@ def load_matrix(path) -> np.ndarray:
     Rows must be equal-length lists of finite numbers; errors report the
     offending row/column (1-based).
     """
+    import json  # here, so that only a program reading files loads it
+
     try:
         with open(path, encoding="utf-8") as fh:
             doc = json.load(fh)
@@ -466,6 +465,8 @@ def load_matrix(path) -> np.ndarray:
 
 def save_matrix(path, a) -> None:
     """Write a matrix in the JSON file format consumed by the CLI."""
+    import json
+
     m = check_matrix(a)
     with open(path, "w", encoding="utf-8") as fh:
         json.dump({"rows": m.tolist()}, fh)

@@ -391,11 +391,16 @@ def _march_failure(path, space, what, bad, t, g):
     )
 
 
-def _mul(m: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """m @ x for column-major x, summed over m's nonzero columns in order:
-    unlike BLAS, each column of the result is independent of the batch."""
+def _nonzero_cols(m: np.ndarray) -> np.ndarray:
+    return np.flatnonzero(np.any(m != 0, axis=0))
+
+
+def _mul(m: np.ndarray, x: np.ndarray, cols=None) -> np.ndarray:
+    """m @ x for column-major x, summed over m's nonzero columns (``cols``,
+    found here if not given) in order: unlike BLAS, each column of the
+    result is independent of the batch."""
     out = np.zeros((m.shape[0], x.shape[1]), np.result_type(m, x))
-    for k in np.flatnonzero(np.any(m != 0, axis=0)):
+    for k in _nonzero_cols(m) if cols is None else cols:
         out += m[:, k, None] * x[k]
     return out
 
@@ -419,6 +424,7 @@ def _roots_general(space: BoundarySpace, v: np.ndarray) -> np.ndarray:
         parts.append(np.stack([_mul(b, unit) for b in c.basis]))
     scales, log_peak = np.array(scales), np.log(peak)
     mus = np.array([[c.mu] for c in sc.clusters])
+    s_cols, tri_cols = _nonzero_cols(sc.s), _nonzero_cols(sc.tri)
 
     def g(t, rows, slope=False):
         # with slope, also g' = -<w, Tw>/|w|^2 at w = S x'
@@ -428,10 +434,12 @@ def _roots_general(space: BoundarySpace, v: np.ndarray) -> np.ndarray:
         for c, y, ec in zip(sc.clusters, parts, e):
             acc = _sum_rows(c.coefficients(t)[:, None] * y.take(rows, axis=2))
             x[c.lo:c.hi] = np.exp(ec - top) * acc.real
-        w = _mul(sc.s, x)
+        w = _mul(sc.s, x, s_cols)
         sq = _sum_rows(w * w)
         gt = log_peak.take(rows) + top + 0.5 * np.log(sq)
-        return (gt, -_sum_rows(w * _mul(sc.tri, w)) / sq) if slope else gt
+        if not slope:
+            return gt
+        return gt, -_sum_rows(w * _mul(sc.tri, w, tri_cols)) / sq
 
     return _solve_marching(space, g, _general_start(sc, z, log_peak),
                            "general")

@@ -135,6 +135,26 @@ def test_qvar_non_finite_grid_exits_one(files, grid):
     assert not (files["dir"] / "t.csv").exists()
 
 
+@pytest.mark.parametrize("grid, message", [
+    ("-1e300:-2:1", "has 1e+300 points, more than 10000"),
+    ("-10001.5:-1.5:1", "has 10001 points, more than 10000"),
+    # 11 points, but past 2^53 adding 1 rounds back to the same float
+    ("-9007199254741000:-9007199254740990:1",
+     "stops at -9007199254741000.0: its step is below the float spacing"),
+])
+def test_qvar_unending_grid_exits_one(files, grid, message):
+    # the grid is counted before it is built one float at a time, and a
+    # step that stops moving t ends it: the timeout ends the child should
+    # it loop
+    rc, out, err = run_cli(
+        "qvar", "--matrix", files["d12"], "--u", "1", "--box=0,1;0,1",
+        f"--t={grid}", "--q", "1", "--out", str(files["dir"] / "t.csv"),
+        timeout=60)
+    assert rc == 1 and out == ""
+    assert f"grid {grid!r} {message}" in err
+    assert not (files["dir"] / "t.csv").exists()
+
+
 def test_qvar_cap_exit_code(files):
     out_csv = str(files["dir"] / "never.csv")
     rc, _, err = run_cli(

@@ -7,6 +7,11 @@ non-canonical matrix, which take the numpy real Schur form, all run on
 numpy alone.  ``import heintze`` loads numpy and ``linalg`` only; each of
 ``metric``, ``spectral``, ``variation`` and ``maps`` loads on first use
 of one of its names, and each CLI subcommand loads only its own layer.
+Beyond what ``import numpy`` loads, ``import heintze`` loads neither
+``dataclasses`` (its records are NamedTuples) nor ``json``, and neither
+a Jordan packing count nor ``heintze qvar`` loads ``numpy.ma`` (the
+packing's axis dedup does not call ``np.unique``, which loads it on
+numpy 2.4).
 Each check runs in a fresh interpreter, since the test session itself
 imports scipy and every layer.
 """
@@ -44,6 +49,58 @@ def loaded_layers(code, tmp_path):
                                 if "heintze." + m in sys.modules)))
     """), tmp_path)
     return json.loads(out.splitlines()[-1])
+
+
+def modules_beyond_numpy(code, tmp_path):
+    """The modules loaded once ``code`` has run in a fresh interpreter,
+    less those ``import numpy`` loads: a set difference, so that the
+    checks below hold where numpy itself loads numpy.ma (numpy 1.x)."""
+    out = run_python("import sys\nimport numpy\nbase = set(sys.modules)\n"
+                     + textwrap.dedent(code) + textwrap.dedent("""
+        extra = sorted(set(sys.modules) - base)
+        import json
+        print(json.dumps(extra))
+    """), tmp_path)
+    return set(json.loads(out.splitlines()[-1]))
+
+
+def test_import_loads_neither_dataclasses_nor_json(tmp_path):
+    # the linalg records are NamedTuples, and only load_matrix and
+    # save_matrix import json
+    extra = modules_beyond_numpy("import heintze", tmp_path)
+    assert "heintze.linalg" in extra
+    assert not extra & {"dataclasses", "json", "numpy.ma"}, extra
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_jordan_count_cells_never_loads_numpy_ma(tmp_path, n):
+    # np.unique(rows, axis=0) calls np.ma.is_masked on numpy 2.4: the axis
+    # dedup of a Jordan packing must not call it
+    extra = modules_beyond_numpy(f"""
+        import heintze as h
+        box = numpy.array([[0.0] * {n}, [1.0] * {n}])
+        spec = h.PackingSpec(h.jordan_block(1.0, {n}), -2.0, box)
+        assert h.count_cells(spec) == len(h.enumerate_packing(spec)) > 0
+    """, tmp_path)
+    assert "heintze.variation" in extra
+    assert "numpy.ma" not in extra
+
+
+def test_cli_qvar_on_a_jordan_matrix_never_loads_numpy_ma(tmp_path):
+    heintze.save_matrix(tmp_path / "j2.json", heintze.jordan_block(1.0, 2))
+    extra = modules_beyond_numpy("""
+        import runpy
+
+        sys.argv = ["heintze", "qvar", "--matrix", "j2.json", "--u", "1",
+                    "--box=0,1;0,1", "--t=-4:-2:1", "--q", "1",
+                    "--out", "q.csv"]
+        try:
+            runpy.run_module("heintze.cli", run_name="__main__")
+        except SystemExit as exc:
+            assert not exc.code, exc.code
+    """, tmp_path)
+    assert "heintze.variation" in extra
+    assert "numpy.ma" not in extra
 
 
 def test_canonical_workflows_never_load_scipy(tmp_path):

@@ -4,11 +4,14 @@ import math
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.optimize import linprog
 
+from heintze import variation
 from heintze.errors import CapExceededError
 from heintze.linalg import jordan_block
-from heintze.variation import _Cells
+from heintze.variation import _Cells, _preimage, _sat_axes, _unique_rows
 from heintze.variation import (
     PackingSpec,
     TestFunction,
@@ -282,6 +285,50 @@ def test_count_matches_enumeration_corpus(family, seed):
     for spec in _count_corpus(family, seed):
         assert count_cells(spec) == len(enumerate_packing(spec)), (
             spec.a.tolist(), spec.t, spec.box.tolist())
+
+
+# _unique_rows stands in for np.unique(rows, axis=0).  Rows equal but for
+# the sign of a zero entry are one row to both, and either may keep the
+# other's sign.  No cell test can see the difference: a zero entry adds a
+# zero to each of the test's sums, and no comparison sees a zero's sign
+def assert_unique_rows_match(rows):
+    np.testing.assert_array_equal(_unique_rows(rows),
+                                  np.unique(rows, axis=0))
+
+
+@pytest.mark.parametrize("family,seed", [
+    ("J2", 11), ("J3", 12), ("J2+J1", 13), ("J1+J2", 14), ("diag+J2", 15),
+])
+def test_axis_dedup_matches_np_unique_on_the_corpus(family, seed,
+                                                    monkeypatch):
+    seen = []
+
+    def spy(rows):
+        seen.append(rows)
+        return _unique_rows(rows)
+
+    monkeypatch.setattr(variation, "_unique_rows", spy)
+    for spec in _count_corpus(family, seed):
+        _sat_axes(_preimage(spec)[1])
+    assert len(seen) == 40
+    for rows in seen:
+        assert_unique_rows_match(rows)
+
+
+_ENTRIES = st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5, 1e-12, -1e-12,
+                            0.707106781187, -0.707106781187, 0.333333333333])
+
+
+@given(st.integers(1, 4).flatmap(lambda n: st.lists(
+    st.lists(_ENTRIES, min_size=n, max_size=n), min_size=1, max_size=30)),
+    st.data())
+@settings(max_examples=200, deadline=None)
+def test_axis_dedup_matches_np_unique_on_drawn_rows(rows, data):
+    # few distinct entries make repeated rows and rows tied in leading
+    # columns common; repeat some drawn rows outright as well
+    rows = np.round(np.array(rows), 12)
+    extra = data.draw(st.lists(st.integers(0, len(rows) - 1), max_size=10))
+    assert_unique_rows_match(np.concatenate([rows, rows[extra]]))
 
 
 def test_count_matches_enumeration_on_ties_and_elongated_box():
