@@ -3,8 +3,8 @@
 A packing of a box E by the images of integral unit cubes under e^{tA}
 is found in the preimage: lattice cells [z, z+1)^n (half-open, so the
 packing is genuinely disjoint) that meet the closed parallelotope
-e^{-tA}(E).  ``enumerate_packing`` lists them; ``count_cells`` counts
-them by rows without listing them, and agrees with the listing exactly.
+e^{-tA}(E).  They form one run per row of cells, found by one sweep:
+``count_cells`` sums the runs' lengths, ``enumerate_packing`` lists them.
 Oscillations of linear functionals over the image cells are exact
 closed forms, so V_Q = (cell count) * osc^Q needs no sampling.
 """
@@ -22,7 +22,6 @@ from .errors import CapExceededError
 from .linalg import _canonical_chains, check_matrix, check_vector, exponential
 
 DEFAULT_MAX_CELLS = 10_000_000
-_CHUNK = 200_000
 
 
 @dataclass(frozen=True, eq=False)
@@ -219,7 +218,6 @@ class _Cells:
             )
         # rows run along the longest axis, so there are fewest of them
         self.lead = counts.index(max(counts))
-        self.rest_axes = [i for i in range(spec.n) if i != self.lead]
 
     @functools.cached_property
     def _sat(self):
@@ -253,24 +251,16 @@ class _Cells:
             z.T <= self.hi[:, None],
         ])
 
-    def rows(self) -> np.ndarray:
-        """The rest mesh: one row of cells along the lead axis per point."""
-        grids = [np.arange(zmin, zmax + 1) for zmin, zmax in
-                 (self.ranges[i] for i in self.rest_axes)]
-        if not grids:
-            return np.zeros((1, 0), dtype=int)
-        return np.stack(
-            [g.ravel() for g in np.meshgrid(*grids, indexing="ij")], axis=1
-        )
-
-    def count(self) -> int:
-        """Number of candidates that pass every test, by rows.
+    def runs(self):
+        """The candidates that pass every test, as runs along the lead axis.
 
         In each row (the non-lead coordinates fixed) the cells that pass
         form one run of lead coordinates: its ends are first estimated by
         dividing each test through its lead coefficient, then settled with
         the tests themselves.  A test whose lead coefficient is zero keeps
-        or drops a whole row.
+        or drops a whole row.  Returns, for the rows that hold a run, the
+        row's cell with lead coordinate 0, the run's first lead coordinate
+        and its length, all as integers.
         """
         lead, n = self.lead, len(self.ranges)
         alpha = self._sat[0][:, lead]
@@ -279,9 +269,11 @@ class _Cells:
         # lead coordinate, 0 in all of a row or none of it
         rising = np.concatenate(
             [-np.sign(alpha), np.sign(alpha), e_lead, -e_lead])
-        rest = self.rows()
-        z = np.zeros((len(rest), n))
-        z[:, self.rest_axes] = rest
+        # one cell per row, lead coordinate 0
+        grids = [np.arange(lo, hi + 1) for lo, hi in self.ranges]
+        grids[lead] = np.zeros(1)
+        z = np.stack([g.ravel() for g in np.meshgrid(*grids, indexing="ij")],
+                     axis=1)
         z = z[self.tests(z)[rising == 0].all(axis=0)]
 
         _, p_lo, p_hi, c_lo, c_hi = (v[:, None] for v in self._sat)
@@ -299,7 +291,9 @@ class _Cells:
         last = np.maximum(np.floor(last), zmin - 1)
         first = self._settle(z, first, rising > 0, -1)
         last = self._settle(z, last, rising < 0, 1)
-        return int(np.maximum(last - first + 1, 0).sum())
+        length = (last - first + 1).astype(int)
+        keep = length > 0
+        return z[keep].astype(int), first[keep].astype(int), length[keep]
 
     def _settle(self, z, x, mask, out):
         """Settle each row's estimated end x (lead coordinate) of its run
@@ -332,49 +326,34 @@ class _Cells:
 
 def enumerate_packing(spec: PackingSpec) -> np.ndarray:
     """Lattice base points z of the half-open cells [z, z+1)^n meeting
-    e^{-tA}(box), in lexicographic order.
-
-    Bounding-box candidates from the preimage corners, then an exact
-    separating-axis test per candidate (ties on oblique axes count as
-    intersecting; coordinate axes apply the half-open convention).
-    """
+    e^{-tA}(box), in lexicographic order (touching an oblique face counts
+    as meeting): the runs of ``_Cells.runs``, listed once their count is
+    within the cap."""
     cells = _Cells(spec)
-    zmin, zmax = cells.ranges[cells.lead]
-    lead_grid = np.arange(zmin, zmax + 1)
-    rest = cells.rows()
-    # chunk over the lead axis so the cross product of the remaining axes
-    # stays small whatever direction the box is elongated in
-    chunk_rows = max(1, _CHUNK // len(rest))
-    kept = []
-    kept_count = 0
-    for start in range(0, len(lead_grid), chunk_rows):
-        block_lead = lead_grid[start : start + chunk_rows]
-        z = np.empty((len(block_lead) * len(rest), spec.n))
-        z[:, cells.lead] = np.repeat(block_lead, len(rest))
-        z[:, cells.rest_axes] = np.tile(rest, (len(block_lead), 1))
-        kept_z = z[cells.tests(z).all(axis=0)].astype(int)
-        kept_count += len(kept_z)
-        _check_count(spec, kept_count)
-        kept.append(kept_z)
-    out = np.vstack(kept)
+    rows, first, length = cells.runs()
+    _check_count(spec, int(length.sum()))
+    out = np.repeat(rows, length, axis=0)
+    # a run's k-th cell sits k past its first lead coordinate
+    start = np.cumsum(length) - length
+    out[:, cells.lead] = (np.repeat(first - start, length)
+                          + np.arange(len(out)))
     return out[np.lexsort(out.T[::-1])]
 
 
 def count_cells(spec: PackingSpec) -> int:
-    """Exact cell count, equal to ``len(enumerate_packing(spec))``.
+    """Exact cell count, ``len(enumerate_packing(spec))``.
 
     Diagonal matrices: the product of the bounding box's axis ranges.
-    Otherwise a sweep over the rows of cells along the longest axis of
-    the bounding box (see ``_Cells.count``): the work grows with the
-    number of rows, not of cells.  Raises ``CapExceededError`` exactly
-    where ``enumerate_packing`` does: the pre-flight estimate, the
-    bounding-box size or the count is over ``spec.max_cells``.
+    Otherwise the run lengths of ``_Cells.runs`` summed: the work grows
+    with the number of rows, not of cells.  Raises ``CapExceededError``
+    exactly where ``enumerate_packing`` does: the pre-flight estimate,
+    the bounding-box size or the count is over ``spec.max_cells``.
     """
     cells = _Cells(spec)
     if all(size == 1 for _, size, _ in spec.chains):
         count = cells.total
     else:
-        count = cells.count()
+        count = int(cells.runs()[2].sum())
     _check_count(spec, count)
     return count
 
@@ -387,10 +366,18 @@ def oscillation(a, t: float, u: TestFunction) -> float:
     return float(np.sum(np.abs(row)))
 
 
+def _check_qs(qs) -> list:
+    """The Q values as floats: each finite and at least 1, no two equal."""
+    qs = [float(q) for q in qs]
+    if not all(1 <= q < math.inf for q in qs) or len(set(qs)) < len(qs):
+        raise ValueError(f"Q values must be finite, at least 1 and "
+                         f"distinct: {qs}")
+    return qs
+
+
 def variation_sum(spec: PackingSpec, u: TestFunction, q: float) -> float:
     """V_Q over the packing: (cell count) * oscillation^Q."""
-    if q < 1:
-        raise ValueError("Q must be at least 1")
+    (q,) = _check_qs([q])
     cells = count_cells(spec)
     osc = oscillation(spec.a, spec.t, u)
     return cells * osc**q
@@ -412,7 +399,7 @@ def fit_exponents(a, u: TestFunction, box, t_grid, q_list,
         raise ValueError("t grid must be strictly increasing")
     if any(t >= -1 for t in t_grid):
         raise ValueError("all grid t must be < -1")
-    q_list = [float(q) for q in q_list]
+    q_list = _check_qs(q_list)
     lam_max = float(np.max(np.diag(a)))
     trace = float(np.trace(a))
 

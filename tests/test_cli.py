@@ -155,6 +155,18 @@ def test_qvar_unending_grid_exits_one(files, grid, message):
     assert not (files["dir"] / "t.csv").exists()
 
 
+@pytest.mark.parametrize("qs", ["0.5", "nan", "inf", "1,1"])
+def test_qvar_bad_q_exits_one(files, qs):
+    out_csv = files["dir"] / "q.csv"
+    rc, out, err = run_cli(
+        "qvar", "--matrix", files["j2"], "--u", "1", "--box=0,1;0,1",
+        "--t=-4:-2:1", "--q", qs, "--out", str(out_csv))
+    assert rc == 1 and out == ""
+    assert "error: Q values must be finite, at least 1 and distinct" in err
+    assert "Traceback" not in err
+    assert not out_csv.exists()
+
+
 def test_qvar_cap_exit_code(files):
     out_csv = str(files["dir"] / "never.csv")
     rc, _, err = run_cli(

@@ -38,6 +38,21 @@ def lp_cell_touches_closed(m, box, z):
     return res.status == 0
 
 
+def reference_packing(spec):
+    """Every candidate of the bounding box that passes every cell test, in
+    lexicographic order: the brute-force check of the row sweep."""
+    cells = _Cells(spec)
+    grids = [np.arange(lo, hi + 1) for lo, hi in cells.ranges]
+    z = np.stack([g.ravel() for g in np.meshgrid(*grids, indexing="ij")],
+                 axis=1)
+    return z[cells.tests(z.astype(float)).all(axis=0)]
+
+
+def assert_matches_reference(spec):
+    np.testing.assert_array_equal(enumerate_packing(spec),
+                                  reference_packing(spec), strict=True)
+
+
 def test_identity_unit_cubes():
     spec = PackingSpec(np.eye(2), 0.0, np.array([[0.0, 0.0], [2.0, 2.0]]))
     cells = enumerate_packing(spec)
@@ -208,6 +223,19 @@ def test_fit_grid_validation():
                       [-2.0, -1.0, 0.0], [1.0])
 
 
+@pytest.mark.parametrize("qs", [[0.5], [math.nan], [math.inf], [1.0, 1.0],
+                                [1.5, 2.0, 1.5]])
+def test_bad_q_values_raise(qs):
+    # below 1, not finite, or repeated (a repeated Q would fit two logs
+    # per t); the check comes before any packing is counted
+    a, u = jordan_block(1.0, 2), TestFunction.coordinate(2, 1)
+    with pytest.raises(ValueError, match="finite, at least 1 and distinct"):
+        fit_exponents(a, u, UNIT_BOX, [-4.0, -3.0, -2.0], qs)
+    if len(qs) == 1:
+        with pytest.raises(ValueError, match="finite, at least 1 and"):
+            variation_sum(PackingSpec(a, -4.0, UNIT_BOX), u, qs[0])
+
+
 def test_monotone_in_q_when_oscillations_small():
     a = np.diag([1.0, 2.0])
     u = TestFunction.coordinate(2, 1)
@@ -285,6 +313,7 @@ def test_count_matches_enumeration_corpus(family, seed):
     for spec in _count_corpus(family, seed):
         assert count_cells(spec) == len(enumerate_packing(spec)), (
             spec.a.tolist(), spec.t, spec.box.tolist())
+        assert_matches_reference(spec)
 
 
 # _unique_rows stands in for np.unique(rows, axis=0).  Rows equal but for
@@ -347,11 +376,26 @@ def test_count_matches_enumeration_on_ties_and_elongated_box():
     ]
     for spec in specs:
         assert count_cells(spec) == len(enumerate_packing(spec))
+        assert_matches_reference(spec)
+
+
+@pytest.mark.parametrize("a,t,box,count", [
+    # n = 1: one row of cells, and no other axis to sweep over
+    ([[0.7]], 0.0, [[0.2], [3.1]], 4),
+    ([[0.7]], -1.3, [[0.2], [3.1]], 8),
+    ([[0.7]], -2.0, [[0.2], [3.1]], 13),
+    ([[1.0]], -1.0, [[0.0], [1.0]], 3),
+])
+def test_one_dimensional_packings(a, t, box, count):
+    spec = PackingSpec(np.array(a), t, np.array(box))
+    assert count_cells(spec) == len(enumerate_packing(spec)) == count
+    assert_matches_reference(spec)
 
 
 def test_cell_tests_do_not_depend_on_the_batch():
-    # count_cells tests single rows of cells and enumerate_packing whole
-    # chunks: a cell's verdict must be the same in both
+    # the sweep settles a run's ends by testing subsets of its rows, and
+    # the reference tests whole bounding boxes: a cell's verdict must be
+    # the same in every batch
     spec = PackingSpec(jordan_block(1.0, 3), -2.5, np.array([[0.1, 0.2, 0.3],
                                                              [1.1, 1.2, 1.3]]))
     # (a BLAS product z @ axes.T rounds rows of this batch differently
@@ -387,6 +431,7 @@ def test_count_cap_matches_enumeration(a, t, box, cap, stage):
 def test_count_at_the_cap_passes():
     spec = PackingSpec(np.diag([1.0, 2.0]), -3.0, UNIT_BOX, max_cells=8484)
     assert count_cells(spec) == len(enumerate_packing(spec)) == 8484
+    assert_matches_reference(spec)
 
 
 def test_packing_spec_validation():
