@@ -8,22 +8,22 @@ g(t, rows, slope) per pipeline:
 * canonical A (block diagonal lam*I + N chains): g is (1/2) logsumexp
   over the eigenvalues of log P_lam(t) - 2 lam t, with P_lam(t) =
   |e^{-tN} v_lam|^2 an explicit polynomial (constant on a diagonal,
-  lam*I gives log|v|/lam) whose slope comes from the same Horner pass.
-  The numerical range of A is the hull of its chains' discs, lam about
-  radius cos(pi/(s+1)), so g' <= -min over chains of (lam -
-  cos(pi/(s+1))).  Where that is negative, g has exactly one zero:
-  Newton's method finds it from min(log|v|/lam_max, log|v|/lam_min),
-  inside the bracket of the signs it has seen (``_newton``);
+  lam*I gives log|v|/lam) whose slope comes from the same Horner pass;
 * general A: the decoupled real Schur form A = Q S D S^-1 Q^T
   (``linalg.schur_clusters``, built once per space), where each cluster
   of eigenvalues evolves by its own closed form e^{-mu t} E(t) and keeps
   its own log scale; the clusters are recombined through S inside one
   scaled sum.
 
-Every other space marches: from a closed-form left endpoint (g > 0
-left of it), each step goes to the zero of the lower bound g + g'h -
-Kh^2/2 (g'' >= -K, K from the norms of A's symmetric and skew parts,
-once per space), so it passes no zero, floored at t_tol
+g' = -<Aw, w>/|w|^2 with w = e^{-tA}v, and the real part of A's
+numerical range is [min eig H, max eig H], H = (A + A^T)/2 (Horn &
+Johnson 1991, 1.5).  Where H is positive definite (one eigvalsh per
+space), g strictly decreases: Newton's method finds its one zero from a
+closed-form start, inside the bracket of the signs it has seen
+(``_newton``).  Every other space marches from a closed-form left
+endpoint (g > 0 left of it): each step goes to the zero of the lower
+bound g + g'h - Kh^2/2 (g'' >= -K, K from the norms of A's symmetric and
+skew parts, once per space), so it passes no zero, floored at t_tol
 (``_march``).  The march hands each bracket, and g, g' at the end with
 the shorter Newton step, to the same Newton solve.
 
@@ -68,18 +68,10 @@ class BoundarySpace:
         self.a = check_matrix(a)
         self.n = self.a.shape[0]
         self.chains = _canonical_chains(self.a)
-        check_hypothesis(
-            np.array([lam for lam, _, _ in self.chains])
-            if self.chains is not None else np.linalg.eigvals(self.a))
-        # g' = -<Aw, w>/|w|^2 with w = e^{-tA}v.  The numerical range of a
-        # direct sum is the hull of its blocks' ranges, and that of lam*I +
-        # N_s is the disc of radius cos(pi/(s+1)) about lam (Haagerup & de
-        # la Harpe 1992): where every chain's disc lies right of 0, g
-        # strictly decreases
-        self._decreasing = self.chains is not None and all(
-            lam - math.cos(math.pi / (s + 1)) > 4.0 * _EPS * lam
-            for lam, s, _ in self.chains
-        )
+        eigs = (np.array([lam for lam, _, _ in self.chains])
+                if self.chains is not None else np.linalg.eigvals(self.a))
+        check_hypothesis(eigs)
+        self._re_span = eigs.real.min(), eigs.real.max()  # Newton's start
 
     # -- structure helpers -------------------------------------------------
 
@@ -87,24 +79,22 @@ class BoundarySpace:
         """Coordinates of pi_A (single-eigenvalue canonical form only):
         every size-1 chain plus the last coordinate of each longer chain."""
         self._require_single()
-        idx = []
-        for _, size, off in self.chains:
-            idx.append(off + size - 1)
-        return np.array(sorted(idx), dtype=int)
+        return np.array(sorted(off + size - 1 for _, size, off in self.chains),
+                        dtype=int)
 
     def interior_indices(self):
         """Fiber coordinates: all but the last coordinate of each chain."""
         self._require_single()
-        idx = []
-        for _, size, off in self.chains:
-            idx.extend(range(off, off + size - 1))
-        return np.array(idx, dtype=int)
+        return np.array([i for _, size, off in self.chains
+                         for i in range(off, off + size - 1)], dtype=int)
 
-    def _require_single(self):
+    def _require_single(self) -> float:
+        """The one eigenvalue of a canonical single-eigenvalue matrix."""
         if self.chains is None or len({c[0] for c in self.chains}) != 1:
             raise ValueError(
                 "operation requires a canonical single-eigenvalue matrix"
             )
+        return self.chains[0][0]
 
     def _canonical_sub_space(self, chains):
         """The canonical space of the (lam, size, offset) ``chains`` and the
@@ -117,15 +107,24 @@ class BoundarySpace:
     # -- solver data, built on first use --------------------------------
 
     @cached_property
+    def _sym_eigenvalues(self):  # of H = (A + A^T)/2, ascending
+        return np.linalg.eigvalsh(0.5 * self.a + 0.5 * self.a.T)
+
+    @cached_property
+    def _decreasing(self) -> bool:  # min eig H clears eigvalsh's rounding
+        sym = self._sym_eigenvalues
+        return bool(sym[0] > 4.0 * _EPS * sym[-1])
+
+    @cached_property
     def _curvature_bound(self) -> float:  # K with g'' >= -K
-        return _curvature(self.a)
+        return _curvature(self.a, self._sym_eigenvalues)
 
     @cached_property
     def _clusters(self):  # the decoupled real Schur form of a general A
         return schur_clusters(self.a)
 
 
-def _curvature(a: np.ndarray) -> float:
+def _curvature(a: np.ndarray, sym=None) -> float:
     # K with g'' >= -K for every v: with S, Z the symmetric and skew parts
     # of A and w a unit e^{-tA}v, g'' = 2(<Aw, Sw> - <Sw, w>^2) = 2(|p|^2 +
     # <Zw, p>), where p = Sw - <Sw, w>w, as <Zw, w> = 0.  |p| <= rho, half
@@ -133,8 +132,8 @@ def _curvature(a: np.ndarray) -> float:
     # s^2 - ||Z||s, and g'' >= -K with K = ||Z||^2/2 (2 rho >= ||Z||) or
     # 2 rho(||Z|| - rho).  K = 0 leaves g convex with slope <= -min eig S
     # < 0, or -tr A/n when S = cI.  Rounding in K moves the bound less
-    # than it moves g.
-    sym = np.linalg.eigvalsh(0.5 * a + 0.5 * a.T)
+    # than it moves g.  ``sym``: S's eigenvalues, ascending, if known
+    sym = np.linalg.eigvalsh(0.5 * a + 0.5 * a.T) if sym is None else sym
     rho = 0.5 * float(sym[-1] - sym[0])
     skew = float(np.linalg.norm(0.5 * a - 0.5 * a.T, 2))
     curvature = (0.5 * skew * skew if 2.0 * rho >= skew
@@ -216,9 +215,8 @@ def _roots_canonical(space: BoundarySpace, v: np.ndarray,
     lams = list(dict.fromkeys(lam for lam, _, _ in space.chains))
     polys = [_poly_coeffs([c for c in space.chains if c[0] == lam], v)
              for lam in lams]
-    lam_min, lam_max = min(lams), max(lams)
     if len(lams) == 1 and polys[0].shape[0] == 1:  # lam I: g = log|v| - lam t
-        return log_norm / lam_min
+        return log_norm / lams[0]
     with np.errstate(divide="ignore"):
         logs = np.log(np.stack([p[0] for p in polys]))
     curved = [(j, p) for j, p in enumerate(polys) if p.shape[0] > 1]
@@ -246,29 +244,38 @@ def _roots_canonical(space: BoundarySpace, v: np.ndarray,
         return ((gt, 0.5 * _sum_rows(weights * (rate - two_lam)) / total)
                 if slope else gt)
 
-    if space._decreasing:
-        # one zero.  On a diagonal |e^{-tA}v| lies between |v| e^{-t lam_max}
-        # and |v| e^{-t lam_min} (ordered by the sign of t), so g >= 0 at
-        # the smaller of log|v|/lam_max and log|v|/lam_min: Newton's start
-        x = np.minimum(log_norm / lam_max, log_norm / lam_min)
-        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            return _newton(g, x, *g(x, np.arange(x.size), slope=True),
-                           "canonical")
-    # the last nonzero entry c = v_l of v on a chain is an entry of
-    # e^{-tN}v for every t, so |e^{-tA}v| >= |c| e^{-lam t}: g > 0 left of
-    # log|c|/lam.  Where l >= 1, entry l - 1 is v_{l-1} - tc, so g >= -lam
-    # t > 0 left of -(1 + |v_{l-1}|)/|c|.  The march starts at the largest
-    # of these points (further left if rounding says g <= 0 there)
+    return _solve(space, g, log_norm,
+                  lambda: _canonical_start(space.chains, v), "canonical")
+
+
+def _canonical_start(chains, v: np.ndarray) -> np.ndarray:
+    """Per column of v, the largest t of these, each with g > 0 on (-inf,
+    t]: the last nonzero entry c = v_l of v on a chain is an entry of
+    e^{-tN}v, so g > 0 left of log|c|/lam; where l >= 1, entry l - 1 is
+    v_{l-1} - tc, and g >= -lam t > 0 left of -(1 + |v_{l-1}|)/|c|."""
     start = np.full(v.shape[1], -math.inf)
     with np.errstate(divide="ignore"):
-        for lam, size, off in space.chains:
+        for lam, size, off in chains:
             block = v[off:off + size]
             last = size - 1 - np.argmax(block[::-1] != 0, axis=0)
             entry, prev = np.abs(np.take_along_axis(
                 block, np.stack([last, np.maximum(last - 1, 0)]), 0))
             near = np.where(last >= 1, -(1.0 + prev) / entry, -math.inf)
             start = np.maximum(start, np.maximum(np.log(entry) / lam, near))
-    return _solve_marching(space, g, start, "canonical")
+    return start
+
+
+def _solve(space: BoundarySpace, g, log_norm, left, path):
+    """Each row's first zero of ``g``.  A decreasing g has one, and Newton
+    starts at min(log|v|/re_max, log|v|/re_min) (``log_norm`` is log|v|),
+    where g >= 0 if A is normal; else its doubling reaches the root.  Other
+    spaces march from ``left()``, with g > 0 on (-inf, left()]."""
+    if not space._decreasing:
+        return _solve_marching(space, g, left(), path)
+    re_min, re_max = space._re_span
+    x = np.minimum(log_norm / re_max, log_norm / re_min)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        return _newton(g, x, *g(x, np.arange(x.size), slope=True), path)
 
 
 def _solve_marching(space: BoundarySpace, g, start, path):
@@ -353,14 +360,11 @@ def _step_length(g, slope, big_k):
 def _march(space: BoundarySpace, path, g, t, gt, slope):
     """x, g(x), g'(x), lo, hi with g > 0 on [lo, hi) >= g(hi), bracketing
     each row's first zero of g, marching right from ``t`` (g > 0 on (-inf,
-    t]; g, g' there are ``gt``, ``slope``; g'' >= -K, the space's curvature
-    bound).  x is the end with the shorter Newton step |g/g'|.
-
-    ``g(t, rows, slope=True)`` gives g and g' on the rows ``rows``.  Each
-    step is fmax(h, floor), h the ``_step_length`` (g > 0 on [t, t + h)
-    in exact arithmetic) and the floor t_tol or an ulp of t, so a NaN h,
-    where K = 0 and g' >= 0 (only rounding gives that), takes the floor.
-    """
+    t]; g, g' there are ``gt``, ``slope``).  x is the end with the shorter
+    Newton step |g/g'|.  Each step is fmax(h, floor), h the
+    ``_step_length`` for the space's curvature bound K (g > 0 on [t, t +
+    h) in exact arithmetic) and the floor t_tol or an ulp of t, so a NaN
+    h, where K = 0 and g' >= 0 (only rounding gives that), takes it."""
     big_k = space._curvature_bound
     out, idx = np.empty((5, t.size)), np.arange(t.size)
     for _ in range(_MAX_STEPS):
@@ -406,12 +410,14 @@ def _mul(m: np.ndarray, x: np.ndarray, cols=None) -> np.ndarray:
 
 
 @np.errstate(over="ignore", divide="ignore", invalid="ignore")
-def _roots_general(space: BoundarySpace, v: np.ndarray) -> np.ndarray:
-    # v is (n, m), column-major.  With A = Q S D S^-1 Q^T and u = S^-1 Q^T v,
-    # e^{-tA}v = Q S x, x_c = e^{-mu_c t} E_c(t) u_c on each cluster c.  x_c
-    # keeps its own log scale l_c - mu_c t, l_c = log max|u_c|: g = log
-    # max|v| + top + log|S x'|, x'_c = e^{l_c - mu_c t - top} E_c(t) u_c /
-    # max|u_c|, top the largest scale, so no stiff cluster overflows
+def _roots_general(space: BoundarySpace, v: np.ndarray,
+                   log_norm: np.ndarray) -> np.ndarray:
+    # v is (n, m), column-major, log_norm its log|v|.  With A = Q S D S^-1
+    # Q^T and u = S^-1 Q^T v, e^{-tA}v = Q S x, x_c = e^{-mu_c t} E_c(t)
+    # u_c on each cluster c.  x_c keeps its own log scale l_c - mu_c t, l_c
+    # = log max|u_c|: g = log max|v| + top + log|S x'|, x'_c = e^{l_c - mu_c
+    # t - top} E_c(t) u_c / max|u_c|, top the largest scale, so no stiff
+    # cluster overflows
     sc = space._clusters
     peak = np.abs(v).max(axis=0)
     z = _mul(sc.q.T, v / peak)  # Schur coordinates
@@ -441,8 +447,8 @@ def _roots_general(space: BoundarySpace, v: np.ndarray) -> np.ndarray:
             return gt
         return gt, -_sum_rows(w * _mul(sc.tri, w, tri_cols)) / sq
 
-    return _solve_marching(space, g, _general_start(sc, z, log_peak),
-                           "general")
+    return _solve(space, g, log_norm, lambda: _general_start(sc, z, log_peak),
+                  "general")
 
 
 def _general_start(sc, z: np.ndarray, log_peak: np.ndarray) -> np.ndarray:
@@ -501,8 +507,8 @@ def _dist_from_diffs(space: BoundarySpace, diffs: np.ndarray) -> np.ndarray:
         return out
     if not nz.all():  # copy only where a column is zero
         cols, sq = cols[:, nz], sq[nz]
-    roots = (_roots_general(space, cols) if space.chains is None
-             else _roots_canonical(space, cols, np.log(np.sqrt(sq))))
+    roots = (_roots_general if space.chains is None else _roots_canonical)(
+        space, cols, np.log(np.sqrt(sq)))
     with np.errstate(over="ignore"):
         d = np.exp(roots)
     bad = ~((d > 0.0) & (d < np.inf))
@@ -557,14 +563,7 @@ def quasimetric_constant(space: BoundarySpace, samples: int = 10_000,
         3)
     den = dxy + dyz
     ok = den > 0
-    if not ok.any():
-        return 0.0
-    return float(np.max(dxz[ok] / den[ok]))
-
-
-def _single_lambda(space: BoundarySpace) -> float:
-    space._require_single()
-    return space.chains[0][0]
+    return float(np.max(dxz[ok] / den[ok], initial=0.0))
 
 
 def fiber_restriction_check(space: BoundarySpace, p, p2):
@@ -573,7 +572,7 @@ def fiber_restriction_check(space: BoundarySpace, p, p2):
     The two values are computed by independent solver runs; the fiber
     restriction identity says they agree.
     """
-    _single_lambda(space)
+    space._require_single()
     p = check_vector(p, space.n)
     p2 = check_vector(p2, space.n)
     pi_idx = space.projection_indices()
@@ -590,7 +589,7 @@ def fiber_restriction_check(space: BoundarySpace, p, p2):
 
 def fiber_hausdorff(space: BoundarySpace, y, y2) -> float:
     """Closed-form Hausdorff distance |y - y'|^(1/lam) between pi_A fibers."""
-    lam = _single_lambda(space)
+    lam = space._require_single()
     k = space.projection_indices().size
     y = check_vector(y, k)
     y2 = check_vector(y2, k)
@@ -633,7 +632,7 @@ def point_to_fiber(space: BoundarySpace, p, y2, samples: int = 10_000,
     One-sided: every sample is a genuine distance to a fiber point, so
     the estimate approaches the true value from above.
     """
-    lam = _single_lambda(space)
+    lam = space._require_single()
     p = check_vector(p, space.n)
     pi_idx = space.projection_indices()
     y2 = check_vector(y2, pi_idx.size)

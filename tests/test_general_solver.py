@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 
 from test_acceptance import _adversarial_corpus
 from test_refiner import _Exact
+from test_single_solver import _no_march
 
 from heintze import metric
 from heintze.errors import RangeError, SolverError
@@ -211,38 +212,62 @@ def test_overflowing_curvature_never_gives_the_later_crossing(b):
 def test_infinite_curvature_reaches_the_step_cap(monkeypatch):
     # with K = inf every step length h is 0 or NaN: the march may only
     # creep by the floor step t_tol, so it cannot reach the root within
-    # the cap.  The error names the row count and the matrix
+    # the cap.  The error names the row count and the matrix.  The
+    # spiral's g decreases, so the march is forced
     monkeypatch.setattr(metric, "_MAX_STEPS", 1000)
-    monkeypatch.setattr(metric, "_curvature", lambda a: math.inf)
+    monkeypatch.setattr(metric, "_curvature", lambda *args: math.inf)
     space = BoundarySpace(np.array([[1.0, -3.0], [3.0, 1.0]]))
+    space._decreasing = False
     with pytest.raises(SolverError,
                        match=r"step cap for 2 vector.*matrix = \[\["):
         dist_pairs(space, np.zeros((2, 2)), [[1.0, 0.0], [3.0, 3.0]])
 
 
-def test_general_space_builds_its_clusters_once(monkeypatch):
-    # the decoupled Schur form and K are built by the first batch that
-    # needs them, once per space
-    rng = np.random.default_rng(5)
+def _count_builds(monkeypatch):
+    """The names of the builders of solver data, once per call."""
     calls = []
 
     def counted(name):
         real = getattr(metric, name)
 
-        def wrapper(a):
+        def wrapper(*args):
             calls.append(name)
-            return real(a)
+            return real(*args)
         return wrapper
 
     for name in ("schur_clusters", "_curvature"):
         monkeypatch.setattr(metric, name, counted(name))
-    space = BoundarySpace(np.array([[1.0, -3.0], [3.0, 1.0]]))
+    return calls
+
+
+def _spiral_batches(space):
+    rng = np.random.default_rng(5)
     for _ in range(2):
         x, y = rng.uniform(-5.0, 5.0, (2, 500, 2))
         # e^{-tA} is e^{-t} times a rotation, so D is the Euclidean distance
         np.testing.assert_allclose(dist_pairs(space, x, y),
                                    np.linalg.norm(y - x, axis=1), rtol=1e-11)
+
+
+def test_general_space_builds_its_clusters_once(monkeypatch):
+    # the decoupled Schur form and K are built by the first batch that
+    # needs them, once per space; the spiral's march is forced
+    calls = _count_builds(monkeypatch)
+    space = BoundarySpace(np.array([[1.0, -3.0], [3.0, 1.0]]))
+    space._decreasing = False
+    _spiral_batches(space)
     assert sorted(calls) == ["_curvature", "schur_clusters"]
+
+
+def test_decreasing_general_space_builds_its_clusters_once(monkeypatch):
+    # the spiral's symmetric part is I, so g decreases: its batches build
+    # the Schur form once, and never march nor need K
+    calls = _count_builds(monkeypatch)
+    monkeypatch.setattr(metric, "_march", _no_march)
+    space = BoundarySpace(np.array([[1.0, -3.0], [3.0, 1.0]]))
+    assert space._decreasing
+    _spiral_batches(space)
+    assert calls == ["schur_clusters"]
 
 
 def test_underflowing_distance_raises():
@@ -341,10 +366,11 @@ GENERAL_CASES = {
 def test_march_step_counts(monkeypatch, name, most):
     # exact steps converge quadratically near a simple root
     space = BoundarySpace(GENERAL_CASES[name])
-    # the canonical diag(2)+J2(1) has a decreasing g and takes no march by
-    # itself: forced, it counts the steps of the march on the closed-form
-    # g, which canonical spaces whose g may rise take; its rotation counts
-    # those on the general path's cluster g of the same function
+    # the spiral, diag(2)+J2(1) and its rotation have a decreasing g and
+    # take no march by themselves: forced, the canonical one counts the
+    # steps of the march on the closed-form g, which canonical spaces whose
+    # g may rise take; its rotation counts those on the general path's
+    # cluster g of the same function
     space._decreasing = False
     count = _count_steps(monkeypatch)
     x, y = np.random.default_rng(7).uniform(-5.0, 5.0, (2, 2000, space.n))

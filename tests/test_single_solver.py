@@ -1,12 +1,17 @@
-"""Which canonical spaces march, and what marching changes.
+"""Which spaces march, on both pipelines, and what marching changes.
 
-g(t) = log|e^{-tA}v| has g' <= -min over chains of (lam - cos(pi/(s+1))),
-so a canonical space whose chains all clear that numerical radius has a
-strictly decreasing g: Newton's method finds its one zero from
-log|v|/lam.  Every other canonical space marches to the bracket of its
-first crossing, as the general path does, before the same Newton solve.
-These tests pin which spaces march, and that forcing the march on a
-decreasing space moves log D by rounding only.
+g(t) = log|e^{-tA}v| has g' = -<Aw, w>/|w|^2 (w = e^{-tA}v), and the
+real part of A's numerical range is [min eig H, max eig H], H = (A +
+A^T)/2.  So where H is positive definite g strictly decreases, and
+Newton's method finds its one zero from min(log|v|/re_max,
+log|v|/re_min) over the real parts of A's eigenvalues.  One test,
+eigvalsh of H, decides it on canonical and general spaces alike; on a
+canonical sum of chains it is the least chain margin lam - cos(pi/(s+1))
+(Haagerup & de la Harpe 1992).  Every other space marches to the bracket
+of its first crossing before the same Newton solve.  These tests pin
+which spaces march, canonical and rotated (R A R^T, general pipeline),
+that forcing the march on a decreasing space moves log D by rounding
+only, and the roots of rotated J3 and J4 against 50-digit roots.
 """
 
 import numpy as np
@@ -46,6 +51,20 @@ def _space(chains):
     )
 
 
+# the spiral I + 3J: H = I, so g = log|v| - t decreases
+SPIRAL = np.array([[1.0, -3.0], [3.0, 1.0]])
+
+
+def _rotated(chains):
+    """R A R^T for the canonical A of ``chains`` and an orthogonal R that
+    mixes every coordinate, so the general pipeline solves it."""
+    a = _space(chains).a
+    r, _ = np.linalg.qr(np.random.default_rng(len(a)).normal(size=a.shape))
+    sp = BoundarySpace(r @ a @ r.T)
+    assert sp.chains is None
+    return sp
+
+
 class _Marched(Exception):
     pass
 
@@ -70,6 +89,71 @@ def test_other_spaces_march(name, monkeypatch):
     x, y = np.random.default_rng(3).uniform(-5, 5, (2, 200, sp.n))
     with pytest.raises(_Marched):
         dist_pairs(sp, x, y)
+
+
+@pytest.mark.parametrize("name", [*DECREASING, "spiral"])
+def test_decreasing_rotations_never_march(name, monkeypatch):
+    monkeypatch.setattr(metric, "_march", _no_march)
+    if name == "spiral":
+        sp = BoundarySpace(SPIRAL)
+    else:
+        sp = _rotated(DECREASING[name])
+        assert _space(DECREASING[name])._decreasing
+    assert sp.chains is None and sp._decreasing
+    x, y = np.random.default_rng(3).uniform(-5, 5, (2, 200, sp.n))
+    d = dist_pairs(sp, x, y)
+    assert np.all(np.isfinite(d) & (d > 0))
+
+
+@pytest.mark.parametrize("name", NOT_DECREASING)
+def test_other_rotations_march(name, monkeypatch):
+    monkeypatch.setattr(metric, "_march", _no_march)
+    sp = _rotated(NOT_DECREASING[name])
+    assert not sp._decreasing and not _space(NOT_DECREASING[name])._decreasing
+    x, y = np.random.default_rng(3).uniform(-5, 5, (2, 200, sp.n))
+    with pytest.raises(_Marched):
+        dist_pairs(sp, x, y)
+
+
+@pytest.mark.parametrize("size", [3, 4])
+def test_rotated_jordan_roots_match_50_digit_roots(size):
+    # R J_n(1) R^T rounds to a matrix whose eigenvalues split by about
+    # eps^(1/n) into one Newton cluster; its H stays positive definite
+    # (1 - cos(pi/(n+1)) >= 0.19), so Newton solves it from the closed-form
+    # start.  The exact g of the same float matrix: e^{-tA}v by mpmath's
+    # expm at the program's root t, and e^{-(t+s)A}v = sum (-sA)^k/k!
+    # e^{-tA}v for |s| <= 2 t_tol max(1, |t|), where 12 terms leave a
+    # remainder far below 50 digits.  g strictly decreases, so g(t - d) >
+    # 0 >= g(t + d) puts the root within d of t
+    mp = pytest.importorskip("mpmath")
+    sp = _rotated([(1.0, size)])
+    assert sp._clusters.clusters[0].kind == "newton"
+    rng = np.random.default_rng(11)
+    rows = rng.uniform(-5.0, 5.0, (12, size))
+    rows[:4] *= 10.0 ** rng.uniform(-6, 3, (4, 1))
+    got = np.log(dist_pairs(sp, np.zeros_like(rows), rows))
+    worst = 0.0
+    with mp.workdps(50):
+        minus_a = -mp.matrix(sp.a.tolist())
+        for t, v in zip(got, rows):
+            terms = [mp.expm(mp.mpf(float(t)) * minus_a)
+                     * mp.matrix(v.tolist())]
+            for k in range(1, 12):
+                terms.append(minus_a * terms[-1] / k)
+
+            def g(s):
+                w = sum((terms[k] * s ** k for k in range(12)),
+                        mp.matrix(size, 1))
+                return mp.log(mp.norm(w))
+
+            d = metric._T_TOL * max(1.0, abs(t))
+            lo, hi = mp.mpf(-2 * d), mp.mpf(2 * d)
+            assert g(-d) > 0 >= g(d), (t, v)
+            for _ in range(80):
+                mid = (lo + hi) / 2
+                lo, hi = (mid, hi) if g(mid) > 0 else (lo, mid)
+            worst = max(worst, float(abs(lo)) / max(1.0, abs(t)))
+    print(f"R.J{size}(1).RT: worst error {worst:.2g} max(1, |log D|)")
 
 
 @pytest.mark.parametrize("name", DECREASING)
