@@ -20,7 +20,6 @@ from .errors import (
     CapExceededError,
     ConditioningError,
     HypothesisViolationError,
-    MatrixFormatError,
     RangeError,
     SolverError,
 )
@@ -41,10 +40,6 @@ class _Parser(argparse.ArgumentParser):
         self.print_usage(sys.stderr)
         sys.stderr.write(f"{self.prog}: error: {message}\n")
         sys.exit(EXIT_USAGE)
-
-
-class _UsageError(ValueError):
-    pass
 
 
 def _sig12(x: float) -> str:
@@ -88,7 +83,7 @@ def _parse_vector(text: str) -> np.ndarray:
     try:
         return np.array([float(p) for p in text.split(",")])
     except ValueError as exc:
-        raise _UsageError(f"bad coordinate list {text!r}") from exc
+        raise ValueError(f"bad coordinate list {text!r}") from exc
 
 
 def _parse_box(text: str) -> np.ndarray:
@@ -96,11 +91,11 @@ def _parse_box(text: str) -> np.ndarray:
     for axis in text.split(";"):
         parts = axis.split(",")
         if len(parts) != 2:
-            raise _UsageError(f"bad box axis {axis!r} (want 'lo,hi')")
+            raise ValueError(f"bad box axis {axis!r} (want 'lo,hi')")
         try:
             lo, hi = float(parts[0]), float(parts[1])
         except ValueError as exc:
-            raise _UsageError(f"bad box axis {axis!r}") from exc
+            raise ValueError(f"bad box axis {axis!r}") from exc
         lows.append(lo)
         highs.append(hi)
     return np.array([lows, highs])
@@ -109,26 +104,26 @@ def _parse_box(text: str) -> np.ndarray:
 def _parse_grid(text: str):
     parts = text.split(":")
     if len(parts) != 3:
-        raise _UsageError(f"bad grid {text!r} (want 'start:stop:step')")
+        raise ValueError(f"bad grid {text!r} (want 'start:stop:step')")
     try:
         start, stop, step = (float(p) for p in parts)
     except ValueError as exc:
-        raise _UsageError(f"bad grid {text!r}") from exc
+        raise ValueError(f"bad grid {text!r}") from exc
     if not np.isfinite([start, stop, step]).all():
-        raise _UsageError(f"grid {text!r} must be finite")
+        raise ValueError(f"grid {text!r} must be finite")
     if step <= 0:
-        raise _UsageError("grid step must be positive")
+        raise ValueError("grid step must be positive")
     count = (stop - start) / step + 1
     if count > _MAX_GRID:
-        raise _UsageError(f"grid {text!r} has {count:.6g} points, more than "
-                          f"{_MAX_GRID}")
+        raise ValueError(f"grid {text!r} has {count:.6g} points, more than "
+                         f"{_MAX_GRID}")
     grid = []
     t = start
     while t <= stop + 1e-12:
         grid.append(round(t, 12))
         if t + step == t:  # past 2^53 |step| may fall below half an ulp of t
-            raise _UsageError(f"grid {text!r} stops at {t!r}: its step "
-                              "is below the float spacing there")
+            raise ValueError(f"grid {text!r} stops at {t!r}: its step "
+                             "is below the float spacing there")
         t += step
     return grid
 
@@ -137,7 +132,7 @@ def _parse_floats(text: str):
     try:
         return [float(p) for p in text.split(",")]
     except ValueError as exc:
-        raise _UsageError(f"bad number list {text!r}") from exc
+        raise ValueError(f"bad number list {text!r}") from exc
 
 
 def _max_cells_default() -> int:
@@ -149,7 +144,7 @@ def _max_cells_default() -> int:
     try:
         return int(env)
     except ValueError as exc:
-        raise _UsageError(f"bad {MAX_CELLS_ENV} value {env!r}") from exc
+        raise ValueError(f"bad {MAX_CELLS_ENV} value {env!r}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -184,7 +179,7 @@ def _cmd_dist(args) -> int:
     x = _parse_vector(args.x)
     y = _parse_vector(args.y)
     if x.size != space.n or y.size != space.n:
-        raise _UsageError(
+        raise ValueError(
             f"points must have dimension {space.n} to match the matrix"
         )
     print(_format_distance(dist(space, x, y)))
@@ -197,14 +192,14 @@ def _cmd_qvar(args) -> int:
     a = load_matrix(args.matrix)
     n = a.shape[0]
     if (args.u is None) == (args.ell is None):
-        raise _UsageError("exactly one of --u / --ell is required")
+        raise ValueError("exactly one of --u / --ell is required")
     if args.u is not None:
         u = TestFunction.coordinate(n, args.u)
     else:
         u = TestFunction.from_vector(_parse_floats(args.ell))
     box = _parse_box(args.box)
     if box.shape[1] != n:
-        raise _UsageError(f"box must have {n} axes")
+        raise ValueError(f"box must have {n} axes")
     t_grid = _parse_grid(args.t)
     q_list = _parse_floats(args.q)
     report = fit_exponents(a, u, box, t_grid, q_list,
@@ -357,17 +352,13 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (_UsageError, MatrixFormatError, OSError,
-            json.JSONDecodeError, KeyError) as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return EXIT_USAGE
     except HypothesisViolationError as exc:
         sys.stderr.write(f"hypothesis violation: {exc}\n")
         return EXIT_HYPOTHESIS
     except (SolverError, CapExceededError, ConditioningError, RangeError) as exc:
         sys.stderr.write(f"solver failure: {exc}\n")
         return EXIT_SOLVER
-    except ValueError as exc:
+    except (ValueError, OSError, KeyError) as exc:  # usage, files, formats
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_USAGE
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -198,7 +199,8 @@ class Shear:
 
     @classmethod
     def from_json(cls, doc):
-        return cls(int(doc["n"]), PiecewiseLinear.from_json(doc["C"]))
+        return cls(operator.index(doc["n"]),
+                   PiecewiseLinear.from_json(doc["C"]))
 
     def bound(self):
         return shear_bilip_bound(self.n, self.c.lipschitz())
@@ -266,7 +268,7 @@ class JordanFamilyMap:
 
     @classmethod
     def from_json(cls, doc):
-        return cls(int(doc["n"]), tuple(doc["a"]), tuple(doc["v"]),
+        return cls(operator.index(doc["n"]), tuple(doc["a"]), tuple(doc["v"]),
                    PiecewiseLinear.from_json(doc["C"]))
 
     def bound(self):
@@ -367,11 +369,16 @@ def map_to_json_dict(spec):
 
 
 def map_from_json_dict(doc):
+    if not isinstance(doc, dict):
+        raise ValueError(f"a map is a JSON object, not {type(doc).__name__}")
     kind = doc.get("kind")
     cls = _KINDS.get(kind) if isinstance(kind, str) else None
     if cls is None:
         raise ValueError(f"unknown map kind {kind!r}")
-    return cls.from_json(doc)
+    try:
+        return cls.from_json(doc)
+    except TypeError as exc:  # a field of the wrong JSON type, as "n": 2.5
+        raise ValueError(f"malformed {kind} map: {exc}") from None
 
 
 def load_map(path):

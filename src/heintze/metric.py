@@ -6,9 +6,8 @@ g(t) = log |e^{-tA}(y - x)|, evaluated in closed form by one
 g(t, rows, slope) per pipeline:
 
 * canonical A (block diagonal lam*I + N chains): g is (1/2) logsumexp
-  over the eigenvalues of log P_lam(t) - 2 lam t, with P_lam(t) =
-  |e^{-tN} v_lam|^2 an explicit polynomial (constant on a diagonal,
-  lam*I gives log|v|/lam) whose slope comes from the same Horner pass;
+  over the eigenvalues of log P_lam(t) - 2 lam t, P_lam = |w|^2 on lam's
+  chains, w = e^{-tN}v by Horner's rule in t (lam*I gives log|v|/lam);
 * general A: the decoupled real Schur form A = Q S D S^-1 Q^T
   (``linalg.schur_clusters``, built once per space), where each cluster
   of eigenvalues evolves by its own closed form e^{-mu t} E(t) and keeps
@@ -29,9 +28,9 @@ the shorter Newton step, to the same Newton solve.
 
 t_tol is 1e-12.  All evaluators are pure and vectorized over batches of
 difference vectors, column-major: a batch is the (n, m) array of its
-vectors, its polynomials, log-sum-exp terms and Schur coordinates (rows,
-m) arrays, reduced over axis 0 along contiguous rows, each sum in row
-order (``_sum_rows``, ``_mul``).  Every operation acts on each column
+vectors, and its e^{-tN}v, log-sum-exp terms and Schur coordinates are
+(rows, m) arrays, reduced over axis 0 along contiguous rows, each sum in
+row order (``_sum_rows``, ``_mul``).  Every operation acts on each column
 alone, so a vector's distance does not depend on the rest of its batch,
 bit for bit, and independent batches may share one call.
 """
@@ -44,8 +43,8 @@ from functools import cached_property
 import numpy as np
 
 from .errors import RangeError, SolverError
-from .linalg import (_canonical_chains, _taylor_terms, check_hypothesis,
-                     check_matrix, check_vector, schur_clusters)
+from .linalg import (_canonical_chains, check_hypothesis, check_matrix,
+                     check_vector, schur_clusters)
 
 _T_TOL = 1e-12
 _MAX_STEPS = 100_000
@@ -168,71 +167,59 @@ def _expand(g, t, path):
     raise SolverError(f"failed to bracket from the left ({path} path)")
 
 
-def _sum_rows(a: np.ndarray) -> np.ndarray:
-    """The sum over axis 0, row by row from the first.  numpy's sum does
-    so too, but sums one column pairwise from 8 rows on: a lone vector
-    would round unlike the same vector in a batch."""
+def _sum_rows(a) -> np.ndarray:
+    """The sum of a's rows (an array or a list), first to last.  numpy's
+    sum does so too, but sums one column pairwise from 8 rows on: a lone
+    vector would round unlike the same vector in a batch."""
     total = a[0].copy()
     for row in a[1:]:
         total += row
     return total
 
 
-def _poly_coeffs(chains, v: np.ndarray) -> np.ndarray:
-    """Coefficients of |e^{-tN} v|^2 on ``chains``, column-major: ``v`` is
-    (n, m), one contiguous row per coordinate, and the result (powers, m),
-    one contiguous row per power of t, ascending."""
-    max_size = max(size for _, size, _ in chains)
-    signed = _taylor_terms(-1.0, max_size)[:, None]  # (-1)^q / q!
-    p = np.zeros((2 * max_size - 1, v.shape[1]))
+def _chain_exp(chains, v: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """e^{-tN}v, column-major, at per-column t by Horner's rule in t, in
+    place of v: on each chain w = v, then w <- v + (-t/q) Nw for q = size
+    - 1, ..., 1 (the chain's rows of v but the last are copied first)."""
+    minus_t = -t
     for _, size, off in chains:
-        for i in range(size):
-            c = v[off + i:off + size] * signed[:size - i]
-            for q in range(size - i):  # p[m] sums c_q c_{m-q}, q rising
-                p[q:q + size - i] += c[q] * c
-    return p
-
-
-def _poly_eval(coeffs: np.ndarray, t: np.ndarray, slope=False):
-    """Horner evaluation at per-column t of the column-major (powers, m)
-    ascending ``coeffs``: each step reads one contiguous row.  With slope,
-    also the derivative, from the same pass."""
-    acc, der = coeffs[-1].copy(), np.zeros(t.shape)
-    for c in coeffs[-2::-1]:
-        if slope:
-            der = der * t + acc
-        acc = acc * t + c
-    return (acc, der) if slope else acc
+        head = v[off:off + size - 1].copy()
+        for q in range(size - 1, 0, -1):
+            np.add(head, minus_t / q * v[off + 1:off + size],
+                   out=v[off:off + size - 1])
+    return v
 
 
 def _roots_canonical(space: BoundarySpace, v: np.ndarray,
                      log_norm: np.ndarray) -> np.ndarray:
     # v is (n, m), column-major, and log_norm its log|v| per column.  g =
     # logsumexp over lam of (log P_lam(t) - 2 lam t) / 2, with P_lam =
-    # |e^{-tN} v_lam|^2 on lam's chains: -lam t + log P / 2 for one lam.  A
-    # constant P_lam (chains of size 1) has its log taken once; a zero one
-    # (v has no part at lam) is -inf
+    # |w|^2 on lam's chains, w = e^{-tN}v: -lam t + log P / 2 for one lam.
+    # A zero P_lam (v has no part at lam) is -inf
     lams = list(dict.fromkeys(lam for lam, _, _ in space.chains))
-    polys = [_poly_coeffs([c for c in space.chains if c[0] == lam], v)
-             for lam in lams]
-    if len(lams) == 1 and polys[0].shape[0] == 1:  # lam I: g = log|v| - lam t
-        return log_norm / lams[0]
-    with np.errstate(divide="ignore"):
-        logs = np.log(np.stack([p[0] for p in polys]))
-    curved = [(j, p) for j, p in enumerate(polys) if p.shape[0] > 1]
+    if len(lams) == 1 and all(c[1] == 1 for c in space.chains):
+        return log_norm / lams[0]  # lam I: g = log|v| - lam t
+    # per lam, the rows of its chains, and those not last on their chain
+    own = [[i for mu, s, o in space.chains if mu == lam
+            for i in range(o, o + s)] for lam in lams]
+    ends = {o + s - 1 for _, s, o in space.chains}
+    links = [[i for i in rows if i not in ends] for rows in own]
     two_lam = 2.0 * np.array(lams)[:, None]
 
     def g(t, rows, slope=False):
-        # with slope, also g' = sum softmax_lam(e) (P_lam'/P_lam - 2 lam) / 2
-        e = logs.take(rows, axis=1)
+        # with slope, also g' = sum softmax_lam(e) (P_lam'/P_lam - 2 lam) / 2,
+        # P_lam' = -2 <Nw, w> on lam's chains, summed from row products: a
+        # (rows, m) product per evaluation page-faults on large batches
+        w = _chain_exp(space.chains, v.take(rows, axis=1), t)
+        e = np.empty((len(lams), t.size))
         rate = np.zeros(e.shape) if slope else None  # P_lam'/P_lam
         with np.errstate(divide="ignore"):
-            for j, p in curved:
-                val = _poly_eval(p.take(rows, axis=1), t, slope)
-                if slope:
-                    val, der = val
-                    np.divide(der, val, out=rate[j], where=val != 0)
-                e[j] = np.log(val)
+            for j, (mine, link) in enumerate(zip(own, links)):
+                p = _sum_rows([w[i] * w[i] for i in mine])
+                np.log(p, out=e[j])
+                if slope and link:
+                    dp = _sum_rows([w[i] * w[i + 1] for i in link])
+                    np.divide(-2.0 * dp, p, out=rate[j], where=p != 0)
         e -= t * two_lam
         if e.shape[0] == 1:  # the log-sum-exp of one row, bit for bit
             gt, weights, total = 0.5 * e[0], 1.0, 1.0

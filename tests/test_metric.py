@@ -269,15 +269,41 @@ def test_march_starts_at_the_closer_certified_point():
     assert math.log(got) == pytest.approx(lo, rel=1e-15, abs=0)
 
 
-def test_canonical_chain_of_size_172():
-    # |e^{-tN}v|^2 takes (-1)^q / q! past 170!; the roots of g (one each,
-    # as g decreases on J172) were found by mpmath at 50 digits
-    n = 172
+def _jordan_g(mp, v, t):
+    """g(t) = log|e^{-tJ}v| - t on J = I + N of size len(v), at mpmath's
+    precision: each entry of e^{-tN}v summed term by term."""
+    t, v = mp.mpf(t), [mp.mpf(float(x)) for x in v]
+    total = mp.mpf(0)
+    for i in range(len(v)):
+        entry, term = mp.mpf(0), mp.mpf(1)  # term = (-t)^k / k!
+        for k, x in enumerate(v[i:]):
+            entry += term * x
+            term *= -t / (k + 1)
+        total += entry * entry
+    return mp.log(total) / 2 - t
+
+
+@pytest.mark.parametrize("n", [6, 32, 96, 128, 172])
+def test_canonical_chains_of_any_size_get_their_roots(n):
+    # e^{-tN}v needs (-t)^q / q! past the float range from q = 171; g
+    # decreases on J_n, so a sign change of the 80-digit g across each
+    # root's t_tol + 1e-14 |t| neighbourhood puts its one zero there
+    mp = pytest.importorskip("mpmath")
     space = BoundarySpace(jordan_block(1.0, n))
-    rows = np.stack([np.r_[np.zeros(n - 1), 3.0], np.linspace(-1.0, 1.0, n)])
-    got = np.log(dist_pairs(space, np.zeros((2, n)), rows))
-    want = np.array([6.5746779067315101312, 1.0436968135002135199])
-    assert np.all(np.abs(got - want) <= 1e-13), got - want
+    assert space._decreasing
+    rows = np.vstack([np.random.default_rng(n).uniform(-5.0, 5.0, (2, n)),
+                      np.ones(n), (-1.0) ** np.arange(n), 1e-3 * np.ones(n)])
+    if n == 172:  # with their roots from mpmath at 50 digits
+        rows = np.vstack([rows, np.r_[np.zeros(n - 1), 3.0],
+                          np.linspace(-1.0, 1.0, n)])
+    got = np.log(dist_pairs(space, np.zeros_like(rows), rows))
+    if n == 172:
+        want = np.array([6.5746779067315101312, 1.0436968135002135199])
+        assert np.all(np.abs(got[-2:] - want) <= 1e-13), got[-2:] - want
+    with mp.workdps(80):
+        for t, v in zip(got, rows):
+            tol = 1e-12 + 1e-14 * abs(t)
+            assert _jordan_g(mp, v, t - tol) > 0 >= _jordan_g(mp, v, t + tol), t
 
 
 def test_bracket_expansion_failures_name_the_path():
