@@ -6,6 +6,7 @@ ndarray; ``check_matrix`` is the single validation gate.
 
 from __future__ import annotations
 
+import itertools
 import math
 from typing import NamedTuple
 
@@ -236,10 +237,44 @@ _DECOUPLE = 100.0
 _DD_TERMS = 20
 
 
+def _sum_rows(a) -> np.ndarray:
+    """The sum of a's rows (an array or a list), first to last.  numpy's
+    sum does so too, but sums one column pairwise from 8 rows on: a lone
+    vector would round unlike the same vector in a batch."""
+    total = a[0].copy()
+    for row in a[1:]:
+        total += row
+    return total
+
+
+def _mul(m: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """m @ x for column-major x, summed over m's nonzero columns in order:
+    unlike BLAS, each column of the result is independent of the batch."""
+    out = np.zeros((m.shape[0], x.shape[1]), np.result_type(m, x))
+    for k in np.flatnonzero(np.any(m != 0, axis=0)):
+        out += m[:, k, None] * x[k]
+    return out
+
+
+def _chain_exp(chains, v: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """e^{-tN}v, column-major, at per-column t by Horner's rule in t, in
+    place of v, N the shift of each (size, offset) of ``chains``: on each
+    chain w = v, then w <- v + (-t/q) Nw for q = size - 1, ..., 1 (the
+    chain's rows of v but the last are copied first)."""
+    minus_t = -t
+    for size, off in chains:
+        head = v[off:off + size - 1].copy()
+        for q in range(size - 1, 0, -1):
+            np.add(head, (minus_t / q if q > 1 else minus_t)
+                   * v[off + 1:off + size], out=v[off:off + size - 1])
+    return v
+
+
 class _Cluster(NamedTuple):
-    """Rows ``lo:hi`` of T = S D S^-1, with e^{-tT_c} = e^{-mu t} sum_p
-    c_p(t) ``basis[p]`` on its block T_c (mu: the mean real part of its
-    eigenvalues) and the c_p closed forms by ``kind``: "one" (1 x 1): 1;
+    """Rows ``lo:hi`` of T = S D S^-1, with e^{-tT_c} = e^{-mu t} E_c(t) on
+    its block T_c (mu: the mean real part of its eigenvalues) by ``kind``:
+    "chain" (mu I + N, N on the (size, offset) chains of ``data``): e^{-tN};
+    else sum_p c_p(t) ``basis[p]``, the c_p closed forms: "one" (1 x 1): 1;
     "pair" ([[mu - h, b], [0, mu + h]], ``data`` [h]): e^{th}, e^{-th} and
     the sinch form -t sinh(th)/(th) on b; "rot" (mu +- i nu, ``data``
     [nu]): cos(nu t) on I, -sin(nu t)/nu on T_c - mu I; "newton" (``data``
@@ -251,11 +286,11 @@ class _Cluster(NamedTuple):
     hi: int
     kind: str
     mu: float
-    data: np.ndarray
+    data: object
     basis: np.ndarray
 
     def coefficients(self, t) -> np.ndarray:
-        """The (p, m) c_p(t) for the 1-D t."""
+        """The (p, m) c_p(t) for the 1-D t (all kinds but "chain")."""
         if self.kind == "one":
             return np.ones((1, t.size))
         if self.kind == "newton":
@@ -266,6 +301,19 @@ class _Cluster(NamedTuple):
                               where=x != 0)
             return np.stack([np.exp(x), np.exp(-x), -t * sinch])
         return np.stack([np.cos(x), -np.sin(x) / self.data[0]])
+
+    def prepare(self, u) -> np.ndarray:
+        """What ``apply`` reads of the (k, m) u: u, or each basis[p] u."""
+        if self.kind == "chain":
+            return u
+        return np.stack([_mul(b, u) for b in self.basis])
+
+    def apply(self, t, part) -> np.ndarray:
+        """E_c(t)u per column at the 1-D t from the columns ``part`` of
+        ``prepare(u)`` (a chain's Horner's rule overwrites them)."""
+        if self.kind == "chain":
+            return _chain_exp(self.data, part, t)
+        return _sum_rows(self.coefficients(t)[:, None] * part).real
 
 
 def _cluster(block, lo) -> _Cluster:
@@ -351,7 +399,8 @@ class SchurClusters(NamedTuple):
     blocks) and T = S D S^-1: D the direct sum of the ``clusters``' blocks,
     S = prod [[I, Y], [0, I]], Y solving T_ii Y - Y T_jj = -T_ij to decouple
     a cluster, the fewest leading blocks with ||Y|| <= 100, from the blocks
-    after it (Bavely & Stewart 1979; Davies & Higham 2003)."""
+    after it (Bavely & Stewart 1979; Davies & Higham 2003).  ``q``, ``s``
+    and ``s_inv`` are None where they are I, on a canonical A."""
 
     q: np.ndarray
     tri: np.ndarray
@@ -370,8 +419,19 @@ class SchurClusters(NamedTuple):
         return self.q @ (self.s @ mid @ self.s_inv) @ self.q.T
 
 
-def schur_clusters(a) -> SchurClusters:
-    """The decoupled real Schur form of A (see ``SchurClusters``)."""
+def schur_clusters(a, chains=None) -> SchurClusters:
+    """The decoupled real Schur form of A (see ``SchurClusters``).  A
+    canonical A (its ``chains`` as from ``_canonical_chains``) is its own,
+    with no ``real_schur``: Q = S = I, T = A, a 1 x 1 block per row and a
+    "chain" cluster per run of chains with one eigenvalue."""
+    if chains is not None:
+        runs = [list(r) for _, r in itertools.groupby(chains, lambda c: c[0])]
+        clusters = tuple(
+            _Cluster(r[0][2], sum(r[-1][1:]), "chain", r[0][0],
+                     tuple((s, o - r[0][2]) for _, s, o in r), None)
+            for r in runs)
+        return SchurClusters(None, a, None, None, list(range(len(a) + 1)),
+                             clusters)
     tri, q = real_schur(a)
     n = len(tri)
     # a block edge at every i but the middle of a 2 x 2 block

@@ -377,6 +377,8 @@ def map_from_json_dict(doc):
         raise ValueError(f"unknown map kind {kind!r}")
     try:
         return cls.from_json(doc)
+    except KeyError as exc:  # a field left out
+        raise ValueError(f"{kind} map: missing field {exc}") from None
     except TypeError as exc:  # a field of the wrong JSON type, as "n": 2.5
         raise ValueError(f"malformed {kind} map: {exc}") from None
 
@@ -429,7 +431,7 @@ def _bound_exponents(n: int, consts) -> np.ndarray:
 
     u = consts + 0.5 * math.log(n)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        return _newton(g, u, *g(u, np.arange(u.size), slope=True), "bound")
+        return _newton(g, u, *g(u, np.arange(u.size), slope=True))
 
 
 def shear_bilip_bound(n: int, lipschitz: float) -> float:

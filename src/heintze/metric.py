@@ -3,16 +3,13 @@
 D_A(x, y) = e^{t*} where t* is the smallest real number with
 |e^{-tA}(x - y)| = 1.  The solver locates the smallest zero of
 g(t) = log |e^{-tA}(y - x)|, evaluated in closed form by one
-g(t, rows, slope) per pipeline:
-
-* canonical A (block diagonal lam*I + N chains): g is (1/2) logsumexp
-  over the eigenvalues of log P_lam(t) - 2 lam t, P_lam = |w|^2 on lam's
-  chains, w = e^{-tN}v by Horner's rule in t (lam*I gives log|v|/lam);
-* general A: the decoupled real Schur form A = Q S D S^-1 Q^T
-  (``linalg.schur_clusters``, built once per space), where each cluster
-  of eigenvalues evolves by its own closed form e^{-mu t} E(t) and keeps
-  its own log scale; the clusters are recombined through S inside one
-  scaled sum.
+g(t, rows, slope) on the decoupled real Schur form A = Q S D S^-1 Q^T
+(``linalg.schur_clusters``, built once per space): each cluster of
+eigenvalues evolves by its own closed form e^{-mu t} E(t) and keeps its
+own log scale, and the clusters are recombined through S inside one
+scaled sum.  A canonical A (block diagonal lam*I + N chains) is its own
+form, Q = S = I: a cluster per run of chains with one lam, E(t) = e^{-tN}
+by Horner's rule in t (lam*I gives log|v|/lam).
 
 g' = -<Aw, w>/|w|^2 with w = e^{-tA}v, and the real part of A's
 numerical range is [min eig H, max eig H], H = (A + A^T)/2 (Horn &
@@ -28,9 +25,9 @@ the shorter Newton step, to the same Newton solve.
 
 t_tol is 1e-12.  All evaluators are pure and vectorized over batches of
 difference vectors, column-major: a batch is the (n, m) array of its
-vectors, and its e^{-tN}v, log-sum-exp terms and Schur coordinates are
-(rows, m) arrays, reduced over axis 0 along contiguous rows, each sum in
-row order (``_sum_rows``, ``_mul``).  Every operation acts on each column
+vectors, and its Schur coordinates and log scales are (rows, m) arrays,
+reduced over axis 0 along contiguous rows, each sum in row order
+(``_sum_rows``, ``_mul``).  Every operation acts on each column
 alone, so a vector's distance does not depend on the rest of its batch,
 bit for bit, and independent batches may share one call.
 """
@@ -43,8 +40,9 @@ from functools import cached_property
 import numpy as np
 
 from .errors import RangeError, SolverError
-from .linalg import (_canonical_chains, check_hypothesis, check_matrix,
-                     check_vector, schur_clusters)
+from .linalg import (_canonical_chains, _mul, _sum_rows,
+                     check_hypothesis, check_matrix, check_vector,
+                     schur_clusters)
 
 _T_TOL = 1e-12
 _MAX_STEPS = 100_000
@@ -119,8 +117,8 @@ class BoundarySpace:
         return _curvature(self.a, self._sym_eigenvalues)
 
     @cached_property
-    def _clusters(self):  # the decoupled real Schur form of a general A
-        return schur_clusters(self.a)
+    def _clusters(self):  # the decoupled real Schur form, A's own if canonical
+        return schur_clusters(self.a, self.chains)
 
 
 def _curvature(a: np.ndarray, sym=None) -> float:
@@ -150,131 +148,27 @@ def _curvature(a: np.ndarray, sym=None) -> float:
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def _expand(g, t, path):
-    """(t, g(t), g'(t)) on every row, t stepped left by 1, 2, 4, ... on
-    the rows where g(t) <= 0.  ``g(t, rows, slope=True)`` gives g and g' on
-    the rows indexed by ``rows``."""
+def _solve_marching(space: BoundarySpace, g, t):
+    """Each row's first zero of ``g``, g > 0 on (-inf, t] up to rounding: t
+    steps left by 1, 2, 4, ... on the rows where g(t) <= 0, ``_march``
+    brackets the zero (g > 0 on [lo, hi), g(hi) <= 0) and ``_newton``
+    narrows it.  ``g(t, rows, slope=True)`` gives g and g' on ``rows``."""
     t = t.copy()
     gt, slope = g(t, np.arange(t.size), slope=True)
     step = 1.0
     for _ in range(200):
         bad = np.flatnonzero(gt <= 0)
         if bad.size == 0:
-            return t, gt, slope
+            x, gx, slope, lo, hi = _march(space, g, t, gt, slope)
+            return _newton(g, x, gx, slope, (lo, hi))
         t[bad] -= step
         gt[bad], slope[bad] = g(t[bad], bad, slope=True)
         step *= 2.0
-    raise SolverError(f"failed to bracket from the left ({path} path)")
-
-
-def _sum_rows(a) -> np.ndarray:
-    """The sum of a's rows (an array or a list), first to last.  numpy's
-    sum does so too, but sums one column pairwise from 8 rows on: a lone
-    vector would round unlike the same vector in a batch."""
-    total = a[0].copy()
-    for row in a[1:]:
-        total += row
-    return total
-
-
-def _chain_exp(chains, v: np.ndarray, t: np.ndarray) -> np.ndarray:
-    """e^{-tN}v, column-major, at per-column t by Horner's rule in t, in
-    place of v: on each chain w = v, then w <- v + (-t/q) Nw for q = size
-    - 1, ..., 1 (the chain's rows of v but the last are copied first)."""
-    minus_t = -t
-    for _, size, off in chains:
-        head = v[off:off + size - 1].copy()
-        for q in range(size - 1, 0, -1):
-            np.add(head, minus_t / q * v[off + 1:off + size],
-                   out=v[off:off + size - 1])
-    return v
-
-
-def _roots_canonical(space: BoundarySpace, v: np.ndarray,
-                     log_norm: np.ndarray) -> np.ndarray:
-    # v is (n, m), column-major, and log_norm its log|v| per column.  g =
-    # logsumexp over lam of (log P_lam(t) - 2 lam t) / 2, with P_lam =
-    # |w|^2 on lam's chains, w = e^{-tN}v: -lam t + log P / 2 for one lam.
-    # A zero P_lam (v has no part at lam) is -inf
-    lams = list(dict.fromkeys(lam for lam, _, _ in space.chains))
-    if len(lams) == 1 and all(c[1] == 1 for c in space.chains):
-        return log_norm / lams[0]  # lam I: g = log|v| - lam t
-    # per lam, the rows of its chains, and those not last on their chain
-    own = [[i for mu, s, o in space.chains if mu == lam
-            for i in range(o, o + s)] for lam in lams]
-    ends = {o + s - 1 for _, s, o in space.chains}
-    links = [[i for i in rows if i not in ends] for rows in own]
-    two_lam = 2.0 * np.array(lams)[:, None]
-
-    def g(t, rows, slope=False):
-        # with slope, also g' = sum softmax_lam(e) (P_lam'/P_lam - 2 lam) / 2,
-        # P_lam' = -2 <Nw, w> on lam's chains, summed from row products: a
-        # (rows, m) product per evaluation page-faults on large batches
-        w = _chain_exp(space.chains, v.take(rows, axis=1), t)
-        e = np.empty((len(lams), t.size))
-        rate = np.zeros(e.shape) if slope else None  # P_lam'/P_lam
-        with np.errstate(divide="ignore"):
-            for j, (mine, link) in enumerate(zip(own, links)):
-                p = _sum_rows([w[i] * w[i] for i in mine])
-                np.log(p, out=e[j])
-                if slope and link:
-                    dp = _sum_rows([w[i] * w[i + 1] for i in link])
-                    np.divide(-2.0 * dp, p, out=rate[j], where=p != 0)
-        e -= t * two_lam
-        if e.shape[0] == 1:  # the log-sum-exp of one row, bit for bit
-            gt, weights, total = 0.5 * e[0], 1.0, 1.0
-        else:
-            mx = e.max(axis=0)
-            weights = np.exp(e - mx)
-            total = _sum_rows(weights)
-            gt = 0.5 * (mx + np.log(total))
-        return ((gt, 0.5 * _sum_rows(weights * (rate - two_lam)) / total)
-                if slope else gt)
-
-    return _solve(space, g, log_norm,
-                  lambda: _canonical_start(space.chains, v), "canonical")
-
-
-def _canonical_start(chains, v: np.ndarray) -> np.ndarray:
-    """Per column of v, the largest t of these, each with g > 0 on (-inf,
-    t]: the last nonzero entry c = v_l of v on a chain is an entry of
-    e^{-tN}v, so g > 0 left of log|c|/lam; where l >= 1, entry l - 1 is
-    v_{l-1} - tc, and g >= -lam t > 0 left of -(1 + |v_{l-1}|)/|c|."""
-    start = np.full(v.shape[1], -math.inf)
-    with np.errstate(divide="ignore"):
-        for lam, size, off in chains:
-            block = v[off:off + size]
-            last = size - 1 - np.argmax(block[::-1] != 0, axis=0)
-            entry, prev = np.abs(np.take_along_axis(
-                block, np.stack([last, np.maximum(last - 1, 0)]), 0))
-            near = np.where(last >= 1, -(1.0 + prev) / entry, -math.inf)
-            start = np.maximum(start, np.maximum(np.log(entry) / lam, near))
-    return start
-
-
-def _solve(space: BoundarySpace, g, log_norm, left, path):
-    """Each row's first zero of ``g``.  A decreasing g has one, and Newton
-    starts at min(log|v|/re_max, log|v|/re_min) (``log_norm`` is log|v|),
-    where g >= 0 if A is normal; else its doubling reaches the root.  Other
-    spaces march from ``left()``, with g > 0 on (-inf, left()]."""
-    if not space._decreasing:
-        return _solve_marching(space, g, left(), path)
-    re_min, re_max = space._re_span
-    x = np.minimum(log_norm / re_max, log_norm / re_min)
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        return _newton(g, x, *g(x, np.arange(x.size), slope=True), path)
-
-
-def _solve_marching(space: BoundarySpace, g, start, path):
-    """Each row's first zero of ``g``, g > 0 on (-inf, start]: ``_expand``
-    left, ``_march`` to a bracket with g > 0 on [lo, hi) and g(hi) <= 0,
-    then ``_newton`` inside it."""
-    x, gx, slope, lo, hi = _march(space, path, g, *_expand(g, start, path))
-    return _newton(g, x, gx, slope, path, (lo, hi))
+    raise SolverError("march: failed to bracket from the left")
 
 
 @np.errstate(over="ignore", invalid="ignore", divide="ignore")
-def _newton(g, x, gx, slope, path, bracket=None):
+def _newton(g, x, gx, slope, bracket=None):
     """Each row's zero of ``g`` from x (g, g' there ``gx``, ``slope``) by
     Newton's method inside the bracket of the signs seen so far (rtsafe;
     Press et al., Numerical Recipes).  g strictly decreases, or is > 0 on
@@ -327,7 +221,7 @@ def _newton(g, x, gx, slope, path, bracket=None):
         gx, slope = g(x, rows, slope=True)
     raise SolverError(
         f"{rows.size} root(s) still open after {_NEWTON_STEPS} Newton steps "
-        f"({path} path)"
+        f"({'march' if marched else 'decreasing'} branch)"
     )
 
 
@@ -344,7 +238,7 @@ def _step_length(g, slope, big_k):
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def _march(space: BoundarySpace, path, g, t, gt, slope):
+def _march(space: BoundarySpace, g, t, gt, slope):
     """x, g(x), g'(x), lo, hi with g > 0 on [lo, hi) >= g(hi), bracketing
     each row's first zero of g, marching right from ``t`` (g > 0 on (-inf,
     t]; g, g' there are ``gt``, ``slope``).  x is the end with the shorter
@@ -356,7 +250,7 @@ def _march(space: BoundarySpace, path, g, t, gt, slope):
     out, idx = np.empty((5, t.size)), np.arange(t.size)
     for _ in range(_MAX_STEPS):
         if not math.isfinite(gt.sum() + slope.sum()):
-            raise _march_failure(path, space, "non-finite g or slope",
+            raise _march_failure(space, "non-finite g or slope",
                                  ~np.isfinite(gt + slope), t, gt)
         h = _step_length(gt, slope, big_k)
         t_next = t + np.fmax(h, np.maximum(_T_TOL, _EPS * np.abs(t)))
@@ -370,106 +264,115 @@ def _march(space: BoundarySpace, path, g, t, gt, slope):
         idx, t, gt, slope = idx[keep], t_next[keep], g_next[keep], s_next[keep]
         if idx.size == 0:
             return out
-    raise _march_failure(path, space, "no sign change within the step cap",
+    raise _march_failure(space, "no sign change within the step cap",
                          np.ones(idx.size, bool), t, gt)
 
 
-def _march_failure(path, space, what, bad, t, g):
+def _march_failure(space, what, bad, t, g):
     i = int(np.argmax(bad))  # the first row where bad
     return SolverError(
-        f"{path} path: {what} for {int(bad.sum())} vector(s); last t = "
+        f"march: {what} for {int(bad.sum())} vector(s); last t = "
         f"{t[i]:.17g}, g = {g[i]:.6g}; matrix = {space.a.tolist()}"
     )
 
 
-def _nonzero_cols(m: np.ndarray) -> np.ndarray:
-    return np.flatnonzero(np.any(m != 0, axis=0))
-
-
-def _mul(m: np.ndarray, x: np.ndarray, cols=None) -> np.ndarray:
-    """m @ x for column-major x, summed over m's nonzero columns (``cols``,
-    found here if not given) in order: unlike BLAS, each column of the
-    result is independent of the batch."""
-    out = np.zeros((m.shape[0], x.shape[1]), np.result_type(m, x))
-    for k in _nonzero_cols(m) if cols is None else cols:
-        out += m[:, k, None] * x[k]
-    return out
-
-
 @np.errstate(over="ignore", divide="ignore", invalid="ignore")
-def _roots_general(space: BoundarySpace, v: np.ndarray,
-                   log_norm: np.ndarray) -> np.ndarray:
-    # v is (n, m), column-major, log_norm its log|v|.  With A = Q S D S^-1
-    # Q^T and u = S^-1 Q^T v, e^{-tA}v = Q S x, x_c = e^{-mu_c t} E_c(t)
-    # u_c on each cluster c.  x_c keeps its own log scale l_c - mu_c t, l_c
-    # = log max|u_c|: g = log max|v| + top + log|S x'|, x'_c = e^{l_c - mu_c
-    # t - top} E_c(t) u_c / max|u_c|, top the largest scale, so no stiff
-    # cluster overflows
-    sc = space._clusters
-    peak = np.abs(v).max(axis=0)
-    z = _mul(sc.q.T, v / peak)  # Schur coordinates
-    u = _mul(sc.s_inv, z)
-    scales, parts = [], []
-    for c in sc.clusters:
-        top = np.abs(u[c.lo:c.hi]).max(axis=0)
-        scales.append(np.log(top))  # -inf where u_c = 0
-        unit = u[c.lo:c.hi] / np.where(top > 0, top, 1.0)
-        parts.append(np.stack([_mul(b, unit) for b in c.basis]))
-    scales, log_peak = np.array(scales), np.log(peak)
-    mus = np.array([[c.mu] for c in sc.clusters])
-    s_cols, tri_cols = _nonzero_cols(sc.s), _nonzero_cols(sc.tri)
+def _roots(space: BoundarySpace, v: np.ndarray,
+           norm: np.ndarray) -> np.ndarray:
+    # v is (n, m), column-major, norm its |v|; v is scaled in place if Q = I.
+    # With A = Q S D S^-1 Q^T, p the power of 2 with |v|/p in [1/2, 1) and u
+    # = S^-1 Q^T v/p, e^{-tA}v = p Q S x, x_c = e^{-mu_c t} E_c(t) u_c on
+    # each cluster c: g = log p + log|S x|.  Of several clusters each keeps
+    # its log scale l_c - mu_c t, l_c = log max|u_c|, in g = log p + top +
+    # log|S x'|, x'_c = e^{l_c - mu_c t - top} E_c(t) u_c / max|u_c|, top the
+    # largest: no stiff cluster overflows.  A Q or S that is I is skipped
+    sc, log_norm = space._clusters, np.log(norm)
+    one = sc.clusters[0] if len(sc.clusters) == 1 else None
+    shift = one.mu if one else 0.0  # g' = -shift - <w, (T - shift I)w>/|w|^2
+    # at w = S x', summed over the rows i and entries k of T - shift I
+    tri = [(i, np.flatnonzero(row), row) for i, row in
+           enumerate(sc.tri - shift * np.eye(space.n)) if row.any()]
+    if one and not tri:
+        return log_norm / shift  # lam I: g = log|v| - lam t
+    p = np.ldexp(1.0, np.frexp(norm)[1])
+    z = np.divide(v, p, out=v) if sc.q is None else _mul(sc.q.T, v / p)
+    u = z if sc.s is None else _mul(sc.s_inv, z)
+    if one:
+        parts = [one.prepare(u)]
+    else:
+        tops = [np.abs(u[c.lo:c.hi]).max(axis=0) for c in sc.clusters]
+        parts = [c.prepare(u[c.lo:c.hi] / np.where(top > 0, top, 1.0))
+                 for c, top in zip(sc.clusters, tops)]
+        scales = np.log(tops)  # -inf where u_c = 0
+        mus = np.array([[c.mu] for c in sc.clusters])
+    log_p = np.log(p)
 
     def g(t, rows, slope=False):
-        # with slope, also g' = -<w, Tw>/|w|^2 at w = S x'
-        e = scales.take(rows, axis=1) - mus * t
-        top = e.max(axis=0)
-        x = np.empty((space.n, rows.size))
-        for c, y, ec in zip(sc.clusters, parts, e):
-            acc = _sum_rows(c.coefficients(t)[:, None] * y.take(rows, axis=2))
-            x[c.lo:c.hi] = np.exp(ec - top) * acc.real
-        w = _mul(sc.s, x, s_cols)
-        sq = _sum_rows(w * w)
-        gt = log_peak.take(rows) + top + 0.5 * np.log(sq)
+        if one:
+            top, x = -shift * t, one.apply(t, parts[0].take(rows, axis=-1))
+        else:
+            e = scales.take(rows, axis=1) - mus * t
+            top, x = e.max(axis=0), np.empty((space.n, rows.size))
+            for c, y, ec in zip(sc.clusters, parts, e):
+                x[c.lo:c.hi] = np.exp(ec - top) * c.apply(
+                    t, y.take(rows, axis=-1))
+        w = x if sc.s is None else _mul(sc.s, x)
+        sq = _sum_rows([row * row for row in w])
+        gt = log_p.take(rows) + 0.5 * np.log(sq) + top
         if not slope:
             return gt
-        return gt, -_sum_rows(w * _mul(sc.tri, w, tri_cols)) / sq
+        dot = _sum_rows([w[i] * _sum_rows([row[k] * w[k] for k in ks])
+                         for i, ks, row in tri])
+        return gt, -(shift + dot / sq)
 
-    return _solve(space, g, log_norm, lambda: _general_start(sc, z, log_peak),
-                  "general")
+    if not space._decreasing:  # g > 0 on (-inf, start]
+        return _solve_marching(space, g, _start(sc, z, log_p))
+    # one zero: Newton starts at min(log|v|/re_max, log|v|/re_min), g >= 0
+    # there if A is normal, else its doubling reaches the root
+    re_min, re_max = space._re_span
+    x = np.minimum(log_norm / re_max, log_norm / re_min)
+    return _newton(g, x, *g(x, np.arange(x.size), slope=True))
 
 
-def _general_start(sc, z: np.ndarray, log_peak: np.ndarray) -> np.ndarray:
-    """Per column of the Schur coordinates z of v/max|v|, a t with
-    |e^{-tA}v| > 1 on (-inf, t].  The last diagonal block b of T where z
-    is nonzero evolves alone: |e^{-tA}v| >= |z_b| e^{-mu t} / c, c = 1 on a
-    1 x 1 block and 1 + ||B||_F/nu on a complex pair (e^{tB} = cos(nu t) I
-    + sin(nu t)/nu B, nu^2 = det B).  Where b and the block above are 1 x 1
-    (eigenvalues l, l', coupling c'), that entry is e^{-l't}z' + c' f z_b,
-    |f| >= |t| e^{-t min(l, l')} for t < 0: it exceeds 1 left of -(1 +
-    e|z'|)/(|c'||z_b|) while (l' - l)|t| <= 1, a second point kept where
-    the first covers the rest (a tiny z_b puts the first far left)."""
-    edges, tri, cols = np.array(sc.edges), sc.tri, np.arange(z.shape[1])
-    mu, cost = np.empty(len(edges) - 1), np.ones(len(edges) - 1)
-    for b, (i, j) in enumerate(zip(edges, edges[1:])):
-        mu[b] = np.trace(tri[i:j, i:j]) / (j - i)
-        if j - i == 2:  # B = [[p, c], [d, -p]], ||B|| <= ||B||_F
-            p, c, d = tri[i, i] - mu[b], tri[i, j - 1], tri[i + 1, i]
-            cost[b] += math.hypot(p, p, c, d) / math.sqrt(
-                max(-p * p - c * d, _TINY))
-    nonzero = np.stack([np.any(z[i:j] != 0, axis=0)
-                        for i, j in zip(edges, edges[1:])])
-    last = len(mu) - 1 - np.argmax(nonzero[::-1], axis=0)
-    i, two = edges[last], np.diff(edges)[last] == 2
-    z_b = np.hypot(z[i, cols], np.where(two, z[np.minimum(i + 1, len(tri) - 1),
-                                                  cols], 0.0))
-    start = (log_peak + np.log(z_b) - np.log(cost[last])) / mu[last]
-    up = np.maximum(i - 1, 0)
-    near = -(np.exp(-log_peak) + math.e * np.abs(z[up, cols])) / (
-        np.abs(tri[up, i]) * z_b)
-    gap = np.maximum(0.0, tri[up, up] - tri[i, i])
-    ok = (~two & (last >= 1) & (np.diff(edges)[last - 1] == 1)
-          & (gap * near >= -1.0) & (gap * start >= -1.0))
-    return np.where(ok, np.maximum(start, near), start)
+def _start(sc, z: np.ndarray, log_p: np.ndarray) -> np.ndarray:
+    """Per column of the Schur coordinates z of v/p (p > 0), a t with
+    |e^{-tA}v| > 1 on (-inf, t]: the largest point below over the diagonal
+    blocks b of T that evolve alone, z_b nonzero and z zero on all that b's
+    row of T reaches (on a chain, z's last nonzero entry; in a full T, the
+    last nonzero block).  |e^{-tA}v| >= |z_b| e^{-mu t} / c, c = 1 on a 1 x
+    1 block, 1 + ||B||_F/nu on a complex pair (e^{tB} = cos(nu t) I + sin(nu
+    t)/nu B, nu^2 = det B).  Where b and the block above are 1 x 1 (l, l',
+    coupling c') and z is zero on all else the one above reaches, that
+    entry is e^{-l't}z' + c' f z_b, |f| >= |t| e^{-t min(l, l')} for t < 0,
+    above 1 left of -(1 + r|z'|)/(|c'||z_b|), r = 1 if l' = l and e else,
+    while (l' - l)|t| <= 1: a second point where the first covers the rest
+    (a tiny z_b puts the first far left)."""
+    tri, edges = sc.tri, np.array(sc.edges)
+    lo, hi = edges[:-1], edges[1:] - 1  # each block's first and last row
+    mu = 0.5 * (tri[lo, lo] + tri[hi, hi])  # B = [[p, c], [d, -p]] below
+    p, c, d = tri[lo, lo] - mu, tri[lo, hi], tri[hi, lo]
+    cost = np.where(hi > lo, 1.0 + np.hypot(np.hypot(p, p), np.hypot(c, d))
+                    / np.sqrt(np.maximum(-p * p - c * d, _TINY)), 1.0)
+    # still[b]: z is 0 on b and all that b reaches; alone[b]: on all that b
+    # reaches; beside[b]: on all that b reaches but b + 1
+    links = np.add.reduceat(np.add.reduceat(tri != 0, lo, 0), lo, 1) > 0
+    still = np.logical_and.reduceat(z == 0, lo, axis=0)
+    alone, beside = np.ones_like(still), np.ones_like(still)
+    for b in range(len(lo) - 2, -1, -1):
+        beside[b] = still[np.flatnonzero(links[b, b + 2:]) + b + 2].all(axis=0)
+        alone[b] = beside[b] & (still[b + 1] | ~links[b, b + 1])
+        still[b] &= alone[b]
+    z_b = np.hypot(z[lo], np.where((hi > lo)[:, None], z[hi], 0.0))
+    start = (log_p + np.log(z_b) - np.log(cost)[:, None]) / mu[:, None]
+    up, i = lo[1:] - 1, lo[1:]
+    near = -(np.exp(-log_p) + np.where(tri[up, up] == tri[i, i], 1.0,
+                                       math.e)[:, None] * np.abs(z[up])) / (
+        np.abs(tri[up, i])[:, None] * z_b[1:])
+    gap = np.maximum(0.0, tri[up, up] - tri[i, i])[:, None]
+    ok = (((hi == lo)[1:] & (hi == lo)[:-1])[:, None] & beside[:-1]
+          & (gap * near >= -1.0) & (gap * start[1:] >= -1.0))
+    start[1:] = np.where(ok, np.maximum(start[1:], near), start[1:])
+    return np.where(alone & ~still, start, -math.inf).max(axis=0)
 
 
 def _dist_from_diffs(space: BoundarySpace, diffs: np.ndarray) -> np.ndarray:
@@ -478,7 +381,7 @@ def _dist_from_diffs(space: BoundarySpace, diffs: np.ndarray) -> np.ndarray:
         raise ValueError(f"expected vectors of dimension {space.n}")
     out = np.zeros(diffs.shape[0])
     cols = np.ascontiguousarray(diffs.T)  # (n, m): one row per coordinate
-    del diffs  # the solve reads cols only
+    del diffs  # the solve reads cols only, and overwrites them
     nz = np.any(cols != 0.0, axis=0)
     # every path squares |v|; outside this range that rounds to 0 or inf
     with np.errstate(over="ignore"):
@@ -494,8 +397,7 @@ def _dist_from_diffs(space: BoundarySpace, diffs: np.ndarray) -> np.ndarray:
         return out
     if not nz.all():  # copy only where a column is zero
         cols, sq = cols[:, nz], sq[nz]
-    roots = (_roots_general if space.chains is None else _roots_canonical)(
-        space, cols, np.log(np.sqrt(sq)))
+    roots = _roots(space, cols, np.sqrt(sq))
     with np.errstate(over="ignore"):
         d = np.exp(roots)
     bad = ~((d > 0.0) & (d < np.inf))

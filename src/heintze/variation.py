@@ -387,9 +387,11 @@ def fit_exponents(a, u: TestFunction, box, t_grid, q_list,
                   max_cells: int = DEFAULT_MAX_CELLS) -> VariationReport:
     """Least-squares slopes of log V_Q against t, per Q.
 
-    The predicted exponential rate is Q*lam_max - tr(A); the slope fit
-    deliberately ignores the polynomial-in-|t| correction factor (noted
-    in the report) since it is subdominant on desk-scale grids.
+    The predicted exponential rate is Q*lam_u - tr(A), as u e^{tA} grows
+    as e^{t lam_u} for t -> -inf: lam_u is the least eigenvalue of the
+    chains that u touches.  The slope fit deliberately ignores the
+    polynomial-in-|t| correction factor (noted in the report) since it is
+    subdominant on desk-scale grids.
     """
     a = check_matrix(a)
     t_grid = [float(t) for t in t_grid]
@@ -400,7 +402,6 @@ def fit_exponents(a, u: TestFunction, box, t_grid, q_list,
     if any(t >= -1 for t in t_grid):
         raise ValueError("all grid t must be < -1")
     q_list = _check_qs(q_list)
-    lam_max = float(np.max(np.diag(a)))
     trace = float(np.trace(a))
 
     rows = []
@@ -416,6 +417,8 @@ def fit_exponents(a, u: TestFunction, box, t_grid, q_list,
             rows.append(VariationRow(t, q, cells, value))
             logs[q].append(math.log(value))
 
+    lam_u = min(lam for lam, size, off in spec.chains
+                if any(u.vector[off:off + size]))
     fits = []
     ts = np.asarray(t_grid)
     for q in q_list:
@@ -429,7 +432,7 @@ def fit_exponents(a, u: TestFunction, box, t_grid, q_list,
         else:
             label = "critical"
         fits.append(
-            ExponentFit(q, float(slope), q * lam_max - trace, resid, label)
+            ExponentFit(q, float(slope), q * lam_u - trace, resid, label)
         )
     note = (
         "slope fit captures the exponential rate only; the polynomial "

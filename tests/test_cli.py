@@ -223,7 +223,7 @@ PROBE_GOLDEN = {
         {"kind": "shear", "n": 2,
          "C": {"knots": [[-1.0, 0.0], [0.5, 0.25], [1.0, 1.0]]}},
         '{\n  "bound": 5.557504237413575,\n  "box_radius": 5.0,\n'
-        '  "max_ratio": 1.6271809890822997,\n'
+        '  "max_ratio": 1.6271809890822995,\n'
         '  "min_ratio": 0.3443208731561613,\n  "samples": 300,\n'
         '  "seed": 4,\n  "within_bound": true\n}\n',
         "1.01379375505",
@@ -232,7 +232,7 @@ PROBE_GOLDEN = {
         {"kind": "jordan_family", "n": 2, "a": [1.5], "v": [0.1, -0.2],
          "C": {"knots": [[0.0, 0.0], [1.0, 0.5]]}},
         '{\n  "bound": 9.241432094149962,\n  "box_radius": 5.0,\n'
-        '  "max_ratio": 1.6117356999601278,\n'
+        '  "max_ratio": 1.611735699960128,\n'
         '  "min_ratio": 1.4643952204884954,\n  "samples": 300,\n'
         '  "seed": 4,\n  "within_bound": true\n}\n',
         "1.58113883008",
@@ -283,25 +283,29 @@ def test_unknown_flag_exits_one(files):
     assert rc == 1
 
 
-MALFORMED_MAPS = [
-    '{"kind": "jordan_family", "n": 2}',
-    '[{"kind": "shear", "n": 2, "C": {"knots": [[0.0, 0.0]]}}]',
-    '{"kind": "shear", "n": 2, "C": 5}',
-    '{"kind": "shear", "n": 2, "C": {"knots": 5}}',
-    '{"kind": "composition", "maps": 5}',
+MALFORMED_MAPS = {  # document -> the message after "error: "
+    '{"kind": "jordan_family", "n": 2}':
+        "jordan_family map: missing field 'a'",
+    '[{"kind": "shear", "n": 2, "C": {"knots": [[0.0, 0.0]]}}]':
+        "a map is a JSON object, not list",
+    '{"kind": "shear", "n": 2, "C": 5}': "malformed shear map: ",
+    '{"kind": "shear", "n": 2, "C": {"knots": 5}}': "malformed shear map: ",
+    '{"kind": "composition", "maps": 5}': "malformed composition map: ",
     # a dimension must be an integer, not be cut to one
-    '{"kind": "shear", "n": 2.7, "C": {"knots": [[0.0, 0.0], [1.0, 1.0]]}}',
-]
+    '{"kind": "shear", "n": 2.7, "C": {"knots": [[0.0, 0.0], [1.0, 1.0]]}}':
+        "malformed shear map: ",
+}
 
 
 def test_malformed_map_file_exits_one(files, tmp_path):
     # an uncaught exception exits 1 too: the message must be the CLI's
     bad = tmp_path / "bad_map.json"
-    for doc in MALFORMED_MAPS:
+    for doc, message in MALFORMED_MAPS.items():
         bad.write_text(doc)
         for args in (["qsmap-verify", "--matrix", files["j2"],
                       "--out", str(tmp_path / "v.json")],
                      ["conformal-probe", "--t=-1"]):
             rc, out, err = run_cli(*args, "--map", str(bad))
             assert rc == 1 and out == "", (doc, args[0], err)
-            assert err.startswith("error: ") and "Traceback" not in err, err
+            assert err.startswith("error: " + message), err
+            assert "Traceback" not in err, err

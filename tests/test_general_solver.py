@@ -485,47 +485,68 @@ def test_rotated_j2_matches_the_canonical_path():
     assert np.abs(got - want).max() <= 1e-12
 
 
+# canonical spaces: each is its own decoupled form, Q = S = I and T = A,
+# with a "chain" cluster per run of chains with one eigenvalue
+CANONICAL = {
+    "J4(0.3)": (jordan_block(0.3, 4), ["chain"]),
+    "J2+J2": (scipy.linalg.block_diag(jordan_block(1.0, 2),
+                                      jordan_block(1.0, 2)), ["chain"]),
+    "diag(1..6)": (np.diag(np.arange(1.0, 7.0)), ["chain"] * 6),
+    "J3(0.45)+J1(0.45)": (scipy.linalg.block_diag(jordan_block(0.45, 3),
+                                                  [[0.45]]), ["chain"]),
+}
+
+
 @pytest.mark.parametrize("a, kinds", [
     (_rotated_j2(0.3), ["pair"]), (_rotated_j2(0.35), ["pair"]),
     (_rotated_j2(0.45), ["pair"]),
     (np.array([[1.0, -3.0], [3.0, 1.0]]), ["rot"]),
-    (ROTATION3 @ DIAG2_J2 @ ROTATION3.T, ["one", "pair"])],
+    (ROTATION3 @ DIAG2_J2 @ ROTATION3.T, ["one", "pair"]),
+    *CANONICAL.values()],
     ids=["R.J2(0.3).RT", "R.J2(0.35).RT", "R.J2(0.45).RT", "spiral",
-         "R.(diag(2)+J2(1)).RT"])
+         "R.(diag(2)+J2(1)).RT", *CANONICAL])
 def test_clusters_rebuild_the_matrix(a, kinds):
     # the decoupled Schur form: A = Q S D S^-1 Q^T to rounding, D the direct
     # sum of the cluster blocks.  A split double eigenvalue stays one
     # cluster, a "pair"; the spiral's complex pair is a "rot" block; diag(2)
-    # is decoupled from J2(1)
+    # is decoupled from J2(1).  Q and S are None where they are I
     sc = BoundarySpace(a)._clusters
     assert [c.kind for c in sc.clusters] == kinds
+    eye = np.eye(len(a))
+    q, s, s_inv = (eye if m is None else m for m in (sc.q, sc.s, sc.s_inv))
+    assert (sc.q is None) == (BoundarySpace(a).chains is not None)
     d = np.zeros_like(a)
     for c in sc.clusters:
         d[c.lo:c.hi, c.lo:c.hi] = sc.tri[c.lo:c.hi, c.lo:c.hi]
-    back = sc.q @ sc.s @ d @ sc.s_inv @ sc.q.T
+    back = q @ s @ d @ s_inv @ q.T
     assert np.abs(back - a).max() <= 1e-14 * np.abs(a).max()
-    assert np.abs(sc.s @ sc.s_inv - np.eye(len(a))).max() <= 1e-15
+    assert np.abs(s @ s_inv - eye).max() <= 1e-15
 
 
 @pytest.mark.parametrize("a", [_rotated_j2(0.3), _rotated_j2(0.35),
                                np.array([[1.0, -3.0], [3.0, 1.0]]),
-                               ROTATION3 @ jordan_block(1.0, 3) @ ROTATION3.T],
+                               ROTATION3 @ jordan_block(1.0, 3) @ ROTATION3.T,
+                               *(a for a, _ in CANONICAL.values())],
                          ids=["R.J2(0.3).RT", "R.J2(0.35).RT", "spiral",
-                              "R.J3.RT"])
+                              "R.J3.RT", *CANONICAL])
 def test_cluster_exponentials_match_50_digit_expm(a):
-    # each cluster's closed form e^{-tT_c} = e^{-mu t} sum_p c_p(t) basis[p]
-    # against mpmath's expm of the same float block, at t = +-2^k: the sinch
-    # pair, the rotation and (R.J3.RT, split into a real eigenvalue and a
-    # complex pair) Newton's form
+    # each cluster's e^{-tT_c} = e^{-mu t} E_c(t), E_c applied to the
+    # columns of I, against mpmath's expm of the same float block, at t =
+    # +-2^k: the sinch pair, the rotation, (R.J3.RT, split into a real
+    # eigenvalue and a complex pair) Newton's form, and Horner's rule on
+    # the chains of a canonical A
     mp = pytest.importorskip("mpmath")
     ts = np.concatenate([-np.ldexp(1.0, np.arange(-3, 5)),
                          np.ldexp(1.0, np.arange(-3, 5))])
     sc = BoundarySpace(a)._clusters
     with mp.workdps(50):
         for c in sc.clusters:
+            k = c.hi - c.lo
+            cols = c.apply(np.repeat(ts, k),
+                           np.tile(c.prepare(np.eye(k)), ts.size))
+            got = np.exp(-c.mu * ts)[:, None, None] * cols.reshape(
+                k, ts.size, k).transpose(1, 0, 2)
             block = mp.matrix(sc.tri[c.lo:c.hi, c.lo:c.hi].tolist())
-            got = np.exp(-c.mu * ts)[:, None, None] * np.einsum(
-                "pt,pij->tij", c.coefficients(ts), c.basis).real
             for t, m in zip(ts, got):
                 want = mp.expm(-mp.mpf(float(t)) * block)
                 scale = max(abs(x) for x in want)

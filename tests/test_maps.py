@@ -565,7 +565,8 @@ def test_map_validation():
         map_from_json_dict({"kind": "rotation"})
     with pytest.raises(ValueError, match="unknown map kind"):
         map_from_json_dict({"kind": ["shear"]})
-    with pytest.raises(KeyError):
+    with pytest.raises(ValueError,
+                       match="^jordan_family map: missing field 'a'$"):
         map_from_json_dict({"kind": "jordan_family", "n": 2})
 
 

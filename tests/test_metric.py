@@ -13,8 +13,8 @@ from heintze.errors import RangeError, SolverError
 from heintze.linalg import jordan_block
 from heintze.metric import (
     BoundarySpace,
-    _expand,
     _newton,
+    _solve_marching,
     block_distance_check,
     dist,
     dist_pairs,
@@ -307,18 +307,22 @@ def test_canonical_chains_of_any_size_get_their_roots(n):
 
 
 def test_bracket_expansion_failures_name_the_path():
-    # g <= 0 everywhere never clears on the left; g = e^{-t} > 0 never
-    # changes sign, so the Newton solve of a decreasing g reaches its cap
-    with pytest.raises(SolverError, match=r"the left \(canonical path\)"):
-        _expand(lambda t, rows, slope: (np.zeros_like(t), -np.ones_like(t)),
-                np.zeros(2), "canonical")
+    # each names the branch that ran: g <= 0 everywhere never clears on the
+    # left of a march's start; g = e^{-t} > 0 never changes sign, so the
+    # Newton solve of a decreasing g reaches its cap
+    with pytest.raises(SolverError,
+                       match=r"^march: failed to bracket from the left$"):
+        _solve_marching(None, lambda t, rows, slope: (np.zeros_like(t),
+                                                      -np.ones_like(t)),
+                        np.zeros(2))
 
     def g(t, rows, slope=False):
         return (np.exp(-t), -np.exp(-t)) if slope else np.exp(-t)
 
     with pytest.raises(SolverError, match=r"2 root\(s\) still open after "
-                                          r"200 Newton steps \(bound path\)"):
-        _newton(g, np.zeros(2), *g(np.zeros(2), None, slope=True), "bound")
+                                          r"200 Newton steps \(decreasing "
+                                          r"branch\)"):
+        _newton(g, np.zeros(2), *g(np.zeros(2), None, slope=True))
 
 
 def test_quasimetric_constant_examples(spaces):

@@ -17,7 +17,7 @@ import pytest
 import scipy.linalg
 
 from heintze import metric
-from heintze.errors import SolverError
+from heintze.errors import RangeError, SolverError
 from heintze.linalg import jordan_block
 from heintze.metric import BoundarySpace, dist_pairs
 
@@ -39,7 +39,7 @@ def _solve(g, x, bracket=None):
     its callers do."""
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         gx, slope = g(x, np.arange(x.size), slope=True)
-    return metric._newton(g, x, gx, slope, "test", bracket)
+    return metric._newton(g, x, gx, slope, bracket)
 
 
 # monotone g with g > 0 left of the root r, and their slopes; the last four
@@ -91,8 +91,8 @@ def test_refine_reaching_the_cap_raises():
 
     with pytest.raises(SolverError,
                        match=r"3 root\(s\) still open after 200 Newton steps "
-                             r"\(canonical path\)"):
-        metric._newton(g, hi, *g(hi, None), "canonical", (lo, hi))
+                             r"\(march branch\)"):
+        metric._newton(g, hi, *g(hi, None), (lo, hi))
 
 
 def _bisect(g, lo, hi):
@@ -131,8 +131,8 @@ def test_refine_matches_the_reference_on_solver_batches(monkeypatch, name):
     a, box = REFERENCE_BATCHES[name]
     real, calls = metric._newton, []
 
-    def keep(g, x, gx, slope, path, bracket=None):
-        calls.append((g, bracket, real(g, x, gx, slope, path, bracket)))
+    def keep(g, x, gx, slope, bracket=None):
+        calls.append((g, bracket, real(g, x, gx, slope, bracket)))
         return calls[-1][2]
 
     monkeypatch.setattr(metric, "_newton", keep)
@@ -526,36 +526,53 @@ def _program_g(monkeypatch, space, v, t):
         t, np.zeros(t.size, dtype=int))
 
 
+def _scaled(v):
+    """log p and the columns of v/p, p the power of 2 with |v|/p in [1/2,
+    1) per row of v: the scaling of the program's g, exact in floats."""
+    p = np.ldexp(1.0, np.frexp(np.linalg.norm(v, axis=1))[1])
+    return np.log(p), v.T / p
+
+
 def test_one_eigenvalue_g_is_its_column(monkeypatch):
-    # the log-sum-exp of one column (log P - 2 lam t) is that column, and
-    # halving it rounds as -lam t + log P / 2: scaling by 2 commutes with
-    # rounding
+    # one cluster keeps no log scale: g = log p + log|w|^2 / 2 - lam t and
+    # g' = -lam - <w, Nw>/|w|^2 at w = e^{-tN}u, u = v/p, by Horner's rule
+    # in t, each sum over rows in row order, bit for bit
     sp = _space([(1.0, 3)])
     rng = np.random.default_rng(43)
     v = rng.uniform(-5, 5, (4000, 3))
     t = rng.uniform(-4, 4, 4000)
     g = _program_gs(monkeypatch, sp, v)
-    w = metric._chain_exp(sp.chains, v.T.copy(), t)  # in place
-    p = metric._sum_rows(w * w)
-    assert np.array_equal(g(t, np.arange(4000)), -1.0 * t + 0.5 * np.log(p))
+    log_p, u = _scaled(v)
+    w = [u[0] + -t * (u[1] + -t / 2 * u[2]), u[1] + -t * u[2], u[2]]
+    sq = w[0] * w[0] + w[1] * w[1] + w[2] * w[2]
+    nw = w[0] * (1.0 * w[1]) + w[1] * (1.0 * w[2])
+    gt, slope = g(t, np.arange(4000), slope=True)
+    assert np.array_equal(gt, log_p + 0.5 * np.log(sq) + -1.0 * t)
+    assert np.array_equal(slope, -(1.0 + nw / sq))
 
 
 @pytest.mark.parametrize("k", [2, 3, 7, 9])
 def test_multi_eigenvalue_g_sums_in_eigenvalue_order(monkeypatch, k):
-    # the log-sum-exp adds its eigenvalues' terms left to right at every k,
-    # also past the 8 terms from which numpy sums a short axis pairwise
+    # each eigenvalue of diag(1..k) is a cluster with its own log scale e_c
+    # = log|u_c| - lam_c t, u = v/p: g = log p + log sum_c x_c^2 / 2 + top
+    # and g' = -sum_c lam_c x_c^2 / sum_c x_c^2, x_c = e^{e_c - top} sign
+    # u_c, top = max e_c; each sum adds the clusters left to right at every
+    # k, also past the 8 terms from which numpy sums a short axis pairwise
     sp = _space([(float(lam), 1) for lam in range(1, k + 1)])
     rng = np.random.default_rng(47)
     v = rng.uniform(-5, 5, (4000, k))
     t = rng.uniform(-4, 4, 4000)
     g = _program_gs(monkeypatch, sp, v)
-    e = np.log(v * v) - t[:, None] * (2.0 * np.arange(1.0, k + 1))
-    mx = e.max(axis=1)
-    w = np.exp(e - mx[:, None])
-    total = w[:, 0]
-    for j in range(1, k):
-        total = total + w[:, j]
-    assert np.array_equal(g(t, np.arange(4000)), 0.5 * (mx + np.log(total)))
+    log_p, u = _scaled(v)
+    e = np.log(np.abs(u)) - np.arange(1.0, k + 1)[:, None] * t
+    top = e.max(axis=0)
+    x = np.exp(e - top) * (u / np.abs(u))
+    sq, dot = x[0] * x[0], x[0] * (1.0 * x[0])
+    for c in range(1, k):
+        sq, dot = sq + x[c] * x[c], dot + x[c] * ((c + 1.0) * x[c])
+    gt, slope = g(t, np.arange(4000), slope=True)
+    assert np.array_equal(gt, log_p + 0.5 * np.log(sq) + top)
+    assert np.array_equal(slope, -(0.0 + dot / sq))
 
 
 @pytest.mark.parametrize("name", CASES)
@@ -587,6 +604,68 @@ def test_roots_match_50_digit_roots(monkeypatch, name):
             assert err <= allowed, (v, ti, float(exact))
     print(f"{name}: largest error {worst:.2f} of the allowed bound, "
           f"{plain:.2f} of 8e-16 max(1, |t|)")
+
+
+def test_vectors_near_the_top_of_the_range_keep_g_finite():
+    # g scales v by a power of 2 before it applies e^{-tN}: unscaled,
+    # |e^{-tN}v|^2 overflows near the root of v = (0, 1e153), which is
+    # 358.18 on J2; on J2(0.3) the root, 1197.95, leaves the range of e^t
+    mp = pytest.importorskip("mpmath")
+    v = np.array([[0.0, 1e153]])
+    got = np.log(dist_pairs(_space([(1.0, 2)]), np.zeros_like(v), v))[0]
+    with mp.workdps(50):
+        exact = _Exact(mp, [(1.0, 2)], v[0]).smallest_root()
+    assert abs(got - float(exact)) <= 8e-16 * abs(got)
+    with pytest.raises(RangeError, match=r"log D = 1197\.95"):
+        dist_pairs(_space([(0.3, 2)]), np.zeros_like(v), v)
+
+
+def test_an_eigenvalue_near_the_top_of_the_range_keeps_g_finite():
+    # J2(1e308): e^{-tA}(1, 1) = e^{-1e308 t}(1 - t, 1) has its root at t =
+    # log(2)/2e308, subnormal, so D = 1, though 2 lam t overflows near it
+    v = np.array([[1.0, 1.0]])
+    d = dist_pairs(_space([(1e308, 2)]), np.zeros_like(v), v)
+    assert abs(d[0] - 1.0) <= 1e-15
+
+
+START_CASES = {  # canonical spaces whose g may rise: they march
+    "J2(0.3)": [(0.3, 2)],
+    "J3(0.35)": [(0.35, 3)],
+    "J4(0.3)": [(0.3, 4)],
+    "J3(0.45)+J1(0.45)": [(0.45, 3), (0.45, 1)],
+    "J2(0.3)+J1(0.6)": [(0.3, 2), (0.6, 1)],
+}
+
+
+@pytest.mark.parametrize("name", START_CASES)
+def test_march_starts_left_of_every_root(monkeypatch, name):
+    # the march's start t0 on a canonical space, where each chain's last
+    # nonzero entry evolves alone: the 50-digit g is > 0 at t0 and at t0 -
+    # 2^k, k = 0..6.  Two rows in three end each chain in 0 to size - 1
+    # zeros; rows with one nonzero entry (eigenvectors, whose start is their
+    # root) are left out
+    mp = pytest.importorskip("mpmath")
+    chains = START_CASES[name]
+    sp = _space(chains)
+    assert not sp._decreasing
+    rng = np.random.default_rng(53)
+    rows = rng.uniform(-3.0, 3.0, (90, sp.n))
+    off = 0
+    for _, size in chains:
+        off += size
+        for row, zeros in zip(rows[:60], rng.integers(0, size, 60)):
+            row[off - zeros:off] = 0.0
+    rows = rows[np.count_nonzero(rows, axis=1) >= 2]
+    starts, real = [], metric._start
+    monkeypatch.setattr(metric, "_start",
+                        lambda *args: starts.append(real(*args)) or starts[-1])
+    dist_pairs(sp, np.zeros_like(rows), rows)
+    (start,) = starts
+    with mp.workdps(50):
+        for t0, v in zip(start, rows):
+            g = _Exact(mp, chains, v)
+            for shift in [0.0] + [2.0 ** k for k in range(7)]:
+                assert g(float(t0) - shift) > 0, (v, t0, shift)
 
 
 def test_golden_ratios_lie_within_rounding_of_the_exact_ratio():

@@ -201,6 +201,19 @@ def test_fit_exponents_diag12():
     assert all(r.cells > 0 for r in rep.rows)
 
 
+def test_fit_predicts_the_rate_of_the_chains_u_touches():
+    # u = e_0 on diag(1, 2) sees only e^{t}: the rate is Q*1 - 3, not Q*2
+    # - 3 (lam_max), and the fitted slopes follow it
+    rep = fit_exponents(
+        np.diag([1.0, 2.0]), TestFunction.coordinate(2, 0), UNIT_BOX,
+        [-6.0, -5.0, -4.0], [1.0, 2.0], max_cells=10**8,
+    )
+    by_q = {f.q: f for f in rep.fits}
+    assert (by_q[1.0].predicted, by_q[2.0].predicted) == (-2.0, -1.0)
+    for fit in rep.fits:
+        assert fit.slope == pytest.approx(fit.predicted, abs=0.1)
+
+
 def test_fit_critical_exponent_sign_flip():
     # Q* = (lam1 + lam2)/lam2 = 1.5 for diag(1,2)
     rep = fit_exponents(
