@@ -20,7 +20,7 @@ import numpy as np
 from .linalg import (_taylor_terms, _upper_toeplitz, check_matrix,
                      check_vector, exponential, nilpotent_exp)
 from .errors import RangeError
-from .metric import BoundarySpace, _newton, dist_pairs
+from .metric import BoundarySpace, _newton, _uniform_box, dist_pairs
 
 
 # ---------------------------------------------------------------------------
@@ -521,8 +521,7 @@ def empirical_bilip(spec, space: BoundarySpace, samples: int = 10_000,
     if samples < 1:
         raise ValueError("samples must be at least 1")
     rng = np.random.default_rng(seed)
-    x = rng.uniform(-box_radius, box_radius, (samples, space.n))
-    y = rng.uniform(-box_radius, box_radius, (samples, space.n))
+    x, y = _uniform_box(rng, box_radius, (2, samples, space.n))
     # no point depends on a distance: one batch holds x, y and F(x), F(y)
     d1, d2 = np.split(dist_pairs(
         space, np.concatenate([x, eval_map_batch(spec, x)]),
@@ -548,9 +547,8 @@ def transfer_check(a, b, m, s: float, samples: int = 10_000, seed: int = 0,
     space_b = BoundarySpace(b)
     if space_a.n != space_b.n or m.shape[0] != space_a.n:
         raise ValueError("dimension mismatch")
-    rng = np.random.default_rng(seed)
-    x = rng.uniform(-box_radius, box_radius, (samples, space_a.n))
-    y = rng.uniform(-box_radius, box_radius, (samples, space_a.n))
+    x, y = _uniform_box(np.random.default_rng(seed), box_radius,
+                        (2, samples, space_a.n))
     da = dist_pairs(space_a, x, y)
     ok = da > 0
     db = dist_pairs(space_b, x[ok] @ m.T, y[ok] @ m.T)
@@ -656,8 +654,8 @@ def qs_profile(spec, space: BoundarySpace, triples: int = 10_000,
     """Sampled quasisymmetry profile of F over random triples."""
     if triples < 1:
         raise ValueError("need at least one triple")
-    rng = np.random.default_rng(seed)
-    pts = rng.uniform(-box_radius, box_radius, (3, triples, space.n))
+    pts = _uniform_box(np.random.default_rng(seed), box_radius,
+                       (3, triples, space.n))
     x, y, z = pts
     fx, fy, fz = (eval_map_batch(spec, p) for p in pts)
     # no point depends on a distance: the four blocks share one batch

@@ -431,6 +431,14 @@ def dist_pairs(space: BoundarySpace, x, y) -> np.ndarray:
     return _dist_from_diffs(space, y - x)
 
 
+def _uniform_box(rng, box_radius, shape):
+    """Points of rng uniform in [-box_radius, box_radius]^n, n = shape[-1]."""
+    if not 0.0 < box_radius < math.inf:
+        raise ValueError(f"box_radius must be finite and positive, not "
+                         f"{box_radius!r}")
+    return rng.uniform(-box_radius, box_radius, shape)
+
+
 def quasimetric_constant(space: BoundarySpace, samples: int = 10_000,
                          seed: int = 0, box_radius: float = 5.0) -> float:
     """Empirical lower bound for the quasimetric constant M.
@@ -443,8 +451,7 @@ def quasimetric_constant(space: BoundarySpace, samples: int = 10_000,
     if samples < 1:
         raise ValueError("samples must be at least 1")
     rng = np.random.default_rng(seed)
-    pts = rng.uniform(-box_radius, box_radius, (3, samples, space.n))
-    x, y, z = pts
+    x, y, z = _uniform_box(rng, box_radius, (3, samples, space.n))
     repeat = rng.random(samples) < 0.125
     y[repeat] = z[repeat]
     dxz, dxy, dyz = np.split(

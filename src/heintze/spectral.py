@@ -14,11 +14,12 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import ConditioningError
+from .errors import ConditioningError, RangeError
 from .linalg import (DEFAULT_RANK_TOL, check_hypothesis, check_matrix,
                      jordan_block)
 
 DEFAULT_CLUSTER_TOL = 1e-6
+MAX_ENTRY = 1e150  # the largest |a_ij|: the squared norms of A stay finite
 
 
 @dataclass(frozen=True)
@@ -132,12 +133,16 @@ def _resolve(a, tol, rank_tol, hypothesis=False):
     the staircase of A - mu I at its mean mu accounts for all m
     (``_block_sizes``); otherwise it is split again at r_(m-1).  With
     ``hypothesis``, every real part must exceed ``tol`` first.  A ValueError
-    is raised unless tol > 0 and 0 < rank_tol < 1 (NaN is neither).
+    is raised unless tol > 0 and 0 < rank_tol < 1 (NaN is neither), and a
+    RangeError unless every |a_ij| is at most MAX_ENTRY = 1e150.
     """
     if not tol > 0:
         raise ValueError(f"tol must be positive, not {tol!r}")
     if not 0 < rank_tol < 1:
         raise ValueError(f"rank_tol must lie in (0, 1), not {rank_tol!r}")
+    if (big := float(np.abs(a).max())) > MAX_ENTRY:
+        raise RangeError(f"matrix entries must be at most {MAX_ENTRY:g} in "
+                         f"absolute value, not {big:g}")
     try:
         vals = np.linalg.eigvals(a)
     except np.linalg.LinAlgError as exc:
@@ -212,7 +217,7 @@ def real_part_jordan_form(
     ``tol``; each cluster's block sizes come from the staircase ranks, at
     ``rank_tol``, of A - mu I (see ``_resolve``); conjugate pairs are
     folded into two copies of each block at the shared real part.  All
-    real parts must exceed ``tol``.
+    real parts must exceed ``tol``, and all |a_ij| be at most MAX_ENTRY.
     """
     a = check_matrix(a)
     blocks = [(mu.real, size)

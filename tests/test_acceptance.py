@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from conftest import canonical_norm_sq, oracle_roots, scan_oracle
+from conftest import _Exact
 
 from heintze.linalg import jordan_block, save_matrix
 from heintze.maps import (
@@ -242,52 +242,17 @@ def test_criterion_7_conformality_probe():
 # -- 8 ----------------------------------------------------------------------
 
 
-def _adversarial_corpus(count=50):
-    rng = np.random.default_rng(808)
-    cases = [
-        (np.array([[0.3, 1.0], [0.0, 0.3]]), np.array([0.1, 1.0])),
-    ]
-    structures = [
-        (0.30, (2,)), (0.35, (3,)), (0.25, (2, 2)), (0.40, (2, 1)),
-        (0.30, (4,)), (0.45, (3, 1)), (0.35, (2, 1, 1)), (0.28, (4,)),
-    ]
-    attempts = 0
-    while len(cases) < count and attempts < 4000:
-        attempts += 1
-        lam_base, sizes = structures[int(rng.integers(len(structures)))]
-        lam = float(lam_base * rng.uniform(0.8, 1.2))
-        blocks = [jordan_block(lam, s) for s in sizes]
-        a = scipy.linalg.block_diag(*blocks)
-        a = np.atleast_2d(a)
-        n = a.shape[0]
-        v = rng.uniform(-3, 3, n)
-        if np.linalg.norm(v) < 0.2:
-            continue
-        # coarse multi-root screen
-        grid = np.arange(-25.0, 45.0, 1e-3)
-        vals = canonical_norm_sq(a, v, grid) - 1.0
-        idx = np.where(np.diff(np.sign(vals)) != 0)[0]
-        if len(idx) < 3:
-            continue
-        gaps = np.diff(grid[idx])
-        if gaps.min() < 0.05:
-            continue
-        cases.append((a, v))
-    assert len(cases) == count, "corpus construction fell short"
-    return cases
-
-
-def test_criterion_8_smallest_root_corpus():
-    cases = _adversarial_corpus(50)
+def test_criterion_8_smallest_root_corpus(adversarial_corpus):
+    mp = pytest.importorskip("mpmath")
     multi = 0
-    for a, v in cases:
-        roots = oracle_roots(a, v, step=1e-5, t_lo=-25.0, t_hi=45.0)
+    for a, v in adversarial_corpus:
+        with mp.workdps(50):
+            roots = _Exact.of(mp, a, v).roots(-25.0, 45.0)
         assert roots, "oracle found no root"
         if len(roots) >= 3:
             multi += 1
-        space = BoundarySpace(a)
-        got = math.log(dist(space, np.zeros(a.shape[0]), v))
-        assert abs(got - roots[0]) <= 1e-4
+        got = math.log(dist(BoundarySpace(a), np.zeros(a.shape[0]), v))
+        assert abs(got - float(roots[0])) <= 1e-4
     assert multi >= 45  # corpus is genuinely adversarial
     _report(8, "smallest-root correctness on the adversarial corpus")
 

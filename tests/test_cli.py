@@ -278,6 +278,28 @@ def test_qsmap_verify_zero_samples_exits_one(files):
     assert "samples must be at least 1" in err
 
 
+@pytest.mark.parametrize("radius", ["nan", "inf", "0", "-1"])
+def test_qsmap_verify_bad_box_radius_exits_one(files, radius):
+    # nan and inf used to end in a traceback, 0 and -1 in numpy's messages
+    rc, _, err = run_cli("qsmap-verify", "--map", files["shear1"],
+                         "--matrix", files["j2"], f"--box-radius={radius}",
+                         "--out", str(files["dir"] / "v.json"))
+    assert rc == 1 and "Traceback" not in err
+    assert err == ("error: box_radius must be finite and positive, not "
+                   f"{float(radius)!r}\n")
+
+
+def test_overflow_sized_matrix_exits_four(files):
+    # used to print five RuntimeWarnings and "error: SVD did not converge"
+    big = files["dir"] / "big.json"
+    big.write_text(json.dumps({"rows": [[1e308, 1.0], [0.0, 1e308]]}))
+    for argv in (("rpjf", str(big)), ("classify", files["j2"], str(big))):
+        rc, out, err = run_cli(*argv)
+        assert rc == 4 and out == ""
+        assert err == ("solver failure: matrix entries must be at most "
+                       "1e+150 in absolute value, not 1e+308\n")
+
+
 def test_unknown_flag_exits_one(files):
     rc, _, _ = run_cli("dist", "--nope", "1")
     assert rc == 1

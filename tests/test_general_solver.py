@@ -14,9 +14,7 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from test_acceptance import _adversarial_corpus
-from test_refiner import _Exact
-from test_single_solver import _no_march
+from conftest import _Exact, no_march
 
 from heintze import metric
 from heintze.errors import RangeError, SolverError
@@ -98,11 +96,6 @@ def test_near_tangent_dip_returns_later_root(lam):
     assert abs(got - want) <= 1e-10 * max(1.0, abs(want))
 
 
-@pytest.fixture(scope="module")
-def corpus():
-    return _adversarial_corpus(50)
-
-
 # J3 and J4, whose eigenvalue rounding splits once rotated, and two
 # canonical sums whose numerical Jordan form raises ConditioningError
 BUILD_CASES = [
@@ -115,11 +108,11 @@ BUILD_CASES = [
 ]
 
 
-def test_orthogonal_conjugation_on_rotated_corpus(corpus):
+def test_orthogonal_conjugation_on_rotated_corpus(adversarial_corpus):
     rng = np.random.default_rng(31)
     extra = np.random.default_rng(37)
-    cases = corpus + [(a, extra.uniform(-3.0, 3.0, a.shape[0]))
-                      for a in BUILD_CASES]
+    cases = adversarial_corpus + [
+        (a, extra.uniform(-3.0, 3.0, a.shape[0])) for a in BUILD_CASES]
     for a, v in cases:
         n = a.shape[0]
         r, _ = np.linalg.qr(rng.normal(size=(n, n)))
@@ -263,7 +256,7 @@ def test_decreasing_general_space_builds_its_clusters_once(monkeypatch):
     # the spiral's symmetric part is I, so g decreases: its batches build
     # the Schur form once, and never march nor need K
     calls = _count_builds(monkeypatch)
-    monkeypatch.setattr(metric, "_march", _no_march)
+    monkeypatch.setattr(metric, "_march", no_march)
     space = BoundarySpace(np.array([[1.0, -3.0], [3.0, 1.0]]))
     assert space._decreasing
     _spiral_batches(space)

@@ -381,6 +381,19 @@ def test_transfer_check_conjugated_jordan(rng):
         transfer_check(a, b, np.zeros((2, 2)), 1.0, samples=10, seed=0)
 
 
+@pytest.mark.parametrize("radius", [math.nan, math.inf, 0.0, -1.0])
+def test_sampling_boxes_must_be_finite_and_positive(radius):
+    # inf used to raise OverflowError, 0 and -1 numpy's own messages
+    a = jordan_block(1.0, 2)
+    space, shear = BoundarySpace(a), Shear(2, PiecewiseLinear.constant(1.0))
+    for sample in (lambda: empirical_bilip(shear, space, 10, 0, radius),
+                   lambda: transfer_check(a, a, np.eye(2), 1.0, 10, 0, radius),
+                   lambda: qs_profile(shear, space, 10, 0, radius),
+                   lambda: quasimetric_constant(space, 10, 0, radius)):
+        with pytest.raises(ValueError, match=f"box_radius .* not {radius!r}"):
+            sample()
+
+
 def test_distortion_profile_identity_and_similarity():
     space = BoundarySpace(jordan_block(1.0, 2))
     ident = Translation((0.0, 0.0))

@@ -7,7 +7,7 @@ import scipy.linalg
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import oracle_roots, scan_oracle
+from conftest import _Exact
 
 from heintze.errors import RangeError, SolverError
 from heintze.linalg import jordan_block
@@ -121,11 +121,17 @@ def test_dilation_similarity(spaces, rng):
             assert lhs == pytest.approx(rhs, rel=1e-8)
 
 
+def _exact_root(a, v):
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(50):
+        return float(_Exact.of(mp, a, v).smallest_root())
+
+
 def test_diagonal_matches_independent_scan(spaces, rng):
     sp = spaces["diag12"]
     for _ in range(10):
         x, y = rng.uniform(-4, 4, (2, 2))
-        t_star = scan_oracle(sp.a, y - x)
+        t_star = _exact_root(sp.a, y - x)
         assert dist(sp, x, y) == pytest.approx(math.exp(t_star), rel=1e-9)
 
 
@@ -134,7 +140,7 @@ def test_single_block_matches_independent_scan(spaces, rng):
         sp = spaces[key]
         for _ in range(8):
             x, y = rng.uniform(-4, 4, (2, sp.n))
-            t_star = scan_oracle(sp.a, y - x)
+            t_star = _exact_root(sp.a, y - x)
             assert dist(sp, x, y) == pytest.approx(
                 math.exp(t_star), rel=1e-9
             )
@@ -150,7 +156,7 @@ def test_single_block_matches_independent_scan(spaces, rng):
         assert sp._decreasing == (lam > math.cos(math.pi / (s + 1)))
         for _ in range(4):
             x, y = local.uniform(-4, 4, (2, s))
-            t_star = scan_oracle(sp.a, y - x)
+            t_star = _exact_root(sp.a, y - x)
             assert dist(sp, x, y) == pytest.approx(
                 math.exp(t_star), rel=1e-9
             )
@@ -200,7 +206,9 @@ def test_smallest_root_multi_root_case():
     # three roots; the solver must return the first one
     a = np.array([[0.3, 1.0], [0.0, 0.3]])
     v = np.array([0.1, 1.0])
-    roots = oracle_roots(a, v)
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(50):
+        roots = _Exact.of(mp, a, v).roots(-30.0, 40.0)
     assert len(roots) == 3
     sp = BoundarySpace(a)
     got = dist(sp, np.zeros(2), v)

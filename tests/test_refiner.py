@@ -16,6 +16,8 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+from conftest import _Exact
+
 from heintze import metric
 from heintze.errors import RangeError, SolverError
 from heintze.linalg import jordan_block
@@ -412,81 +414,6 @@ CASES = {
 # the cases whose g may rise: they march to their brackets, and the
 # others start from log|v|/lam
 MARCHING = {"J3(0.35)", "J4(0.3)", "J2(0.3)"}
-
-
-class _Exact:
-    """g(t) = log|e^{-tA}v| for canonical chains at 50 digits, from the
-    closed form of e^{-tN} on each chain."""
-
-    def __init__(self, mp, chains, v):
-        self.mp = mp
-        self.terms = []  # (lam, ascending coefficients of the chain's |.|^2)
-        off = 0
-        for lam, size in chains:
-            p = [mp.mpf(0)] * (2 * size - 1)
-            for i in range(size):
-                c = [mp.mpf(float(v[off + i + q])) * (-1) ** q
-                     / mp.factorial(q) for q in range(size - i)]
-                for q1, c1 in enumerate(c):
-                    for q2, c2 in enumerate(c):
-                        p[q1 + q2] += c1 * c2
-            self.terms.append((mp.mpf(lam), p))
-            off += size
-
-    def __call__(self, t):
-        mp = self.mp
-        t = mp.mpf(t)
-        return mp.log(sum(mp.exp(-2 * lam * t) * mp.polyval(p[::-1], t)
-                          for lam, p in self.terms)) / 2
-
-    def critical_points(self):
-        """Real zeros of g' when every chain has one eigenvalue: zeros of
-        P' - 2 lam P for the summed polynomial P."""
-        mp = self.mp
-        lams = {lam for lam, _ in self.terms}
-        if len(lams) > 1:
-            return []  # several eigenvalues occur only diagonally: g' < 0
-        lam = lams.pop()
-        width = max(len(p) for _, p in self.terms)
-        p = [sum(q[k] for _, q in self.terms if k < len(q))
-             for k in range(width)]
-        while len(p) > 1 and p[-1] == 0:
-            p.pop()
-        d = [(k + 1) * p[k + 1] - 2 * lam * p[k] for k in range(len(p) - 1)]
-        d.append(-2 * lam * p[-1])
-        if len(d) < 2:
-            return []
-        roots = mp.polyroots(d[::-1], maxsteps=200, extraprec=200)
-        return sorted(mp.re(z) for z in roots if abs(mp.im(z)) < 1e-30)
-
-    def sign_changes(self):
-        signs = [True] + [self(c) > 0 for c in self.critical_points()]
-        signs.append(False)
-        return sum(a != b for a, b in zip(signs, signs[1:]))
-
-    def smallest_root(self):
-        """g is monotone between critical points, positive far left and
-        negative far right: the first piece whose right end has g <= 0
-        holds the smallest root."""
-        mp = self.mp
-        lo = hi = None
-        for c in self.critical_points():
-            if self(c) <= 0:
-                hi = c
-                break
-            lo = c
-        if lo is None:
-            lo = (hi if hi is not None else mp.mpf(0)) - 1
-            while self(lo) <= 0:
-                lo -= 1
-        if hi is None:
-            hi = lo + 1
-            while self(hi) > 0:
-                hi += 1
-        root = mp.findroot(self, (lo, hi), solver="anderson")
-        eps = mp.mpf(10) ** -40
-        assert self(root - eps) > 0 >= self(root + eps)
-        return root
 
 
 def _rows(mp, name, chains, rng, count=50):

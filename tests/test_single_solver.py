@@ -18,6 +18,8 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+from conftest import Marched, no_march
+
 from heintze import metric
 from heintze.linalg import jordan_block
 from heintze.metric import BoundarySpace, dist_pairs
@@ -65,17 +67,9 @@ def _rotated(chains):
     return sp
 
 
-class _Marched(Exception):
-    pass
-
-
-def _no_march(*args):
-    raise _Marched
-
-
 @pytest.mark.parametrize("name", DECREASING)
 def test_decreasing_spaces_never_march(name, monkeypatch):
-    monkeypatch.setattr(metric, "_march", _no_march)
+    monkeypatch.setattr(metric, "_march", no_march)
     sp = _space(DECREASING[name])
     x, y = np.random.default_rng(3).uniform(-5, 5, (2, 200, sp.n))
     d = dist_pairs(sp, x, y)
@@ -84,16 +78,16 @@ def test_decreasing_spaces_never_march(name, monkeypatch):
 
 @pytest.mark.parametrize("name", NOT_DECREASING)
 def test_other_spaces_march(name, monkeypatch):
-    monkeypatch.setattr(metric, "_march", _no_march)
+    monkeypatch.setattr(metric, "_march", no_march)
     sp = _space(NOT_DECREASING[name])
     x, y = np.random.default_rng(3).uniform(-5, 5, (2, 200, sp.n))
-    with pytest.raises(_Marched):
+    with pytest.raises(Marched):
         dist_pairs(sp, x, y)
 
 
 @pytest.mark.parametrize("name", [*DECREASING, "spiral"])
 def test_decreasing_rotations_never_march(name, monkeypatch):
-    monkeypatch.setattr(metric, "_march", _no_march)
+    monkeypatch.setattr(metric, "_march", no_march)
     if name == "spiral":
         sp = BoundarySpace(SPIRAL)
     else:
@@ -107,11 +101,11 @@ def test_decreasing_rotations_never_march(name, monkeypatch):
 
 @pytest.mark.parametrize("name", NOT_DECREASING)
 def test_other_rotations_march(name, monkeypatch):
-    monkeypatch.setattr(metric, "_march", _no_march)
+    monkeypatch.setattr(metric, "_march", no_march)
     sp = _rotated(NOT_DECREASING[name])
     assert not sp._decreasing and not _space(NOT_DECREASING[name])._decreasing
     x, y = np.random.default_rng(3).uniform(-5, 5, (2, 200, sp.n))
-    with pytest.raises(_Marched):
+    with pytest.raises(Marched):
         dist_pairs(sp, x, y)
 
 

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from heintze.errors import HypothesisViolationError
+from heintze.errors import HypothesisViolationError, RangeError
 from heintze.linalg import jordan_block
 from heintze.spectral import (
     RealPartJordanForm,
@@ -100,6 +100,16 @@ def test_rpjf_rejects_bad_tolerances(kwargs):
 def test_eigen_clusters_rejects_a_nan_tolerance():
     with pytest.raises(ValueError, match="tol must be positive"):
         eigen_clusters(np.diag([1.0, 2.0]), float("nan"))
+
+
+def test_overflow_sized_matrices_raise():
+    # the staircase squares the entries: 1e160 J2 used to read as two J1s,
+    # and the 1e308 matrix to end in "SVD did not converge"
+    j2 = jordan_block(1.0, 2)
+    assert real_part_jordan_form(1e150 * j2).blocks == ((1e150, 2),)
+    for a in (1e160 * j2, np.array([[1e308, 1.0], [0.0, 1e308]])):
+        with pytest.raises(RangeError, match=r"at most 1e\+150"):
+            real_part_jordan_form(a)
 
 
 def test_rpjf_idempotent_on_canonical_matrices(rng):
